@@ -19,7 +19,7 @@ from . import fixtures as fx
 from .classify import classify_threads, classify_warps, format_pct, kernel_stats, scatter_rows, stats_to_json, write_scatter_csv
 from .costs import REFERENCE_FIGURES, account
 from .errors import ArtifactError, ExecutionError, ValidationError, WarpshieldError
-from .interp import CostTable, DEFAULT_BUDGET, DEFAULT_COST_TABLE, load_cost_table, seeded_inputs
+from .interp import CostTable, DEFAULT_BUDGET, DEFAULT_COST_TABLE, seeded_inputs
 from .ir import KernelProgram, parse_kernel, program_to_source
 from .profiling import load_profile, profile_digest, profile_kernel, save_profile, to_fraction
 from .protect import build_protection_plan, protection_report, run_protected
@@ -44,12 +44,24 @@ def _load_program(args) -> tuple[KernelProgram, dict[str, list[int]]]:
             raise ArtifactError(f"kernel file {path} does not exist")
         program = parse_kernel(path.read_text())
         if args.inputs:
-            raw = json.loads(Path(args.inputs).read_text())
-            inputs = {name: [int(v) for v in words] for name, words in raw.items()}
+            inputs = _read_inputs(Path(args.inputs))
         else:
             inputs = seeded_inputs(program, args.seed)
         return program, inputs
     raise _ConfigError("one of --fixture or --kernel is required")
+
+
+def _is_word_list(words) -> bool:
+    return isinstance(words, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in words
+    )
+
+
+def _read_inputs(path: Path) -> dict[str, list[int]]:
+    raw = _read_json(path, "inputs file")
+    if not isinstance(raw, dict) or not all(_is_word_list(words) for words in raw.values()):
+        raise ArtifactError(f"inputs file {path} must map buffer names to lists of integers")
+    return raw
 
 
 def _out_dir(args) -> Path:
@@ -60,7 +72,11 @@ def _out_dir(args) -> Path:
 
 def _cost_table(args) -> CostTable:
     if getattr(args, "cost_table", None):
-        return load_cost_table(args.cost_table)
+        path = Path(args.cost_table)
+        try:
+            return CostTable.from_json(_read_json(path, "cost table"))
+        except ValidationError as e:
+            raise ArtifactError(f"malformed cost table {path}: {e}") from None
     return DEFAULT_COST_TABLE
 
 
@@ -97,10 +113,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path, what: str):
     if not path.exists():
-        raise ArtifactError(f"missing artifact {path} (run the upstream command first)")
-    return json.loads(path.read_text())
+        raise ArtifactError(f"missing {what} {path}")
+    try:
+        return json.loads(path.read_text())
+    except ValueError as e:  # undecodable bytes or JSON syntax
+        raise ArtifactError(f"{what} {path} is not valid JSON: {e}") from None
 
 
 def cmd_profile(args) -> int:
@@ -212,7 +231,7 @@ def cmd_report(args) -> int:
     out = _out_dir(args)
     program, inputs = _load_program(args)
     profile = load_profile(out / "profile.csv")
-    stats_before = _read_json(out / "stats.json")
+    stats_before = _read_json(out / "stats.json", "classify output")
     report = {
         "config": _config_dict(args, "report"),
         "kernel": profile.kernel,
@@ -233,7 +252,7 @@ def cmd_report(args) -> int:
             remap_overhead=to_fraction(args.remap_overhead),
             budget=args.budget,
         )
-        report["after"] = _read_json(out / "stats_remapped.json")
+        report["after"] = _read_json(out / "stats_remapped.json", "remap output")
         report["cost"] = cost.to_json()
         bars = [
             {

@@ -5,17 +5,27 @@ space is trace-driven: enumeration walks the fault-free run and yields one
 site per bit of every dynamic instruction that wrote a destination register,
 so user-supplied lists are the only way a site can reference something that
 never executes (those classify as masked with detail ``not-executed``).
+
+Campaigns inject warp-locally.  A flipped bit in thread *t* can change only
+what *t*'s warp does: threads read input buffers and never each other's
+output, a barrier delays a warp without changing its own store stream, and
+the injected budget covers every fault-free thread, so no other warp can
+crash, hang or store anything new.  Each site therefore re-runs only the
+faulted warp and scores its store stream against the golden run's.  The one
+thing the isolated run cannot show is where the warp's stores land among
+other warps' stores, which decides a location that two warps write; a site
+whose warp touches such a location (in its golden or its faulted stream) is
+classified by one full-kernel run instead.
 """
 
 from __future__ import annotations
 
-import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CampaignRefused, ValidationError
-from .interp import COMPLETED, CRASHED, DEFAULT_BUDGET, ExecutionResult, execute
-from .ir import KernelProgram
+from .interp import COMPLETED, CRASHED, DEFAULT_BUDGET, ExecutionResult, execute, word_inputs
+from .ir import WARP_SIZE, KernelProgram
 
 MASKED = "masked"
 SDC = "sdc"
@@ -55,6 +65,7 @@ class CampaignResult:
     per_site: dict[FaultSite, Outcome]
     per_thread_counts: dict[int, tuple[int, int, int]]  # tid -> (masked, sdc, other)
     seed: int | None = None
+    full_runs: int = 0  # sites classified by a whole-kernel run
 
     def counts(self, thread_id: int) -> tuple[int, int, int]:
         return self.per_thread_counts.get(thread_id, (0, 0, 0))
@@ -68,12 +79,12 @@ def default_budget(golden: ExecutionResult) -> int:
 def golden_run(
     program: KernelProgram, inputs: dict[str, list[int]], budget: int = DEFAULT_BUDGET
 ) -> ExecutionResult:
-    """Fault-free reference run with the write trace recorded.
+    """Fault-free reference run with the write trace and store streams recorded.
 
     Raises :class:`CampaignRefused` if the kernel itself crashes or hangs,
     since outcomes are only defined against a clean golden output.
     """
-    golden = execute(program, inputs, budget=budget, record_writes=True)
+    golden = execute(program, inputs, budget=budget, record_writes=True, record_stores=True)
     if not golden.completed:
         raise CampaignRefused(
             f"golden run of {program.name!r} terminated {golden.termination}: {golden.error}"
@@ -139,20 +150,51 @@ def run_campaign(
     golden: ExecutionResult | None = None,
     seed: int | None = None,
 ) -> CampaignResult:
-    """One execution per site, each classified against the golden output.
+    """Classify every site against the golden run, re-running only its warp.
+
+    A run that crashes or hangs is ``other``.  Otherwise each output location
+    the warp stores to, in the golden or the faulted run, takes the warp's
+    last faulted store (0 if none) and is compared with the golden output:
+    any difference is ``sdc``, none is ``masked``.  When another warp also
+    writes one of those locations in the golden run, the site is classified
+    by one full-kernel run (counted in ``full_runs``).  A site whose thread
+    is never launched is masked, not executed, without a run.
 
     Runs are independent and may be reordered or parallelised; aggregation is
     commutative counting, so the result does not depend on schedule.
     """
     if golden is None:
         golden = golden_run(program, inputs)
+    if golden.store_streams is None:
+        raise ValidationError("golden result lacks the store streams")
     if budget is None:
         budget = default_budget(golden)
+    if budget < golden.max_icnt():
+        raise ValidationError(
+            f"budget {budget} is below the golden run's peak iCnt {golden.max_icnt()}"
+        )
+    words = word_inputs(program, inputs)
+    owners = _location_owners(program, golden.store_streams)
+    warp_of = {
+        t: _warp_key(program, t)
+        for t in {s.thread_id for s in sites}
+        if t < program.total_threads
+    }
     per_site: dict[FaultSite, Outcome] = {}
     tallies: dict[int, list[int]] = {}
+    full_runs = 0
     for site in sites:
-        result = execute(program, inputs, fault=site, budget=budget)
-        outcome = classify_outcome(golden, result)
+        key = warp_of.get(site.thread_id)
+        if key is None:
+            outcome = Outcome(MASKED, "not-executed")
+        else:
+            run = execute(
+                program, words, fault=site, budget=budget, warp_filter=key, record_stores=True
+            )
+            outcome = _warp_outcome(golden, run, key, owners)
+            if outcome is None:
+                full_runs += 1
+                outcome = classify_outcome(golden, execute(program, words, fault=site, budget=budget))
         per_site[site] = outcome
         tally = tallies.setdefault(site.thread_id, [0, 0, 0])
         tally[_OUTCOME_KINDS.index(outcome.kind)] += 1
@@ -160,40 +202,44 @@ def run_campaign(
         per_site=per_site,
         per_thread_counts={t: tuple(v) for t, v in sorted(tallies.items())},
         seed=seed,
+        full_runs=full_runs,
     )
 
 
-# ---------------------------------------------------------------------------
-# persistence
-
-CAMPAIGN_HEADER = ["thread_id", "dyn_instr", "bit", "outcome", "detail"]
-AGGREGATE_HEADER = ["thread_id", "sites", "masked", "sdc", "other"]
+_SHARED = "shared"  # location owner: stored to by more than one warp
 
 
-def write_campaign_csv(result: CampaignResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(CAMPAIGN_HEADER)
-        for site in sorted(result.per_site):
-            oc = result.per_site[site]
-            w.writerow([site.thread_id, site.dyn_instr, site.bit, oc.kind, oc.detail or ""])
+def _location_owners(program: KernelProgram, streams) -> dict[str, list]:
+    """Per output location: ``None`` if no golden store writes it, the one warp
+    that does, or ``_SHARED``."""
+    owners = {name: [None] * size for name, size in program.output_buffers}
+    for key, stream in streams.items():
+        for buf, addr, _ in stream:
+            row = owners[buf]
+            if row[addr] is None:
+                row[addr] = key
+            elif row[addr] != key:
+                row[addr] = _SHARED
+    return owners
 
 
-def read_campaign_csv(path) -> dict[FaultSite, Outcome]:
-    out = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CAMPAIGN_HEADER:
-            raise ValidationError(f"unexpected campaign CSV header {reader.fieldnames}")
-        for row in reader:
-            site = FaultSite(int(row["thread_id"]), int(row["dyn_instr"]), int(row["bit"]))
-            out[site] = Outcome(row["outcome"], row["detail"] or None)
-    return out
+def _warp_key(program: KernelProgram, thread_id: int) -> tuple[int, int]:
+    cta = program.cta_of(thread_id)
+    return (cta, program.launch_order(cta).index(thread_id) // WARP_SIZE)
 
 
-def write_aggregate_csv(result: CampaignResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(AGGREGATE_HEADER)
-        for t, (m, s, o) in sorted(result.per_thread_counts.items()):
-            w.writerow([t, m + s + o, m, s, o])
+def _warp_outcome(golden: ExecutionResult, run: ExecutionResult, key, owners) -> Outcome | None:
+    """Outcome of a warp-filtered faulted run, or ``None`` when it touches a
+    location another warp writes and only a full run can tell."""
+    if run.termination != COMPLETED:
+        return classify_outcome(golden, run)
+    last = {(buf, addr): 0 for buf, addr, _ in golden.store_streams.get(key, ())}
+    for buf, addr, value in run.store_streams.get(key, ()):
+        last[(buf, addr)] = value
+    for buf, addr in last:
+        if owners[buf][addr] not in (None, key):
+            return None
+    outputs = golden.outputs
+    if all(outputs[buf][addr] == value for (buf, addr), value in last.items()):
+        return Outcome(MASKED, None if run.fault_applied else "not-executed")
+    return Outcome(SDC)

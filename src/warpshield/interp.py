@@ -22,10 +22,10 @@ destination register never host a fault.
 
 from __future__ import annotations
 
-import json
 import random
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
@@ -78,20 +78,21 @@ class CostTable:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "CostTable":
-        return cls(
-            op_cycles=dict(data.get("op_cycles", _DEFAULT_OP_CYCLES)),
-            compare_per_store=int(data.get("compare_per_store", 1)),
-            vote_per_store=int(data.get("vote_per_store", 2)),
-        )
+    def from_json(cls, data) -> "CostTable":
+        if not isinstance(data, dict):
+            raise ValidationError("cost table must be a JSON object")
+        op_cycles = data.get("op_cycles", _DEFAULT_OP_CYCLES)
+        compare = data.get("compare_per_store", 1)
+        vote = data.get("vote_per_store", 2)
+        if not isinstance(op_cycles, dict) or not all(
+            isinstance(v, int) and not isinstance(v, bool)
+            for v in (*op_cycles.values(), compare, vote)
+        ):
+            raise ValidationError("cost table cycle counts must be integers")
+        return cls(op_cycles=dict(op_cycles), compare_per_store=compare, vote_per_store=vote)
 
 
 DEFAULT_COST_TABLE = CostTable()
-
-
-def load_cost_table(path) -> CostTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CostTable.from_json(json.load(fh))
 
 
 @dataclass
@@ -153,13 +154,15 @@ def _signed(v: int) -> int:
     return v - 0x100000000 if v >= 0x80000000 else v
 
 
-def _lanes(mask: int) -> list[int]:
+@lru_cache(maxsize=1024)
+def _lanes(mask: int) -> tuple[int, ...]:
+    # Lane masks repeat across issues and across runs, so each is decoded once.
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
+    return tuple(out)
 
 
 def seeded_inputs(program: KernelProgram, seed: int = 0) -> dict[str, list[int]]:
@@ -184,6 +187,23 @@ def validate_inputs(program: KernelProgram, inputs: dict[str, list[int]]) -> Non
             )
 
 
+class WordInputs(dict):
+    """Input buffers checked against a program and masked to 32-bit words.
+
+    :func:`execute` masks a plain mapping on every call; a caller that runs
+    one kernel many times builds this once with :func:`word_inputs` so that
+    a single-warp run costs O(warp), not O(inputs).  Threads only read input
+    buffers, so every run can share the same lists.
+    """
+
+
+def word_inputs(program: KernelProgram, inputs: dict[str, list[int]]) -> WordInputs:
+    validate_inputs(program, inputs)
+    return WordInputs(
+        {name: [v & WORD_MASK for v in inputs[name]] for name, _ in program.input_buffers}
+    )
+
+
 def execute(
     program: KernelProgram,
     inputs: dict[str, list[int]],
@@ -197,17 +217,24 @@ def execute(
 ) -> ExecutionResult:
     """Run a kernel to completion (or crash/hang) and return its results.
 
-    ``warp_filter=(cta_id, warp_id)`` launches only that warp's threads; this
-    is how replicated executions re-run a single warp in isolation, which is
-    equivalent to the full run because threads never read other threads'
-    output.
+    ``warp_filter=(cta_id, warp_id)`` launches only that warp's threads.
+    Threads read only input buffers, never another thread's output, and a
+    barrier only delays a warp, so the isolated warp executes the same
+    instructions, writes the same registers and emits the same store stream
+    as it does inside the full run.  What isolation loses is where its
+    stores fall between other warps' stores, which matters only for output
+    locations two warps both write.  Protection replicas and fault
+    injection both run warps this way.
     """
     if budget < 1:
         raise ValidationError("instruction budget must be positive")
-    validate_inputs(program, inputs)
+    if isinstance(inputs, WordInputs):
+        validate_inputs(program, inputs)
+        in_bufs = inputs
+    else:
+        in_bufs = word_inputs(program, inputs)
     costs = (cost_table or DEFAULT_COST_TABLE).op_cycles
 
-    in_bufs = {name: [v & WORD_MASK for v in inputs[name]] for name, _ in program.input_buffers}
     out_bufs = {name: [0] * size for name, size in program.output_buffers}
 
     total = program.total_threads
@@ -215,8 +242,11 @@ def execute(
     regs: list[list[int] | None] = [None] * total
     writes: list[list[int]] | None = [[] for _ in range(total)] if record_writes else None
 
+    launched = range(program.num_ctas)
+    if warp_filter is not None:
+        launched = [warp_filter[0]] if 0 <= warp_filter[0] < program.num_ctas else []
     ctas: list[list[_WarpCtx]] = []
-    for cta in range(program.num_ctas):
+    for cta in launched:
         order = program.launch_order(cta)
         warps = []
         for wid, start in enumerate(range(0, len(order), WARP_SIZE)):
@@ -232,7 +262,7 @@ def execute(
                 regs[t] = r
         if warps:
             ctas.append(warps)
-    if warp_filter is not None and not ctas:
+    if not ctas:
         raise ValidationError(f"warp filter {warp_filter} matches no warp")
 
     instructions = program.instructions
@@ -502,7 +532,7 @@ def execute(
         error = abort.message
 
     return ExecutionResult(
-        outputs={name: list(buf) for name, buf in out_bufs.items()},
+        outputs=out_bufs,
         per_thread_icnt=icnt,
         cycles=cycles,
         termination=termination,

@@ -3,7 +3,8 @@
 Threads that execute the same number of dynamic instructions are grouped, one
 representative per group is injected, and its outcome fractions extrapolate to
 the whole group.  Exhaustive mode injects every thread and exists as the
-fallback for kernels whose equal-count threads nonetheless behave differently.
+fallback for kernels whose equal-count threads nonetheless behave differently,
+so its measured rows may differ within a group.
 
 Fractions are exact rationals derived from outcome counts, so downstream
 threshold comparisons are reproducible; files render them as shortest-decimal
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import ArtifactError, ValidationError
 from .faults import enumerate_fault_space, golden_run, run_campaign, sample_sites, default_budget
 from .interp import DEFAULT_BUDGET, ExecutionResult
 from .ir import KernelProgram
@@ -112,13 +113,23 @@ class KernelProfile:
         ids = [t.thread_id for t in self.threads]
         if ids != list(range(len(ids))):
             raise ValidationError("profile must cover thread ids 0..N-1 exactly once, in order")
-        by_group: dict[int, tuple] = {}
+        # An extrapolated row copies its group's measured representative (the
+        # group's lowest-id measured row); measured rows may differ freely.
+        measured: dict[int, tuple] = {}
         for t in self.threads:
-            key = (t.masked_pct, t.sdc_pct, t.other_pct)
-            if by_group.setdefault(t.group_id, key) != key:
-                raise ValidationError(
-                    f"group {t.group_id} carries conflicting outcome fractions"
-                )
+            if t.provenance == MEASURED:
+                measured.setdefault(t.group_id, (t.masked_pct, t.sdc_pct, t.other_pct))
+        for t in self.threads:
+            if t.provenance == EXTRAPOLATED:
+                rep = measured.get(t.group_id)
+                if rep is None:
+                    raise ValidationError(
+                        f"group {t.group_id} has extrapolated rows but no measured row"
+                    )
+                if rep != (t.masked_pct, t.sdc_pct, t.other_pct):
+                    raise ValidationError(
+                        f"group {t.group_id} carries conflicting outcome fractions"
+                    )
 
     @property
     def geometry(self) -> tuple[int, int]:
@@ -271,8 +282,12 @@ def save_profile(profile: KernelProfile, path) -> None:
 
 
 def load_profile(path) -> KernelProfile:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        return profile_from_csv_text(fh.read())
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ArtifactError(f"missing profile {path} (run profile first)") from None
+    return profile_from_csv_text(text)
 
 
 def profile_from_csv_text(text: str) -> KernelProfile:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .classify import RELIABLE, WarpClassification
 from .errors import ProtectionError, ValidationError
 from .faults import FaultSite
-from .interp import COMPLETED, CostTable, DEFAULT_BUDGET, DEFAULT_COST_TABLE, execute
+from .interp import COMPLETED, CostTable, DEFAULT_BUDGET, DEFAULT_COST_TABLE, execute, word_inputs
 from .ir import KernelProgram
 
 DETECT = "detect"
@@ -114,6 +114,7 @@ def run_protected(
     warps = program.warps()
     if set(protection.factors) != {(w.cta_id, w.warp_id) for w in warps}:
         raise ValidationError("protection plan does not cover the program's warps")
+    words = word_inputs(program, inputs)
 
     cycles = 0
     detections: list[WarpIncident] = []
@@ -129,7 +130,7 @@ def run_protected(
         for replica in range(factor):
             result = execute(
                 program,
-                inputs,
+                words,
                 fault=warp_fault if replica == 0 else None,
                 budget=budget,
                 cost_table=table,

@@ -156,5 +156,11 @@ def save_plan(plan: RemapPlan, path) -> None:
 
 
 def load_plan(path) -> RemapPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return plan_from_json(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ArtifactError(f"missing remap plan {path} (run remap first)") from None
+    except json.JSONDecodeError as e:
+        raise ArtifactError(f"remap plan {path} is not valid JSON: {e}") from None
+    return plan_from_json(data)

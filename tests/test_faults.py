@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from warpshield.errors import CampaignRefused, ValidationError
@@ -5,20 +7,20 @@ from warpshield.faults import (
     FaultSite,
     Outcome,
     classify_outcome,
+    default_budget,
     enumerate_fault_space,
     golden_run,
-    read_campaign_csv,
     run_campaign,
     sample_sites,
-    write_aggregate_csv,
-    write_campaign_csv,
 )
 from warpshield.fixtures import (
     add_one_inputs,
     add_one_kernel,
     address_probe_kernel,
     dead_write_kernel,
+    two_group_kernel,
 )
+from warpshield.interp import execute
 from warpshield.ir import parse_kernel
 
 
@@ -85,11 +87,23 @@ def test_address_corruption_classified_other_crashed():
 
 def test_user_supplied_site_never_executed_is_masked(add_one):
     program, inputs = add_one
-    campaign = run_campaign(program, inputs, [FaultSite(0, 4, 0), FaultSite(0, 50, 7)])
-    # dyn 4 is the store (no destination register), dyn 50 is past the trace
+    sites = [FaultSite(0, 4, 0), FaultSite(0, 50, 7), FaultSite(64, 1, 0)]
+    campaign = run_campaign(program, inputs, sites)
+    # dyn 4 is the store (no destination register), dyn 50 is past the trace,
+    # thread 64 is never launched
     assert all(
         o == Outcome("masked", "not-executed") for o in campaign.per_site.values()
     )
+    assert campaign.full_runs == 0
+
+
+def test_campaign_refuses_golden_it_cannot_score_against(add_one):
+    program, inputs = add_one
+    sites = [FaultSite(3, 1, 0)]
+    with pytest.raises(ValidationError, match="store streams"):
+        run_campaign(program, inputs, sites, golden=execute(program, inputs))
+    with pytest.raises(ValidationError, match="peak iCnt"):
+        run_campaign(program, inputs, sites, budget=4)
 
 
 def test_partition_counts_sum_to_sites(add_one):
@@ -138,21 +152,127 @@ def test_site_validation():
         FaultSite(0, 0, 3)
 
 
-def test_csv_round_trips(add_one, tmp_path):
-    program, inputs = add_one
-    sites = enumerate_fault_space(program, inputs, threads=[2])
-    campaign = run_campaign(program, inputs, sites)
-    results = tmp_path / "campaign.csv"
-    write_campaign_csv(campaign, results)
-    assert read_campaign_csv(results) == campaign.per_site
-    agg = tmp_path / "aggregate.csv"
-    write_aggregate_csv(campaign, agg)
-    lines = agg.read_text().strip().splitlines()
-    assert lines[0] == "thread_id,sites,masked,sdc,other"
-    assert lines[1] == "2,96,0,96,0"
-
-
 def test_classify_outcome_rules(add_one):
     program, inputs = add_one
     golden = golden_run(program, inputs)
     assert classify_outcome(golden, golden) == Outcome("masked", "not-executed")
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: warp-local campaigns against whole-kernel re-execution
+
+
+def _full_run_outcomes(program, inputs, sites):
+    golden = golden_run(program, inputs)
+    budget = default_budget(golden)
+    return {
+        site: classify_outcome(golden, execute(program, inputs, fault=site, budget=budget))
+        for site in sites
+    }
+
+
+@pytest.mark.parametrize("kernel", [dead_write_kernel, address_probe_kernel, two_group_kernel])
+def test_warp_local_campaign_equals_full_runs_on_every_site(kernel):
+    program, inputs = kernel()
+    sites = enumerate_fault_space(program, inputs)
+    campaign = run_campaign(program, inputs, sites)
+    assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
+    assert campaign.full_runs == 0  # every thread stores to its own location
+
+
+# Two CTAs of two warps (32 + 1 threads).  In CTA 0, warp 0 stores after the
+# bar and warp 1 before it, and threads 0 and 32 both store to out[0]; CTA 1
+# splits around the bar lane by lane and stores to out[tid].  Faults in dst
+# move stores onto other warps' locations, onto unwritten ones (out[66..95])
+# or out of bounds; faults in the setp move a store across the bar.
+PHASE_PROBE_SOURCE = """\
+.kernel phase_probe
+.ctas 2
+.ctasize 33
+.in late 66
+.in dst 66
+.in val 66
+.out out 96
+    ld r1, late[tid]
+    ld r2, dst[tid]
+    ld r4, val[tid]
+    setp.ne r3, r1, r0
+    bra r3, LATE
+    st out[r2], r4
+    bar
+    exit
+LATE: bar
+    st out[r2], r4
+    exit
+"""
+
+
+def _phase_probe():
+    program = parse_kernel(PHASE_PROBE_SOURCE)
+    late = [1] * 32 + [0] + [t % 2 for t in range(33)]
+    dst = [0 if t in (0, 32) else t for t in range(66)]
+    return program, {"late": late, "dst": dst, "val": [1000 + t for t in range(66)]}
+
+
+def test_warp_local_campaign_equals_full_runs_with_barrier_and_shared_locations():
+    program, inputs = _phase_probe()
+    sites = enumerate_fault_space(program, inputs)
+    campaign = run_campaign(program, inputs, sites)
+    assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
+    assert campaign.full_runs > 0
+    kinds = {o.detail or o.kind for o in campaign.per_site.values()}
+    assert kinds == {"masked", "sdc", "crashed"}
+
+
+def test_store_moved_across_barrier_is_sdc_though_warp_stream_is_unchanged():
+    """Thread 0 skips its wait at the bar, so its out[0] store lands before
+    thread 32's instead of after it: the warp's own stream is the golden one,
+    the kernel's output is not."""
+    program, inputs = _phase_probe()
+    golden = golden_run(program, inputs)
+    site = FaultSite(0, 4, 0)  # the setp that picks the late path
+    isolated = execute(program, inputs, fault=site, warp_filter=(0, 0), record_stores=True)
+    assert isolated.fault_applied
+    assert isolated.store_streams == {(0, 0): golden.store_streams[(0, 0)]}
+    campaign = run_campaign(program, inputs, [site], golden=golden)
+    assert campaign.per_site[site] == Outcome("sdc")
+    assert campaign.full_runs == 1
+
+
+CHASE_SOURCE = """\
+.kernel chase
+.ctas 2
+.ctasize 48
+.in trips 96
+.in link 96
+.in vals 96
+.out out 96
+    ld r1, trips[tid]
+    mov r3, tid
+    movi r6, 1
+LOOP: setp.ge r8, r4, r1
+    bra r8, DONE
+    ld r3, link[r3]
+    ld r9, vals[r3]
+    iadd r5, r5, r9
+    iadd r4, r4, r6
+    bra LOOP
+DONE: bar
+    st out[tid], r5
+    exit
+"""
+
+
+def test_warp_local_campaign_equals_full_runs_on_sampled_loop_sites():
+    program = parse_kernel(CHASE_SOURCE)
+    rng = random.Random("chase")
+    inputs = {
+        "trips": [rng.randrange(6) for _ in range(96)],
+        "link": [rng.randrange(96) for _ in range(96)],
+        "vals": [rng.getrandbits(32) for _ in range(96)],
+    }
+    sites = sample_sites(enumerate_fault_space(program, inputs), 0.01, seed=7)
+    campaign = run_campaign(program, inputs, sites)
+    assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
+    kinds = {o.detail or o.kind for o in campaign.per_site.values()}
+    assert {"crashed", "hung", "sdc", "masked"} <= kinds

@@ -152,6 +152,27 @@ def test_load_rejects_group_fraction_conflict():
         profile_from_csv_text(text)
 
 
+def test_load_accepts_measured_rows_that_differ_within_a_group():
+    text = _csv(
+        [
+            "k,0,0,5,0,0.5,0.5,0.0,measured",
+            "k,0,1,5,0,0.4,0.6,0.0,measured",
+            "k,0,2,5,0,0.5,0.5,0.0,extrapolated",
+        ]
+    )
+    assert [t.sdc_pct for t in profile_from_csv_text(text).threads] == [
+        Fraction(1, 2),
+        Fraction(3, 5),
+        Fraction(1, 2),
+    ]
+
+
+def test_load_rejects_extrapolated_group_without_measured_row():
+    text = _csv(["k,0,0,5,0,0.5,0.5,0.0,extrapolated"])
+    with pytest.raises(ValidationError, match="no measured row"):
+        profile_from_csv_text(text)
+
+
 def test_load_rejects_malformed_row():
     with pytest.raises(ValidationError, match="expected 9 fields"):
         profile_from_csv_text(_csv(["k,0,0,5,0,0.5,0.5,measured"]))
