@@ -8,7 +8,7 @@ from .classify import (
     format_pct,
     kernel_stats,
 )
-from .costs import CostReport, REFERENCE_FIGURES, account, compare_reports
+from .costs import CostReport, REFERENCE_FIGURES, account
 from .errors import (
     ArtifactError,
     CampaignRefused,

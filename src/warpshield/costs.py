@@ -137,26 +137,3 @@ def account(
         protected_warps=len(protected),
         total_warps=len(warps),
     )
-
-
-_DIFF_FIELDS = (
-    "cycles_base",
-    "cycles_remapped",
-    "cycles_partial_detect",
-    "cycles_partial_correct",
-    "cycles_full_rmt",
-    "cycles_full_tmr",
-    "savings_detect",
-    "savings_correct",
-    "remap_overhead",
-)
-
-
-def compare_reports(a: CostReport, b: CostReport) -> dict[str, tuple[Fraction, Fraction, Fraction]]:
-    """Field-wise (a, b, b - a) deltas for regression tracking."""
-    out = {}
-    for name in _DIFF_FIELDS:
-        va = Fraction(getattr(a, name))
-        vb = Fraction(getattr(b, name))
-        out[name] = (va, vb, vb - va)
-    return out

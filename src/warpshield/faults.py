@@ -11,11 +11,13 @@ what *t*'s warp does: threads read input buffers and never each other's
 output, a barrier delays a warp without changing its own store stream, and
 the injected budget covers every fault-free thread, so no other warp can
 crash, hang or store anything new.  Each site therefore re-runs only the
-faulted warp and scores its store stream against the golden run's.  The one
-thing the isolated run cannot show is where the warp's stores land among
-other warps' stores, which decides a location that two warps write; a site
-whose warp touches such a location (in its golden or its faulted stream) is
-classified by one full-kernel run instead.
+faulted warp.  Its store stream, tagged with barrier phases, is replayed
+with :func:`~warpshield.interp.replay_stores` together with the golden
+streams of the other warps that write any location it touches, which puts
+every store to those locations in the order the full faulted run issues
+them, even when the fault moves a store across a barrier.  Locations the
+warp does not touch keep their golden values, so comparing the touched ones
+classifies the site exactly, without a full-kernel run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,15 @@ import random
 from dataclasses import dataclass
 
 from .errors import CampaignRefused, ValidationError
-from .interp import COMPLETED, CRASHED, DEFAULT_BUDGET, ExecutionResult, execute, word_inputs
+from .interp import (
+    COMPLETED,
+    CRASHED,
+    DEFAULT_BUDGET,
+    ExecutionResult,
+    execute,
+    replay_stores,
+    word_inputs,
+)
 from .ir import WARP_SIZE, KernelProgram
 
 MASKED = "masked"
@@ -65,7 +75,6 @@ class CampaignResult:
     per_site: dict[FaultSite, Outcome]
     per_thread_counts: dict[int, tuple[int, int, int]]  # tid -> (masked, sdc, other)
     seed: int | None = None
-    full_runs: int = 0  # sites classified by a whole-kernel run
 
     def counts(self, thread_id: int) -> tuple[int, int, int]:
         return self.per_thread_counts.get(thread_id, (0, 0, 0))
@@ -152,13 +161,13 @@ def run_campaign(
 ) -> CampaignResult:
     """Classify every site against the golden run, re-running only its warp.
 
-    A run that crashes or hangs is ``other``.  Otherwise each output location
-    the warp stores to, in the golden or the faulted run, takes the warp's
-    last faulted store (0 if none) and is compared with the golden output:
-    any difference is ``sdc``, none is ``masked``.  When another warp also
-    writes one of those locations in the golden run, the site is classified
-    by one full-kernel run (counted in ``full_runs``).  A site whose thread
-    is never launched is masked, not executed, without a run.
+    A run that crashes or hangs is ``other``.  Otherwise the locations the
+    warp stores to, in the golden or the faulted run, are decided by
+    replaying the faulted stream together with the golden streams of every
+    other warp that writes one of them, in full-run order (a location no
+    replayed store writes is 0).  Any difference from the golden output is
+    ``sdc``, none is ``masked``.  A site whose thread is never launched is
+    masked, not executed, without a run.
 
     Runs are independent and may be reordered or parallelised; aggregation is
     commutative counting, so the result does not depend on schedule.
@@ -174,7 +183,7 @@ def run_campaign(
             f"budget {budget} is below the golden run's peak iCnt {golden.max_icnt()}"
         )
     words = word_inputs(program, inputs)
-    owners = _location_owners(program, golden.store_streams)
+    writers = _location_writers(program, golden.store_streams)
     warp_of = {
         t: _warp_key(program, t)
         for t in {s.thread_id for s in sites}
@@ -182,7 +191,6 @@ def run_campaign(
     }
     per_site: dict[FaultSite, Outcome] = {}
     tallies: dict[int, list[int]] = {}
-    full_runs = 0
     for site in sites:
         key = warp_of.get(site.thread_id)
         if key is None:
@@ -191,10 +199,7 @@ def run_campaign(
             run = execute(
                 program, words, fault=site, budget=budget, warp_filter=key, record_stores=True
             )
-            outcome = _warp_outcome(golden, run, key, owners)
-            if outcome is None:
-                full_runs += 1
-                outcome = classify_outcome(golden, execute(program, words, fault=site, budget=budget))
+            outcome = _warp_outcome(golden, run, key, writers)
         per_site[site] = outcome
         tally = tallies.setdefault(site.thread_id, [0, 0, 0])
         tally[_OUTCOME_KINDS.index(outcome.kind)] += 1
@@ -202,25 +207,21 @@ def run_campaign(
         per_site=per_site,
         per_thread_counts={t: tuple(v) for t, v in sorted(tallies.items())},
         seed=seed,
-        full_runs=full_runs,
     )
 
 
-_SHARED = "shared"  # location owner: stored to by more than one warp
-
-
-def _location_owners(program: KernelProgram, streams) -> dict[str, list]:
-    """Per output location: ``None`` if no golden store writes it, the one warp
-    that does, or ``_SHARED``."""
-    owners = {name: [None] * size for name, size in program.output_buffers}
+def _location_writers(program: KernelProgram, streams) -> dict[str, list[tuple]]:
+    """Per output location, the warps whose golden stream stores to it."""
+    writers = {name: [()] * size for name, size in program.output_buffers}
     for key, stream in streams.items():
-        for buf, addr, _ in stream:
-            row = owners[buf]
-            if row[addr] is None:
-                row[addr] = key
-            elif row[addr] != key:
-                row[addr] = _SHARED
-    return owners
+        alone = (key,)  # shared by every location only this warp writes
+        for buf, addr, _, _ in stream:
+            row = writers[buf]
+            if not row[addr]:
+                row[addr] = alone
+            elif row[addr][-1] != key:
+                row[addr] += alone
+    return writers
 
 
 def _warp_key(program: KernelProgram, thread_id: int) -> tuple[int, int]:
@@ -228,18 +229,17 @@ def _warp_key(program: KernelProgram, thread_id: int) -> tuple[int, int]:
     return (cta, program.launch_order(cta).index(thread_id) // WARP_SIZE)
 
 
-def _warp_outcome(golden: ExecutionResult, run: ExecutionResult, key, owners) -> Outcome | None:
-    """Outcome of a warp-filtered faulted run, or ``None`` when it touches a
-    location another warp writes and only a full run can tell."""
+def _warp_outcome(golden: ExecutionResult, run: ExecutionResult, key, writers) -> Outcome:
+    """Outcome of a warp-filtered faulted run against the golden run."""
     if run.termination != COMPLETED:
         return classify_outcome(golden, run)
-    last = {(buf, addr): 0 for buf, addr, _ in golden.store_streams.get(key, ())}
-    for buf, addr, value in run.store_streams.get(key, ()):
-        last[(buf, addr)] = value
-    for buf, addr in last:
-        if owners[buf][addr] not in (None, key):
-            return None
+    stream = run.store_streams.get(key, ())
+    touched = {(buf, addr) for buf, addr, _, _ in golden.store_streams.get(key, ())}
+    touched.update((buf, addr) for buf, addr, _, _ in stream)
+    streams = {w: golden.store_streams[w] for buf, addr in touched for w in writers[buf][addr]}
+    streams[key] = stream
     outputs = golden.outputs
-    if all(outputs[buf][addr] == value for (buf, addr), value in last.items()):
+    replayed = replay_stores({buf: [0] * len(v) for buf, v in outputs.items()}, streams)
+    if all(replayed[buf][addr] == outputs[buf][addr] for buf, addr in touched):
         return Outcome(MASKED, None if run.fault_applied else "not-executed")
     return Outcome(SDC)

@@ -38,7 +38,6 @@ class FixtureSpec:
     pattern: str  # all_reliable | all_unreliable | prefix_unreliable | alternating | per_cta_blocks | scattered
     levels: tuple[Fraction, ...]  # distinct per-class SDC fractions, reliable classes first
     expected: tuple[str, str] | None = None  # (pct reliable warps, pct reliable threads)
-    expected_after: str | None = None  # pinned post-regrouping reliable-warp pct, if any
     remappable: bool = False
     equal_work: bool = False
     notes: str = ""
@@ -469,7 +468,7 @@ _register(
     FixtureSpec(
         "jmeint_k1", 25, 160, "scattered",
         (_F(0), _F("0.02"), _F("0.09"), _F("0.13"), _F("0.18")),
-        expected=("0.00", "55.15"), expected_after="52.00", remappable=True,
+        expected=("0.00", "55.15"), remappable=True,
         notes="2206 of 4000 threads reliable, 1-31 per warp so every warp is mixed; "
         "per-CTA reliable counts 15x100 + 6x71 + 4x70 give 65 of 125 pure warps after regrouping.",
     ),

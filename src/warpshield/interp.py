@@ -101,7 +101,10 @@ class ExecutionResult:
 
     ``per_thread_icnt`` is indexed by global thread id; threads that were not
     launched (warp-filtered runs) stay at zero.  ``per_warp_cycles`` and
-    ``per_warp_stores`` are keyed by ``(cta_id, warp_id)``.
+    ``per_warp_stores`` are keyed by ``(cta_id, warp_id)``, and so is
+    ``store_streams``: each warp's stores in issue order, one
+    ``(buffer, index, value, phase)`` record per lane, where ``phase`` counts
+    the barrier releases of the warp's CTA before the store.
     """
 
     outputs: dict[str, list[int]]
@@ -112,7 +115,7 @@ class ExecutionResult:
     per_warp_cycles: dict[tuple[int, int], int] = field(default_factory=dict)
     per_warp_stores: dict[tuple[int, int], int] = field(default_factory=dict)
     register_writes: list[tuple[int, ...]] | None = None
-    store_streams: dict[tuple[int, int], tuple[tuple[str, int, int], ...]] | None = None
+    store_streams: dict[tuple[int, int], tuple[tuple[str, int, int, int], ...]] | None = None
     error: str | None = None
 
     @property
@@ -221,10 +224,10 @@ def execute(
     Threads read only input buffers, never another thread's output, and a
     barrier only delays a warp, so the isolated warp executes the same
     instructions, writes the same registers and emits the same store stream
-    as it does inside the full run.  What isolation loses is where its
-    stores fall between other warps' stores, which matters only for output
-    locations two warps both write.  Protection replicas and fault
-    injection both run warps this way.
+    as it does inside the full run.  Each recorded store carries the count
+    of barrier releases before it, which is the same in both runs, so
+    :func:`replay_stores` can put isolated streams back in full-run order.
+    Protection replicas and fault injection both run warps this way.
     """
     if budget < 1:
         raise ValidationError("instruction budget must be positive")
@@ -268,7 +271,7 @@ def execute(
     instructions = program.instructions
     per_warp_cycles: dict[tuple[int, int], int] = {}
     per_warp_stores: dict[tuple[int, int], int] = {}
-    streams: dict[tuple[int, int], list[tuple[str, int, int]]] | None = (
+    streams: dict[tuple[int, int], list[tuple[str, int, int, int]]] | None = (
         {} if record_stores else None
     )
 
@@ -375,7 +378,7 @@ def execute(
                 buf[addr] = v
                 stored += 1
                 if stream is not None:
-                    stream.append((ins.buffer, addr, v))
+                    stream.append((ins.buffer, addr, v, phase))
             per_warp_stores[wp.key] = stored
             frags.append([pc + 1, mask])
             return
@@ -510,6 +513,7 @@ def execute(
 
     try:
         for warps in ctas:
+            phase = 0  # barrier releases so far in this CTA; read by issue()
             while True:
                 ran = False
                 for wp in warps:
@@ -527,6 +531,7 @@ def execute(
                         released = True
                 if not released:
                     break
+                phase += 1
     except _Abort as abort:
         termination = abort.kind
         error = abort.message
@@ -545,3 +550,26 @@ def execute(
         ),
         error=error,
     )
+
+
+def replay_stores(
+    outputs: dict[str, list[int]],
+    streams: dict[tuple[int, int], tuple[tuple[str, int, int, int], ...]],
+) -> dict[str, list[int]]:
+    """Apply ``{(cta_id, warp_id): store stream}`` to ``outputs`` in the order
+    a full run issues the stores, and return ``outputs``.
+
+    That order is ``(cta, phase, warp_id, seq)``: CTAs run one after another,
+    and between two barrier releases each live warp runs to its next wait in
+    warp-id order.  A release of the full run is a release of every warp
+    still live in it, so a warp's isolated run counts the same phases, even
+    when a fault changes how many barriers that warp reaches.
+    """
+    ordered = sorted(
+        (cta, phase, wid, seq, buf, addr, value)
+        for (cta, wid), stream in streams.items()
+        for seq, (buf, addr, value, phase) in enumerate(stream)
+    )
+    for _, _, _, _, buf, addr, value in ordered:
+        outputs[buf][addr] = value
+    return outputs

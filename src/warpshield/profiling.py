@@ -142,9 +142,6 @@ class KernelProfile:
                 raise ValidationError("cta ids are not contiguous equal-size blocks")
         return (num_ctas, cta_size)
 
-    def sdc_by_thread(self) -> list[Fraction]:
-        return [t.sdc_pct for t in self.threads]
-
 
 def group_by_icnt(golden: ExecutionResult) -> dict[int, list[int]]:
     """Partition threads by exact dynamic instruction count.
@@ -284,10 +281,11 @@ def save_profile(profile: KernelProfile, path) -> None:
 def load_profile(path) -> KernelProfile:
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            text = fh.read()
+            return profile_from_csv_text(fh.read())
     except FileNotFoundError:
         raise ArtifactError(f"missing profile {path} (run profile first)") from None
-    return profile_from_csv_text(text)
+    except (ValueError, csv.Error, ValidationError) as e:  # undecodable bytes or malformed rows
+        raise ArtifactError(f"malformed profile {path}: {e}") from None
 
 
 def profile_from_csv_text(text: str) -> KernelProfile:

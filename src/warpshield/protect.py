@@ -2,10 +2,11 @@
 
 Each protected warp re-executes as isolated replicas with private output
 shadows; replica store streams are then compared (detect) or majority-voted
-per store location (correct).  Reliable warps run once and are never
-replicated.  Because kernel threads never read other threads' output, an
-isolated single-warp execution reproduces exactly what that warp does inside
-the full run, so replication composes from per-warp runs.
+(correct).  Reliable warps run once and are never replicated.  Because kernel
+threads never read other threads' output, an isolated single-warp execution
+reproduces exactly what that warp does inside the full run, barrier phase of
+every store included, so :func:`~warpshield.interp.replay_stores` composes
+the chosen per-warp streams into the kernel's outputs.
 
 A fault, when given, lands only in the primary replica, matching the
 single-event model the outcome taxonomy is built on.
@@ -19,7 +20,15 @@ from dataclasses import dataclass
 from .classify import RELIABLE, WarpClassification
 from .errors import ProtectionError, ValidationError
 from .faults import FaultSite
-from .interp import COMPLETED, CostTable, DEFAULT_BUDGET, DEFAULT_COST_TABLE, execute, word_inputs
+from .interp import (
+    COMPLETED,
+    CostTable,
+    DEFAULT_BUDGET,
+    DEFAULT_COST_TABLE,
+    execute,
+    replay_stores,
+    word_inputs,
+)
 from .ir import KernelProgram
 
 DETECT = "detect"
@@ -32,9 +41,6 @@ _FACTORS = {DETECT: 2, CORRECT: 3}
 class ProtectionPlan:
     mode: str  # detect | correct
     factors: dict[tuple[int, int], int]  # (cta_id, warp_id) -> replication factor
-
-    def factor(self, cta_id: int, warp_id: int) -> int:
-        return self.factors[(cta_id, warp_id)]
 
     @property
     def protected_warps(self) -> list[tuple[int, int]]:
@@ -84,13 +90,9 @@ def build_protection_plan(
     )
 
 
-def _stream_locations(stream) -> set[tuple[str, int]]:
-    return {(buf, addr) for buf, addr, _ in stream}
-
-
 def _mismatch_locations(a, b) -> tuple[tuple[str, int], ...]:
     diff = set(a) ^ set(b)
-    return tuple(sorted({(buf, addr) for buf, addr, _ in diff}))
+    return tuple(sorted({(buf, addr) for buf, addr, _, _ in diff}))
 
 
 def run_protected(
@@ -103,6 +105,10 @@ def run_protected(
     cost_table: CostTable | None = None,
 ) -> ProtectedRunResult:
     """Execute the kernel under a protection plan and reconcile replica outputs.
+
+    Every warp runs in isolation once per replica, and the final outputs
+    replay each warp's chosen store stream in full-run order, so a plan of
+    factor 1 everywhere gives the outputs of :func:`execute`.
 
     Detect mode records a detection for any replica disagreement (including a
     replica crash or hang) and keeps the primary's values.  Correct mode takes
@@ -120,7 +126,7 @@ def run_protected(
     detections: list[WarpIncident] = []
     corrections: list[WarpIncident] = []
     warp_terminations: dict[tuple[int, int], tuple[str, ...]] = {}
-    chosen_streams: list[tuple[tuple[str, int, int], ...]] = []
+    chosen_streams: dict[tuple[int, int], tuple] = {}
 
     for w in warps:
         key = (w.cta_id, w.warp_id)
@@ -144,7 +150,7 @@ def run_protected(
         primary = streams[0]
 
         if factor == 1:
-            chosen_streams.append(primary)
+            chosen_streams[key] = primary
             continue
 
         if protection.mode == DETECT:
@@ -158,7 +164,7 @@ def run_protected(
                 detections.append(
                     WarpIncident(w.cta_id, w.warp_id, _mismatch_locations(primary, replica_stream))
                 )
-            chosen_streams.append(primary)
+            chosen_streams[key] = primary
         else:
             survivors = [s for s, r in zip(streams, runs) if r.termination == COMPLETED]
             if len(survivors) < 2:
@@ -174,12 +180,11 @@ def run_protected(
                 corrections.append(
                     WarpIncident(w.cta_id, w.warp_id, _mismatch_locations(primary, voted))
                 )
-            chosen_streams.append(voted)
+            chosen_streams[key] = voted
 
-    final = {name: [0] * size for name, size in program.output_buffers}
-    for stream in chosen_streams:
-        for buf, addr, value in stream:
-            final[buf][addr] = value
+    final = replay_stores(
+        {name: [0] * size for name, size in program.output_buffers}, chosen_streams
+    )
 
     return ProtectedRunResult(
         mode=protection.mode,

@@ -43,12 +43,6 @@ class RemapPlan:
     def warps(self):
         return warps_for(self.num_ctas, self.cta_size, self.new_orders)
 
-    def is_identity(self) -> bool:
-        return all(
-            order == tuple(range(c * len(order), (c + 1) * len(order)))
-            for c, order in enumerate(self.new_orders)
-        )
-
 
 def identity_plan(geometry: tuple[int, int], tau=Fraction(1, 20), kernel=None) -> RemapPlan:
     num_ctas, cta_size = geometry
@@ -102,8 +96,10 @@ def build_plan(
 def apply_plan(program: KernelProgram, plan: RemapPlan) -> KernelProgram:
     """Attach the plan's launch order to the program.
 
-    Threads keep their original ids (and therefore their work); only the warp
-    slot they occupy changes, so fault-free outputs are bit-identical.
+    Threads keep their original ids (and therefore their work and iCnt); only
+    the warp slot they occupy changes.  Fault-free outputs are bit-identical
+    when no two threads of one CTA store to one location in the same barrier
+    phase; when two do, their new warp order decides which store lands last.
     """
     plan.validate_for(program.num_ctas, program.cta_size)
     if plan.kernel is not None and plan.kernel != program.name:
@@ -158,9 +154,8 @@ def save_plan(plan: RemapPlan, path) -> None:
 def load_plan(path) -> RemapPlan:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return plan_from_json(json.load(fh))
     except FileNotFoundError:
         raise ArtifactError(f"missing remap plan {path} (run remap first)") from None
-    except json.JSONDecodeError as e:
-        raise ArtifactError(f"remap plan {path} is not valid JSON: {e}") from None
-    return plan_from_json(data)
+    except (ValueError, ValidationError) as e:  # undecodable bytes, JSON syntax or a bad field
+        raise ArtifactError(f"malformed remap plan {path}: {e}") from None

@@ -32,6 +32,29 @@ def test_missing_profile_exits_3(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
+    [b"kernel,cta_id\n", b"kernel,\xff\n", b"x" * 200_000],
+    ids=["short-header", "not-utf8", "overlong-field"],
+)
+def test_malformed_profile_exits_3(tmp_path, content, capsys):
+    (tmp_path / "profile.csv").write_bytes(content)
+    assert main(["classify", "--out", str(tmp_path)]) == 3
+    assert "profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"tau": "\xff", "ctas": []}', json.dumps({"tau": "abc", "ctas": []}).encode()],
+    ids=["not-utf8", "bad-tau"],
+)
+def test_malformed_plan_exits_3(tmp_path, content, capsys):
+    save_profile(generate_fixture("gaussian_k1").profile, tmp_path / "profile.csv")
+    (tmp_path / "plan.json").write_bytes(content)
+    assert main(["protect", "--fixture", "gaussian_k1", "--out", str(tmp_path)]) == 3
+    assert "plan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
     [None, "{not json", json.dumps({"in": [1, "2"]}), json.dumps({"in": [1, 2.5]}), "[1, 2]"],
     ids=["missing", "not-json", "string-word", "float-word", "not-an-object"],
 )

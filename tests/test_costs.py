@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from warpshield.classify import classify_warps
-from warpshield.costs import REFERENCE_FIGURES, account, compare_reports
+from warpshield.costs import REFERENCE_FIGURES, account
 from warpshield.errors import ValidationError
 from warpshield.fixtures import generate_fixture, remappable_suite
 from warpshield.interp import CostTable, _DEFAULT_OP_CYCLES, execute
@@ -102,17 +102,6 @@ def test_overhead_knob_is_multiplicative():
     assert report.cycles_remapped == report.cycles_base * (1 + Fraction("0.0163"))
     plain = account(program, inputs, flags)
     assert report.cycles_partial_detect > plain.cycles_partial_detect
-
-
-def test_compare_reports_identity_and_delta():
-    program, inputs, flags = _uniform(50)
-    a = account(program, inputs, flags)
-    diff = compare_reports(a, a)
-    assert all(delta == 0 for _, _, delta in diff.values())
-    b = account(program, inputs, flags, remap_overhead="0.5")
-    diff = compare_reports(a, b)
-    assert diff["remap_overhead"][2] == Fraction(1, 2)
-    assert diff["cycles_base"][2] == 0
 
 
 def test_suite_savings_positive_and_correction_dominates():

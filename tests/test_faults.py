@@ -22,6 +22,7 @@ from warpshield.fixtures import (
 )
 from warpshield.interp import execute
 from warpshield.ir import parse_kernel
+from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +95,6 @@ def test_user_supplied_site_never_executed_is_masked(add_one):
     assert all(
         o == Outcome("masked", "not-executed") for o in campaign.per_site.values()
     )
-    assert campaign.full_runs == 0
 
 
 def test_campaign_refuses_golden_it_cannot_score_against(add_one):
@@ -177,7 +177,6 @@ def test_warp_local_campaign_equals_full_runs_on_every_site(kernel):
     sites = enumerate_fault_space(program, inputs)
     campaign = run_campaign(program, inputs, sites)
     assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
-    assert campaign.full_runs == 0  # every thread stores to its own location
 
 
 # Two CTAs of two warps (32 + 1 threads).  In CTA 0, warp 0 stores after the
@@ -214,29 +213,74 @@ def _phase_probe():
     return program, {"late": late, "dst": dst, "val": [1000 + t for t in range(66)]}
 
 
-def test_warp_local_campaign_equals_full_runs_with_barrier_and_shared_locations():
+@pytest.fixture(scope="module")
+def phase_probe():
+    """The probe, its golden run and, per fault site, the full faulted run's
+    outcome and (when it completes) outputs."""
     program, inputs = _phase_probe()
-    sites = enumerate_fault_space(program, inputs)
-    campaign = run_campaign(program, inputs, sites)
-    assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
-    assert campaign.full_runs > 0
+    golden = golden_run(program, inputs)
+    budget = default_budget(golden)
+    full = {}
+    for site in enumerate_fault_space(program, inputs, golden=golden):
+        run = execute(program, inputs, fault=site, budget=budget)
+        full[site] = (classify_outcome(golden, run), run.outputs if run.completed else None)
+    return program, inputs, golden, full
+
+
+def _uniform_plan(program, mode, factor):
+    return ProtectionPlan(mode, {(w.cta_id, w.warp_id): factor for w in program.warps()})
+
+
+def test_warp_local_campaign_equals_full_runs_with_barrier_and_shared_locations(phase_probe):
+    program, inputs, golden, full = phase_probe
+    campaign = run_campaign(program, inputs, list(full), golden=golden)
+    assert campaign.per_site == {site: outcome for site, (outcome, _) in full.items()}
     kinds = {o.detail or o.kind for o in campaign.per_site.values()}
     assert kinds == {"masked", "sdc", "crashed"}
 
 
-def test_store_moved_across_barrier_is_sdc_though_warp_stream_is_unchanged():
-    """Thread 0 skips its wait at the bar, so its out[0] store lands before
-    thread 32's instead of after it: the warp's own stream is the golden one,
-    the kernel's output is not."""
-    program, inputs = _phase_probe()
-    golden = golden_run(program, inputs)
-    site = FaultSite(0, 4, 0)  # the setp that picks the late path
-    isolated = execute(program, inputs, fault=site, warp_filter=(0, 0), record_stores=True)
+def test_unprotected_replay_equals_execute_on_phase_probe(phase_probe):
+    """Factor 1 everywhere replays the isolated warps' streams in full-run
+    order: out[0] takes thread 0's post-bar store, as in execute."""
+    program, inputs, golden, full = phase_probe
+    plan = _uniform_plan(program, DETECT, 1)
+    result = run_protected(program, inputs, plan)
+    assert result.final_outputs == golden.outputs
+    assert result.final_outputs["out"][0] == 1000
+    completed = {site: outputs for site, (_, outputs) in full.items() if outputs is not None}
+    assert len(completed) == 6765
+    for site, outputs in completed.items():
+        assert run_protected(program, inputs, plan, fault=site).final_outputs == outputs, site
+
+
+# Thread 0 skips its wait at the bar, so its out[0] store lands before
+# thread 32's instead of after it.
+MOVED_SITE = FaultSite(0, 4, 0)  # the setp that picks the late path
+
+
+def test_store_moved_across_barrier_is_sdc_though_warp_stream_is_unchanged(phase_probe):
+    """The isolated stream differs from the golden one only in the phase
+    of the out[0] store, and that is enough to make the site an SDC."""
+    program, inputs, golden, _ = phase_probe
+    isolated = execute(program, inputs, fault=MOVED_SITE, warp_filter=(0, 0), record_stores=True)
     assert isolated.fault_applied
-    assert isolated.store_streams == {(0, 0): golden.store_streams[(0, 0)]}
-    campaign = run_campaign(program, inputs, [site], golden=golden)
-    assert campaign.per_site[site] == Outcome("sdc")
-    assert campaign.full_runs == 1
+    moved, kept = isolated.store_streams[(0, 0)], golden.store_streams[(0, 0)]
+    assert [rec[:3] for rec in moved] == [rec[:3] for rec in kept]
+    assert [(i, a[3], b[3]) for i, (a, b) in enumerate(zip(moved, kept)) if a != b] == [(0, 0, 1)]
+    assert moved[0][:2] == ("out", 0)
+    campaign = run_campaign(program, inputs, [MOVED_SITE], golden=golden)
+    assert campaign.per_site[MOVED_SITE] == Outcome("sdc")
+
+
+def test_store_moved_across_barrier_is_detected_and_corrected(phase_probe):
+    program, inputs, golden, _ = phase_probe
+    correct = run_protected(program, inputs, _uniform_plan(program, CORRECT, 3), fault=MOVED_SITE)
+    assert correct.final_outputs == golden.outputs
+    assert [(c.cta_id, c.warp_id) for c in correct.corrections] == [(0, 0)]
+    detect = run_protected(program, inputs, _uniform_plan(program, DETECT, 2), fault=MOVED_SITE)
+    assert [(d.cta_id, d.warp_id, d.locations) for d in detect.detections] == [
+        (0, 0, (("out", 0),))
+    ]
 
 
 CHASE_SOURCE = """\

@@ -33,9 +33,9 @@ def test_plan_factors_from_classifications():
     flags = list(fixture.flags)
     classifications = classify_warps(flags, fixture.program.warps())
     detect = build_protection_plan(classifications, DETECT)
-    assert [detect.factor(0, w) for w in range(16)] == [2, 2] + [1] * 14
+    assert [detect.factors[(0, w)] for w in range(16)] == [2, 2] + [1] * 14
     correct = build_protection_plan(classifications, CORRECT)
-    assert [correct.factor(0, w) for w in range(16)] == [3, 3] + [1] * 14
+    assert [correct.factors[(0, w)] for w in range(16)] == [3, 3] + [1] * 14
     assert detect.protected_warps == [(0, 0), (0, 1)]
 
 

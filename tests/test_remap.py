@@ -34,7 +34,7 @@ def test_alternating_cta_regroups_into_pure_warps():
 
 def test_all_reliable_cta_keeps_identity_order():
     plan = build_plan([True] * 128, (2, 64), tau=Fraction(1, 20))
-    assert plan.is_identity()
+    assert plan.new_orders == (tuple(range(64)), tuple(range(64, 128)))
 
 
 def test_forty_reliable_of_sixty_four():
