@@ -44,6 +44,6 @@ from .profiling import (
     to_fraction,
 )
 from .protect import ProtectionPlan, ProtectedRunResult, build_protection_plan, run_protected
-from .remap import RemapPlan, apply_plan, build_plan, identity_plan, remapped_stats
+from .remap import RemapPlan, apply_plan, build_plan, remapped_stats
 
 __version__ = "0.1.0"

@@ -23,7 +23,10 @@ classifies the site exactly, without a full-kernel run.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import CampaignRefused, ValidationError
 from .interp import (
@@ -121,19 +124,46 @@ def enumerate_fault_space(
     (thread, dyn_instr, bit) lexicographic order."""
     if golden is None:
         golden = golden_run(program, inputs, budget)
-    if golden.register_writes is None:
-        raise ValidationError("golden result lacks the register write trace")
     if threads is None:
-        threads = list(range(program.total_threads))
-    sites = []
-    for t in sorted(threads):
-        for dyn in golden.register_writes[t]:
-            for bit in range(32):
-                sites.append(FaultSite(t, dyn, bit))
-    return sites
+        threads = range(program.total_threads)
+    return list(FaultSpace(golden, threads))
 
 
-def sample_sites(sites: list[FaultSite], fraction: float, seed: int) -> list[FaultSite]:
+class FaultSpace(Sequence):
+    """The sites of :func:`enumerate_fault_space` as a lazy sequence.
+
+    Indexing builds one site, so :func:`sample_sites` on a small fraction of
+    a large space builds only the sites it draws.  A sample drawn from it
+    equals one drawn from the list, because :meth:`random.Random.sample`
+    picks indices from the length alone.
+    """
+
+    def __init__(self, golden: ExecutionResult, threads):
+        if golden.register_writes is None:
+            raise ValidationError("golden result lacks the register write trace")
+        self._writes = [(t, golden.register_writes[t]) for t in sorted(threads)]
+        self._starts = list(accumulate((32 * len(w) for _, w in self._writes), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index: int) -> FaultSite:
+        if not -len(self) <= index < len(self):
+            raise IndexError("fault site index out of range")
+        index %= len(self)
+        k = bisect_right(self._starts, index) - 1  # skips threads with no sites
+        thread, writes = self._writes[k]
+        offset = index - self._starts[k]
+        return FaultSite(thread, writes[offset // 32], offset % 32)
+
+    def __iter__(self):
+        for thread, writes in self._writes:
+            for dyn in writes:
+                for bit in range(32):
+                    yield FaultSite(thread, dyn, bit)
+
+
+def sample_sites(sites: Sequence[FaultSite], fraction: float, seed: int) -> list[FaultSite]:
     """Uniform sample without replacement; deterministic per seed, sorted output.
 
     ``fraction=1`` returns the input unchanged.  Smaller fractions keep at

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .classify import classify_warps, format_pct, kernel_stats
 from .errors import FixtureError
-from .ir import Instruction, KernelProgram, WARP_SIZE, parse_kernel, warps_for
+from .ir import KernelProgram, WARP_SIZE, parse_kernel, warps_for
 from .profiling import EXTRAPOLATED, MEASURED, KernelProfile, TAU_DEFAULT, ThreadProfile
 
 
@@ -719,125 +719,3 @@ def fixture_suite(seed: int = 0) -> list[Fixture]:
 def remappable_suite(seed: int = 0) -> list[Fixture]:
     return [f for f in fixture_suite(seed) if f.spec.remappable]
 
-
-# ---------------------------------------------------------------------------
-# small hand-written kernels shared by tests and docs
-
-ADD_ONE_SOURCE = """\
-.kernel add_one
-.ctas 2
-.ctasize 32
-.in in 64
-.out out 64
-    movi r0, 1
-    ld r1, in[tid]
-    iadd r2, r1, r0
-    st out[tid], r2
-    exit
-"""
-
-
-def add_one_kernel(num_ctas: int = 2, cta_size: int = 32) -> KernelProgram:
-    """out[tid] = in[tid] + 1; three register writes per thread."""
-    total = num_ctas * cta_size
-    return KernelProgram(
-        name="add_one",
-        instructions=(
-            Instruction("movi", dest=0, imm=1),
-            Instruction("ld", dest=1, buffer="in", addr_reg=62),
-            Instruction("iadd", dest=2, srcs=(1, 0)),
-            Instruction("st", srcs=(2,), buffer="out", addr_reg=62),
-            Instruction("exit"),
-        ),
-        num_ctas=num_ctas,
-        cta_size=cta_size,
-        input_buffers=(("in", total),),
-        output_buffers=(("out", total),),
-    )
-
-
-def add_one_inputs(program: KernelProgram, start: int = 5) -> dict[str, list[int]]:
-    return {"in": [start + i for i in range(program.total_threads)]}
-
-
-TWO_GROUP_SOURCE = """\
-.kernel two_group
-.ctas 1
-.ctasize 64
-.in cls 64
-.in data 64
-.out out 64
-    ld r0, cls[tid]
-    movi r2, 0
-    setp.ne r3, r0, r2
-    bra r3, ODD
-    ld r1, data[tid]
-    iadd r5, r1, r1
-    st out[tid], r5
-    exit
-ODD: ld r1, data[tid]
-    movi r5, 3
-    imul r4, r1, r5
-    iadd r4, r4, r5
-    iadd r4, r4, r4
-    movi r6, 7
-    st out[tid], r4
-    exit
-"""
-
-
-def two_group_kernel() -> tuple[KernelProgram, dict[str, list[int]]]:
-    """Even/odd threads take different paths (iCnt 8 vs 12); members of each
-    parity class are behaviorally identical, so pruned profiling is exact.
-
-    Data words are 1 mod 4 so every value's fault response is the same across
-    a class (the doubled odd-path chain masks a pre-double flip exactly when
-    the carry leaves the word, which depends only on the 2-adic shape).
-    """
-    program = parse_kernel(TWO_GROUP_SOURCE)
-    rng = random.Random("two-group")
-    inputs = {
-        "cls": [tid % 2 for tid in range(64)],
-        "data": [4 * rng.getrandbits(20) + 1 for _ in range(64)],
-    }
-    return program, inputs
-
-
-DEAD_WRITE_SOURCE = """\
-.kernel dead_write
-.ctas 1
-.ctasize 32
-.in in 32
-.out out 32
-    movi r1, 5          # dead: overwritten by the load before any read
-    ld r1, in[tid]
-    iadd r2, r1, r1
-    st out[tid], r2
-    exit
-"""
-
-
-def dead_write_kernel() -> tuple[KernelProgram, dict[str, list[int]]]:
-    program = parse_kernel(DEAD_WRITE_SOURCE)
-    return program, {"in": [3 + 2 * i for i in range(32)]}
-
-
-ADDRESS_PROBE_SOURCE = """\
-.kernel address_probe
-.ctas 1
-.ctasize 32
-.in idx 32
-.in data 32
-.out out 32
-    ld r1, idx[tid]
-    movi r2, 0
-    iadd r3, r1, r2     # address register: a bit-31 flip lands far out of bounds
-    ld r4, data[r3]
-    st out[tid], r4
-    exit
-"""
-
-
-def address_probe_kernel() -> tuple[KernelProgram, dict[str, list[int]]]:
-    program = parse_kernel(ADDRESS_PROBE_SOURCE)
-    return program, {"idx": list(range(32)), "data": [100 + i for i in range(32)]}

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ArtifactError, ValidationError
-from .faults import enumerate_fault_space, golden_run, run_campaign, sample_sites, default_budget
+from .faults import FaultSpace, default_budget, golden_run, run_campaign, sample_sites
 from .interp import DEFAULT_BUDGET, ExecutionResult
 from .ir import KernelProgram
 
@@ -195,8 +195,8 @@ def profile_kernel(
     if mode == "pruned":
         for gid, members in groups.items():
             rep = members[0]
-            sites = enumerate_fault_space(program, inputs, [rep], golden=golden)
-            sites = sample_sites(sites, sample_fraction, seed=hash_seed(seed, gid))
+            space = FaultSpace(golden, [rep])
+            sites = sample_sites(space, sample_fraction, seed=hash_seed(seed, gid))
             campaign = run_campaign(program, inputs, sites, budget=run_budget, golden=golden)
             shared = _fractions(campaign.counts(rep))
             for t in members:
@@ -205,8 +205,8 @@ def profile_kernel(
     else:
         for gid, members in groups.items():
             for t in members:
-                sites = enumerate_fault_space(program, inputs, [t], golden=golden)
-                sites = sample_sites(sites, sample_fraction, seed=hash_seed(seed, t))
+                space = FaultSpace(golden, [t])
+                sites = sample_sites(space, sample_fraction, seed=hash_seed(seed, t))
                 campaign = run_campaign(program, inputs, sites, budget=run_budget, golden=golden)
                 fractions[t] = _fractions(campaign.counts(t))
                 provenance[t] = MEASURED
@@ -248,28 +248,36 @@ PROFILE_HEADER = [
 ]
 
 
-def _fmt(x: Fraction) -> str:
-    return repr(float(x))
-
-
 def profile_to_csv_text(profile: KernelProfile) -> str:
+    # Thousands of rows share a handful of fractions: render each value once.
+    # The key is its numerator and denominator, because hashing a Fraction
+    # costs as much as rendering it.
+    rendered: dict[tuple[int, int], str] = {}
+
+    def fmt(x: Fraction) -> str:
+        key = (x.numerator, x.denominator)
+        text = rendered.get(key)
+        if text is None:
+            text = rendered[key] = repr(float(x))
+        return text
+
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(PROFILE_HEADER)
-    for t in profile.threads:
-        w.writerow(
-            [
-                profile.kernel,
-                t.cta_id,
-                t.thread_id,
-                t.icnt,
-                t.group_id,
-                _fmt(t.masked_pct),
-                _fmt(t.sdc_pct),
-                _fmt(t.other_pct),
-                t.provenance,
-            ]
-        )
+    w.writerows(
+        [
+            profile.kernel,
+            t.cta_id,
+            t.thread_id,
+            t.icnt,
+            t.group_id,
+            fmt(t.masked_pct),
+            fmt(t.sdc_pct),
+            fmt(t.other_pct),
+            t.provenance,
+        ]
+        for t in profile.threads
+    )
     return out.getvalue()
 
 
@@ -296,6 +304,17 @@ def profile_from_csv_text(text: str) -> KernelProfile:
         raise ValidationError("empty profile file") from None
     if header != PROFILE_HEADER:
         raise ValidationError(f"unexpected profile header {header}")
+    # Thousands of rows share a handful of fraction strings: parse each once.
+    # Rows that share a string then share its Fraction, which also makes the
+    # group consistency check in KernelProfile an identity comparison.
+    parsed: dict[str, Fraction] = {}
+
+    def fraction(text: str) -> Fraction:
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = Fraction(text)
+        return value
+
     kernel = None
     rows: dict[int, ThreadProfile] = {}
     for lineno, row in enumerate(reader, 2):
@@ -310,9 +329,9 @@ def profile_from_csv_text(text: str) -> KernelProfile:
                 cta_id=int(row[1]),
                 icnt=int(row[3]),
                 group_id=int(row[4]),
-                masked_pct=Fraction(row[5]),
-                sdc_pct=Fraction(row[6]),
-                other_pct=Fraction(row[7]),
+                masked_pct=fraction(row[5]),
+                sdc_pct=fraction(row[6]),
+                other_pct=fraction(row[7]),
                 provenance=row[8],
             )
         except (ValueError, ZeroDivisionError) as e:

@@ -1,7 +1,7 @@
 """Selective warp replication: duplicate for detection, triplicate for correction.
 
-Each protected warp re-executes as isolated replicas with private output
-shadows; replica store streams are then compared (detect) or majority-voted
+Each protected warp runs as isolated replicas with private output shadows;
+replica store streams are then compared (detect) or majority-voted
 (correct).  Reliable warps run once and are never replicated.  Because kernel
 threads never read other threads' output, an isolated single-warp execution
 reproduces exactly what that warp does inside the full run, barrier phase of
@@ -9,7 +9,11 @@ every store included, so :func:`~warpshield.interp.replay_stores` composes
 the chosen per-warp streams into the kernel's outputs.
 
 A fault, when given, lands only in the primary replica, matching the
-single-event model the outcome taxonomy is built on.
+single-event model the outcome taxonomy is built on.  Every other replica is
+fault-free, and a fault-free isolated run is deterministic, so all of a
+warp's fault-free replicas share one run: it executes once per warp, plus
+once more for the primary of the faulted warp.  Cycles are still charged per
+replica, as the hardware would spend them.
 """
 
 from __future__ import annotations
@@ -106,9 +110,11 @@ def run_protected(
 ) -> ProtectedRunResult:
     """Execute the kernel under a protection plan and reconcile replica outputs.
 
-    Every warp runs in isolation once per replica, and the final outputs
-    replay each warp's chosen store stream in full-run order, so a plan of
-    factor 1 everywhere gives the outputs of :func:`execute`.
+    Each warp's replicas are isolated runs of that warp; the fault-free ones
+    share one execution and only the faulted warp's primary runs apart, while
+    cycles count every replica.  The final outputs replay each warp's chosen
+    store stream in full-run order, so a plan of factor 1 everywhere gives
+    the outputs of :func:`execute`.
 
     Detect mode records a detection for any replica disagreement (including a
     replica crash or hang) and keeps the primary's values.  Correct mode takes
@@ -122,6 +128,17 @@ def run_protected(
         raise ValidationError("protection plan does not cover the program's warps")
     words = word_inputs(program, inputs)
 
+    def run_warp(key, warp_fault):
+        return execute(
+            program,
+            words,
+            fault=warp_fault,
+            budget=budget,
+            cost_table=table,
+            warp_filter=key,
+            record_stores=True,
+        )
+
     cycles = 0
     detections: list[WarpIncident] = []
     corrections: list[WarpIncident] = []
@@ -132,19 +149,11 @@ def run_protected(
         key = (w.cta_id, w.warp_id)
         factor = protection.factors[key]
         warp_fault = fault if (fault is not None and fault.thread_id in w.members) else None
-        runs = []
-        for replica in range(factor):
-            result = execute(
-                program,
-                words,
-                fault=warp_fault if replica == 0 else None,
-                budget=budget,
-                cost_table=table,
-                warp_filter=key,
-                record_stores=True,
-            )
-            runs.append(result)
-            cycles += result.cycles
+        runs = [run_warp(key, warp_fault)]
+        if factor > 1:
+            clean = runs[0] if warp_fault is None else run_warp(key, None)
+            runs += [clean] * (factor - 1)
+        cycles += sum(r.cycles for r in runs)
         warp_terminations[key] = tuple(r.termination for r in runs)
         streams = [r.store_streams.get(key, ()) for r in runs]
         primary = streams[0]

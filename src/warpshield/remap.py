@@ -44,17 +44,6 @@ class RemapPlan:
         return warps_for(self.num_ctas, self.cta_size, self.new_orders)
 
 
-def identity_plan(geometry: tuple[int, int], tau=Fraction(1, 20), kernel=None) -> RemapPlan:
-    num_ctas, cta_size = geometry
-    return RemapPlan(
-        new_orders=tuple(
-            tuple(range(c * cta_size, (c + 1) * cta_size)) for c in range(num_ctas)
-        ),
-        tau=to_fraction(tau),
-        kernel=kernel,
-    )
-
-
 def build_plan(
     flags: list[bool],
     geometry: tuple[int, int],
@@ -131,17 +120,29 @@ def plan_to_json(plan: RemapPlan) -> dict:
 
 
 def plan_from_json(data: dict) -> RemapPlan:
+    """Rebuild a plan from its JSON form, refusing any plan the pipeline
+    could not run: each CTA's ``new_order`` must be a permutation of that
+    CTA's thread-id block, all of one length, and tau must lie in [0, 1]."""
     try:
         ctas = sorted(data["ctas"], key=lambda e: e["cta_id"])
         if [e["cta_id"] for e in ctas] != list(range(len(ctas))):
             raise ArtifactError("plan CTA ids are not contiguous from zero")
+        orders = tuple(tuple(e["new_order"]) for e in ctas)
+        if not orders:
+            raise ArtifactError("plan has no CTAs")
+        if not all(type(t) is int for order in orders for t in order):
+            raise ArtifactError("plan new_order entries must be integer thread ids")
+        validate_layout(orders, len(orders), len(orders[0]))
+        tau = to_fraction(data["tau"])
+        if not 0 <= tau <= 1:
+            raise ArtifactError(f"plan tau {float(tau)} outside [0, 1]")
         return RemapPlan(
-            new_orders=tuple(tuple(e["new_order"]) for e in ctas),
-            tau=to_fraction(data["tau"]),
+            new_orders=orders,
+            tau=tau,
             kernel=data.get("kernel"),
             profile_sha256=data.get("profile_sha256"),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError, ValidationError) as e:
         raise ArtifactError(f"malformed remap plan: {e}") from None
 
 
@@ -157,5 +158,5 @@ def load_plan(path) -> RemapPlan:
             return plan_from_json(json.load(fh))
     except FileNotFoundError:
         raise ArtifactError(f"missing remap plan {path} (run remap first)") from None
-    except (ValueError, ValidationError) as e:  # undecodable bytes, JSON syntax or a bad field
+    except ValueError as e:  # undecodable bytes or JSON syntax
         raise ArtifactError(f"malformed remap plan {path}: {e}") from None

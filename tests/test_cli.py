@@ -3,8 +3,10 @@ import json
 import pytest
 
 from warpshield.cli import main
-from warpshield.fixtures import ADD_ONE_SOURCE, generate_fixture
+from warpshield.fixtures import generate_fixture
 from warpshield.profiling import load_profile, save_profile
+
+from support import ADD_ONE_SOURCE
 
 
 def test_exhaustive_profile_writes_a_profile_that_loads(tmp_path):
@@ -80,3 +82,35 @@ def test_malformed_cost_table_exits_3(tmp_path, content, capsys):
         table.write_text(content)
     assert main(["suite", "--cost-table", str(table), "--out", str(tmp_path / "out")]) == 3
     assert "cost table" in capsys.readouterr().err
+
+
+def _first_order(edit):
+    def apply(plan):
+        plan["ctas"][0]["new_order"] = edit(plan["ctas"][0]["new_order"])
+
+    return apply
+
+
+@pytest.mark.parametrize("command", ["protect", "report"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _first_order(lambda order: [order[0]] * len(order)),
+        _first_order(lambda order: order[:-1]),
+        _first_order(lambda order: [str(t) for t in order]),
+        lambda plan: plan.update(ctas=[]),
+        lambda plan: plan.update(tau=2),
+    ],
+    ids=["repeated-thread", "short", "string-ids", "no-ctas", "tau-out-of-range"],
+)
+def test_plan_the_pipeline_cannot_run_exits_3(tmp_path, command, corrupt, capsys):
+    """A plan.json that still matches its profile's digest but holds a
+    layout that is not a permutation, or a tau outside [0, 1]."""
+    save_profile(generate_fixture("gaussian_k1").profile, tmp_path / "profile.csv")
+    out = ["--out", str(tmp_path)]
+    assert main(["classify", *out]) == 0 and main(["remap", *out]) == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    corrupt(plan)
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    assert main([command, "--fixture", "gaussian_k1", *out]) == 3
+    assert "plan" in capsys.readouterr().err

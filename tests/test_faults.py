@@ -5,6 +5,7 @@ import pytest
 from warpshield.errors import CampaignRefused, ValidationError
 from warpshield.faults import (
     FaultSite,
+    FaultSpace,
     Outcome,
     classify_outcome,
     default_budget,
@@ -13,16 +14,18 @@ from warpshield.faults import (
     run_campaign,
     sample_sites,
 )
-from warpshield.fixtures import (
+from warpshield.interp import execute
+from warpshield.ir import parse_kernel
+from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
+
+from support import (
     add_one_inputs,
     add_one_kernel,
     address_probe_kernel,
     dead_write_kernel,
+    run_protected_every_replica,
     two_group_kernel,
 )
-from warpshield.interp import execute
-from warpshield.ir import parse_kernel
-from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +146,46 @@ def test_sampling_identity_and_determinism(add_one):
         sample_sites(sites, 0.0, seed=1)
     with pytest.raises(ValidationError):
         sample_sites(sites, 1.5, seed=1)
+
+
+# Thread 0 writes no register; the others run n[tid] % 7 loop trips, so
+# their site counts differ.
+UNEVEN_SOURCE = """\
+.kernel uneven
+.ctas 1
+.ctasize 40
+.in n 40
+.out out 40
+    bra r62, BUSY
+    exit
+BUSY: ld r1, n[tid]
+    movi r2, 0
+    movi r4, 1
+LOOP: setp.ge r3, r2, r1
+    bra r3, DONE
+    iadd r2, r2, r4
+    bra LOOP
+DONE: st out[tid], r2
+    exit
+"""
+
+
+@pytest.mark.parametrize("fraction", [0.001, 0.01, 0.1, 0.5, 0.9, 1.0])
+def test_lazy_fault_space_samples_the_sites_of_the_list(fraction):
+    program = parse_kernel(UNEVEN_SOURCE)
+    inputs = {"n": [t % 7 for t in range(40)]}
+    golden = golden_run(program, inputs)
+    threads = [9, 0, 31, 7, 4, 20]
+    listed = enumerate_fault_space(program, inputs, threads, golden=golden)
+    space = FaultSpace(golden, threads)
+    assert not golden.register_writes[0] and len(space) == len(listed) > 0
+    assert list(space) == listed
+    assert [space[i] for i in range(-len(space), len(space))] == listed + listed
+    for index in (len(space), -len(space) - 1):
+        with pytest.raises(IndexError):
+            space[index]
+    for seed in range(6):
+        assert sample_sites(space, fraction, seed) == sample_sites(listed, fraction, seed)
 
 
 def test_site_validation():
@@ -283,6 +326,37 @@ def test_store_moved_across_barrier_is_detected_and_corrected(phase_probe):
     ]
 
 
+def _alternating_plan(program, mode, factor):
+    return ProtectionPlan(
+        mode, {(w.cta_id, w.warp_id): factor if w.warp_id % 2 else 1 for w in program.warps()}
+    )
+
+
+def _primaries_after_checking_replica_reuse(program, inputs, sites, golden):
+    """Assert run_protected equals the every-replica reference under uniform
+    and alternating plans of both modes, fault-free and at every site; return
+    the terminations of the primaries seen."""
+    budget = default_budget(golden)
+    primaries = set()
+    for mode, factor in ((DETECT, 2), (CORRECT, 3)):
+        for plan in (_uniform_plan(program, mode, factor), _alternating_plan(program, mode, factor)):
+            for fault in [None, *sites]:
+                result = run_protected(program, inputs, plan, fault=fault, budget=budget)
+                reference = run_protected_every_replica(program, inputs, plan, fault=fault, budget=budget)
+                assert result == reference, (mode, fault)
+                primaries.update(terms[0] for terms in result.warp_terminations.values())
+    return primaries
+
+
+def test_fault_free_replicas_sharing_a_run_equal_every_replica_on_phase_probe(phase_probe):
+    program, inputs, golden, full = phase_probe
+    sites = [MOVED_SITE, *sorted(full)[::29]]
+    assert _primaries_after_checking_replica_reuse(program, inputs, sites, golden) == {
+        "completed",
+        "crashed",
+    }
+
+
 CHASE_SOURCE = """\
 .kernel chase
 .ctas 2
@@ -307,7 +381,7 @@ DONE: bar
 """
 
 
-def test_warp_local_campaign_equals_full_runs_on_sampled_loop_sites():
+def _chase():
     program = parse_kernel(CHASE_SOURCE)
     rng = random.Random("chase")
     inputs = {
@@ -315,8 +389,21 @@ def test_warp_local_campaign_equals_full_runs_on_sampled_loop_sites():
         "link": [rng.randrange(96) for _ in range(96)],
         "vals": [rng.getrandbits(32) for _ in range(96)],
     }
+    return program, inputs
+
+
+def test_warp_local_campaign_equals_full_runs_on_sampled_loop_sites():
+    program, inputs = _chase()
     sites = sample_sites(enumerate_fault_space(program, inputs), 0.01, seed=7)
     campaign = run_campaign(program, inputs, sites)
     assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
     kinds = {o.detail or o.kind for o in campaign.per_site.values()}
     assert {"crashed", "hung", "sdc", "masked"} <= kinds
+
+
+def test_fault_free_replicas_sharing_a_run_equal_every_replica_on_loop_sites():
+    program, inputs = _chase()
+    golden = golden_run(program, inputs)
+    sites = sample_sites(enumerate_fault_space(program, inputs, golden=golden), 0.001, seed=7)
+    primaries = _primaries_after_checking_replica_reuse(program, inputs, sites, golden)
+    assert primaries == {"completed", "crashed", "hung"}

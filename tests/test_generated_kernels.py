@@ -3,8 +3,9 @@
 Each kernel mixes if/else, bounded loops, ``bar``, early ``exit`` and
 stores to computed in-bounds addresses, over 1-2 CTAs of up to 3 warps.
 An unprotected replay of isolated warps and warp-local fault injection must
-agree with full re-execution of the whole kernel, and for kernels whose
-threads store only to ``out[tid]`` so must a run under any per-CTA layout.
+agree with full re-execution of the whole kernel, protected runs must equal
+a run of every replica, and for kernels whose threads store only to
+``out[tid]`` so must a run under any per-CTA layout.
 """
 
 import random
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from warpshield.faults import FaultSite, classify_outcome, default_budget, golden_run, run_campaign
 from warpshield.interp import execute
 from warpshield.ir import parse_kernel
-from warpshield.protect import DETECT, ProtectionPlan, run_protected
+from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
+
+from support import run_protected_every_replica
 
 DATA = (1, 2, 3, 4, 5, 6)  # registers arithmetic may write
 SMALL = 10  # holds small[tid], in [0, 4): loop trips and address offsets
@@ -160,6 +163,27 @@ def test_isolated_warps_replay_into_the_full_run(kernel, seed):
         if full.completed:
             protected = run_protected(program, inputs, ones, fault=site, budget=budget)
             assert protected.final_outputs == full.outputs, site
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(kernel=kernels(tid_only=False), seed=st.integers(0, 2**16))
+def test_fault_free_replicas_sharing_a_run_equal_every_replica(kernel, seed):
+    """run_protected, whose fault-free replicas share one run, equals a run
+    of every replica field for field, under random plans of both modes,
+    fault-free and at each sampled site."""
+    program, inputs = kernel
+    golden = golden_run(program, inputs)
+    budget = default_budget(golden)
+    rng = random.Random(seed)
+    for mode, factor in ((DETECT, 2), (CORRECT, 3)):
+        plan = ProtectionPlan(
+            mode, {(w.cta_id, w.warp_id): rng.choice((1, factor)) for w in program.warps()}
+        )
+        for fault in [None, *_sample_sites(golden, seed)]:
+            result = run_protected(program, inputs, plan, fault=fault, budget=budget)
+            assert result == run_protected_every_replica(
+                program, inputs, plan, fault=fault, budget=budget
+            ), (mode, fault)
 
 
 @st.composite

@@ -5,9 +5,10 @@ import pytest
 
 from warpshield.errors import ValidationError
 from warpshield.faults import FaultSite
-from warpshield.fixtures import add_one_inputs, add_one_kernel, address_probe_kernel
 from warpshield.interp import CostTable, execute, seeded_inputs
 from warpshield.ir import parse_kernel
+
+from support import add_one_inputs, add_one_kernel, address_probe_kernel
 
 IFELSE_SRC = """.kernel ifelse
 .ctas 1

@@ -1,7 +1,6 @@
 import pytest
 
 from warpshield.errors import ParseError, ValidationError
-from warpshield.fixtures import ADD_ONE_SOURCE, add_one_kernel
 from warpshield.ir import (
     Instruction,
     KernelProgram,
@@ -9,6 +8,8 @@ from warpshield.ir import (
     program_to_source,
     warps_for,
 )
+
+from support import ADD_ONE_SOURCE, add_one_kernel
 
 
 def test_minimal_kernel_parses_to_three_instructions():

@@ -1,13 +1,17 @@
+import csv
+import hashlib
+import io
 from fractions import Fraction
 
 import pytest
 
 from warpshield.classify import classify_threads, classify_warps, format_pct, kernel_stats
 from warpshield.errors import ValidationError
-from warpshield.fixtures import add_one_inputs, add_one_kernel, generate_fixture, two_group_kernel
+from warpshield.fixtures import fixture_names, generate_fixture
 from warpshield.interp import execute
 from warpshield.ir import parse_kernel
 from warpshield.profiling import (
+    PROFILE_HEADER,
     group_by_icnt,
     load_profile,
     profile_digest,
@@ -17,6 +21,8 @@ from warpshield.profiling import (
     save_profile,
     to_fraction,
 )
+
+from support import add_one_inputs, add_one_kernel, two_group_kernel
 
 
 def test_straight_line_kernel_is_one_group():
@@ -113,6 +119,47 @@ def test_profile_round_trip(tmp_path):
     # saving what we loaded is byte-identical
     save_profile(loaded, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def _per_field_csv(profile):
+    """The profile file format with every fraction rendered on its own."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PROFILE_HEADER)
+    for t in profile.threads:
+        fractions = (t.masked_pct, t.sdc_pct, t.other_pct)
+        writer.writerow(
+            [profile.kernel, t.cta_id, t.thread_id, t.icnt, t.group_id]
+            + [repr(float(x)) for x in fractions]
+            + [t.provenance]
+        )
+    return out.getvalue()
+
+
+def _sampled_exhaustive_profile():
+    """Measured rows of one iCnt group differ: each thread samples its own sites."""
+    program, inputs = two_group_kernel()
+    profile = profile_kernel(program, inputs, mode="exhaustive", sample_fraction=0.2)
+    groups = {}
+    for t in profile.threads:
+        groups.setdefault(t.group_id, set()).add((t.masked_pct, t.sdc_pct, t.other_pct))
+    assert all(len(fractions) > 1 for fractions in groups.values())
+    return profile
+
+
+@pytest.mark.parametrize("name", [*fixture_names(), "sampled-exhaustive"])
+def test_profile_file_is_the_per_field_rendering_and_round_trips(name, tmp_path):
+    if name == "sampled-exhaustive":
+        profile = _sampled_exhaustive_profile()
+    else:
+        profile = generate_fixture(name).profile
+    expected = _per_field_csv(profile).encode()
+    assert profile_digest(profile) == hashlib.sha256(expected).hexdigest()
+    path = tmp_path / "profile.csv"
+    save_profile(profile, path)
+    assert path.read_bytes() == expected
+    save_profile(load_profile(path), tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == expected
 
 
 def _csv(rows):

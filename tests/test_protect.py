@@ -5,12 +5,7 @@ import pytest
 from warpshield.classify import classify_threads, classify_warps
 from warpshield.errors import ValidationError
 from warpshield.faults import FaultSite, enumerate_fault_space, golden_run, run_campaign
-from warpshield.fixtures import (
-    add_one_inputs,
-    add_one_kernel,
-    address_probe_kernel,
-    generate_fixture,
-)
+from warpshield.fixtures import generate_fixture
 from warpshield.interp import CostTable, execute
 from warpshield.profiling import profile_kernel
 from warpshield.protect import (
@@ -21,6 +16,8 @@ from warpshield.protect import (
     protection_report,
     run_protected,
 )
+
+from support import add_one_inputs, add_one_kernel, address_probe_kernel, dead_write_kernel
 
 
 def _full_plan(program, mode):
@@ -84,9 +81,6 @@ def test_detect_catches_sdc_sites_and_correct_restores_golden():
 
 
 def test_no_false_detections_on_masked_sites():
-    program, inputs = dead_inputs = None, None
-    from warpshield.fixtures import dead_write_kernel
-
     program, inputs = dead_write_kernel()
     plan = _full_plan(program, DETECT)
     for bit in range(0, 32, 5):

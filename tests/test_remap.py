@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 from warpshield.classify import MIXED, RELIABLE, UNRELIABLE, classify_warps, format_pct, kernel_stats
 from warpshield.errors import ValidationError
 from warpshield.faults import enumerate_fault_space, run_campaign
-from warpshield.fixtures import add_one_inputs, add_one_kernel, generate_fixture
+from warpshield.fixtures import generate_fixture
 from warpshield.interp import execute
 from warpshield.remap import (
     RemapPlan,
     apply_plan,
     build_plan,
-    identity_plan,
     plan_from_json,
     plan_to_json,
     remapped_stats,
 )
+
+from support import add_one_inputs, add_one_kernel, identity_plan
 
 
 def test_alternating_cta_regroups_into_pure_warps():
