@@ -18,6 +18,22 @@ Fault hook: when the matching thread executes its matching dynamic instruction
 (counted per thread, 1-based) and that instruction writes a destination
 register, one bit of the written value is inverted.  Instructions without a
 destination register never host a fault.
+
+Fused runs: a *run* is a maximal straight line of register-only instructions
+(``iadd isub imul fadd fmul mov movi setp``) that no branch enters except at
+its first instruction.  When the picked fragment sits in a run and no other
+fragment of its warp lies in the rest of it, min-pc scheduling would issue
+that fragment alone to the run's end, and each lane touches only its own
+registers; so one issue applies the rest of the run lane by lane, adds its
+length to each lane's iCnt and charges its cycles at once.  Each run is
+compiled once per program into a Python function built from the validated
+integer operands and one table of opcode expressions.  An issue falls back
+to a single step when the warp's issue count plus the run length would pass
+the budget (a lane's iCnt never exceeds its warp's issue count).  When the
+faulted thread is active and its faulted dynamic instruction lies inside the
+run, that lane alone steps through the run, and the other lanes run it
+fused.  A single step evaluates each instruction with a function generated
+from the same table, so opcode semantics are written once.
 """
 
 from __future__ import annotations
@@ -29,7 +45,16 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .ir import KernelProgram, TID_REGISTER, CTAID_REGISTER, REGISTER_COUNT, WARP_SIZE, WORD_MASK
+from .ir import (
+    CTAID_REGISTER,
+    REGISTER_COUNT,
+    TID_REGISTER,
+    WARP_SIZE,
+    WORD_MASK,
+    WRITING_OPS,
+    Instruction,
+    KernelProgram,
+)
 
 if TYPE_CHECKING:
     from .faults import FaultSite
@@ -69,6 +94,12 @@ class CostTable:
         missing = set(_DEFAULT_OP_CYCLES) - set(self.op_cycles)
         if missing:
             raise ValidationError(f"cost table missing opcodes: {sorted(missing)}")
+        # Every issued instruction costs time, and savings divide by cycles.
+        cheap = sorted(op for op in _DEFAULT_OP_CYCLES if self.op_cycles[op] < 1)
+        if cheap:
+            raise ValidationError(f"cost table op cycles must be at least 1: {cheap}")
+        if self.compare_per_store < 0 or self.vote_per_store < 0:
+            raise ValidationError("cost table per-store costs must not be negative")
 
     def to_json(self) -> dict:
         return {
@@ -133,28 +164,161 @@ class _Abort(Exception):
 
 
 class _WarpCtx:
-    __slots__ = ("key", "members", "frags", "waiting")
+    __slots__ = ("key", "members", "frags", "waiting", "issued", "cycles")
 
     def __init__(self, key, members):
         self.key = key
         self.members = members
         self.frags: list[list[int]] = [[0, (1 << len(members)) - 1]]
         self.waiting: list[list[int]] = []
+        self.issued = 0  # instructions issued, fused ones counted singly
+        self.cycles = 0
+
+
+_F32 = struct.Struct("<f")
+_U32 = struct.Struct("<I")
 
 
 def _f32(bits: int) -> float:
-    return struct.unpack("<f", struct.pack("<I", bits))[0]
+    return _F32.unpack(_U32.pack(bits))[0]
 
 
 def _f32_bits(x: float) -> int:
     try:
-        return struct.unpack("<I", struct.pack("<f", x))[0]
+        return _U32.unpack(_F32.pack(x))[0]
     except OverflowError:  # finite double too large for binary32 rounds to inf
         return 0x7F800000 if x > 0 else 0xFF800000
 
 
-def _signed(v: int) -> int:
-    return v - 0x100000000 if v >= 0x80000000 else v
+# ---------------------------------------------------------------------------
+# fused runs of register-only instructions
+
+_REGISTER_ONLY_OPS = WRITING_OPS - {"ld"}
+
+# Each register-only opcode's value as an expression of its source operands
+# {a} and {b} and its immediate {imm}; setp compares signed words: flipping
+# the sign bit maps signed order onto unsigned order.
+_VALUE = {
+    "iadd": "({a} + {b}) & 0xFFFFFFFF",
+    "isub": "({a} - {b}) & 0xFFFFFFFF",
+    "imul": "({a} * {b}) & 0xFFFFFFFF",
+    "fadd": "_f32_bits(_f32({a}) + _f32({b}))",
+    "fmul": "_f32_bits(_f32({a}) * _f32({b}))",
+    "mov": "{a}",
+    "movi": "{imm}",
+    "setp": "1 if ({a} ^ 0x80000000) {cmp} ({b} ^ 0x80000000) else 0",
+}
+_SETP_CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+_GENERATED_GLOBALS = {"_f32": _f32, "_f32_bits": _f32_bits}
+
+
+def _generate(source: str, name: str):
+    namespace: dict = {}
+    exec(compile(source, name, "exec"), _GENERATED_GLOBALS, namespace)
+    return namespace["f"]
+
+
+def _compile_run(instructions: tuple[Instruction, ...], start: int, end: int):
+    """One function ``f(regs, members, lanes, icnt, writes)`` that applies
+    ``instructions[start:end]`` to each lane in turn and counts them.
+
+    Register operands become locals ``x<reg>``.  Only validated integers
+    (register numbers, ``movi`` immediates) and the fixed strings above
+    enter the source.
+    """
+    loads, body, written = [], [], []
+    for ins in instructions[start:end]:
+        srcs = []
+        for reg in ins.srcs:
+            if reg not in written and reg not in loads:
+                loads.append(reg)
+            srcs.append(f"x{reg}")
+        a, b = (*srcs, None, None)[:2]
+        value = _VALUE[ins.opcode].format(a=a, b=b, imm=ins.imm, cmp=_SETP_CMP.get(ins.cond))
+        body.append(f"x{ins.dest} = {value}")
+        if ins.dest not in written:
+            written.append(ins.dest)
+    length = end - start
+    lines = [
+        "def f(regs, members, lanes, icnt, writes):",
+        "    for li in lanes:",
+        "        t = members[li]",
+        "        r = regs[t]",
+        *(f"        x{reg} = r[{reg}]" for reg in loads),
+        *(f"        {line}" for line in body),
+        *(f"        r[{reg}] = x{reg}" for reg in written),
+        "        n = icnt[t]",
+        f"        icnt[t] = n + {length}",
+        "        if writes is not None:",
+        f"            writes[t].extend(range(n + 1, n + {length + 1}))",
+    ]
+    return _generate("\n".join(lines) + "\n", f"<run {start}:{end}>")
+
+
+@lru_cache(maxsize=None)  # one per opcode and setp condition
+def _value_of(opcode: str, cond: str | None):
+    """``f(r, srcs, imm)``: the value an instruction writes, given its
+    thread's registers ``r``, for single steps one lane at a time."""
+    value = _VALUE[opcode].format(a="r[srcs[0]]", b="r[srcs[1]]", imm="imm", cmp=_SETP_CMP.get(cond))
+    return _generate(f"def f(r, srcs, imm):\n    return {value}\n", f"<{opcode}>")
+
+
+class _Runs:
+    """The runs of one program: ``end[pc]`` is the end of the run holding pc
+    (``pc`` itself when pc is not register-only), ``fused[pc]`` the compiled
+    form of the run starting at pc, and the prefix sums of op cycles per
+    cost table, made on first use.
+
+    A fused issue always starts at the first instruction of a run: a single
+    step inside a run happens only when the run would pass the budget, and
+    then so would the rest of the run after it.
+    """
+
+    __slots__ = ("end", "fused", "instructions", "prefixes")
+
+    def __init__(self, instructions: tuple[Instruction, ...]):
+        self.instructions = instructions
+        targets = {ins.target for ins in instructions if ins.opcode == "bra"}
+        end = list(range(len(instructions)))
+        # The last instruction is exit or bra, so pc + 1 always exists here.
+        for pc in reversed(range(len(instructions) - 1)):
+            if instructions[pc].opcode in _REGISTER_ONLY_OPS:
+                nxt = pc + 1
+                end[pc] = end[nxt] if end[nxt] > nxt and nxt not in targets else nxt
+        self.end = end
+        # Compiled now: execute asks for the runs before it allocates register
+        # files, so compiling's transient memory is not added to theirs.
+        self.fused = {
+            pc: _compile_run(instructions, pc, end[pc])
+            for pc in range(len(instructions))
+            if end[pc] > pc and (pc == 0 or end[pc - 1] != end[pc])
+        }
+        self.prefixes: dict[tuple[int, ...], list[int]] = {}
+
+    def prefix(self, op_cycles: dict[str, int]) -> list[int]:
+        key = tuple(op_cycles[op] for op in _DEFAULT_OP_CYCLES)
+        prefix = self.prefixes.get(key)
+        if prefix is None:
+            prefix = [0]
+            for ins in self.instructions:
+                prefix.append(prefix[-1] + op_cycles[ins.opcode])
+            self.prefixes[key] = prefix
+        return prefix
+
+
+_RUNS_KEPT = 8  # programs; suite, the widest command, runs seven in turn
+_runs_by_id: dict[int, _Runs] = {}
+
+
+def _runs_of(instructions: tuple[Instruction, ...]) -> _Runs:
+    # Keyed by identity: hashing the instruction tuple costs more than a warp
+    # run.  An entry holds its tuple, so the id cannot be reused while cached.
+    runs = _runs_by_id.get(id(instructions))
+    if runs is None:
+        if len(_runs_by_id) >= _RUNS_KEPT:
+            del _runs_by_id[next(iter(_runs_by_id))]
+        runs = _runs_by_id[id(instructions)] = _Runs(instructions)
+    return runs
 
 
 @lru_cache(maxsize=1024)
@@ -240,10 +404,22 @@ def execute(
 
     out_bufs = {name: [0] * size for name, size in program.output_buffers}
 
+    instructions = program.instructions
+    runs = _runs_of(instructions)
+    run_end = runs.end
+    prefix = runs.prefix(costs)
+
     total = program.total_threads
     icnt = [0] * total
     regs: list[list[int] | None] = [None] * total
     writes: list[list[int]] | None = [[] for _ in range(total)] if record_writes else None
+
+    if fault is not None:
+        f_thread, f_dyn, f_mask = fault.thread_id, fault.dyn_instr, 1 << fault.bit
+    else:
+        f_thread, f_dyn, f_mask = -1, -1, 0
+    f_warp, f_lane, f_bit = None, -1, 0  # the faulted thread's warp, lane and lane bit
+    fault_applied = False
 
     launched = range(program.num_ctas)
     if warp_filter is not None:
@@ -257,144 +433,107 @@ def execute(
             if warp_filter is not None and key != warp_filter:
                 continue
             members = order[start : start + WARP_SIZE]
-            warps.append(_WarpCtx(key, members))
-            for t in members:
+            wp = _WarpCtx(key, members)
+            warps.append(wp)
+            for lane, t in enumerate(members):
                 r = [0] * REGISTER_COUNT
                 r[TID_REGISTER] = t
                 r[CTAID_REGISTER] = cta
                 regs[t] = r
+                if t == f_thread:
+                    f_warp, f_lane, f_bit = wp, lane, 1 << lane
         if warps:
             ctas.append(warps)
     if not ctas:
         raise ValidationError(f"warp filter {warp_filter} matches no warp")
 
-    instructions = program.instructions
-    per_warp_cycles: dict[tuple[int, int], int] = {}
     per_warp_stores: dict[tuple[int, int], int] = {}
     streams: dict[tuple[int, int], list[tuple[str, int, int, int]]] | None = (
         {} if record_stores else None
     )
 
-    if fault is not None:
-        f_thread, f_dyn, f_mask = fault.thread_id, fault.dyn_instr, 1 << fault.bit
-    else:
-        f_thread, f_dyn, f_mask = -1, -1, 0
-    fault_applied = False
-
-    cycles = 0
     termination = COMPLETED
     error = None
 
     def issue(wp: _WarpCtx) -> None:
-        nonlocal cycles, fault_applied
+        nonlocal fault_applied
         frags = wp.frags
-        best = 0
-        for i in range(1, len(frags)):
-            if frags[i][0] < frags[best][0]:
-                best = i
-        pc, mask = frags.pop(best)
-        i = 0
-        while i < len(frags):  # merge fragments reconverged at this pc
-            if frags[i][0] == pc:
-                mask |= frags.pop(i)[1]
-            else:
-                i += 1
+        if len(frags) == 1:
+            frag = frags.pop()
+        else:
+            best = 0
+            for i in range(1, len(frags)):
+                if frags[i][0] < frags[best][0]:
+                    best = i
+            frag = frags.pop(best)
+            i = 0
+            while i < len(frags):  # merge fragments reconverged at this pc
+                if frags[i][0] == frag[0]:
+                    frag[1] |= frags.pop(i)[1]
+                else:
+                    i += 1
+        pc, mask = frag
+        members = wp.members
+
+        # Issue a whole run at once unless the budget may run out in it; a
+        # single step leaves pc inside the run only then (see _Runs).  No
+        # other fragment lies inside the run: fragments enter a run only at
+        # its first instruction (branch target, fall-through, barrier
+        # resume), and one that a single step leaves inside a run is still
+        # its warp's minimum, so it is picked next.
+        end = run_end[pc]
+        fused = end > pc and wp.issued + end - pc <= budget
+        if not fused:
+            end = pc + 1
+        wp.issued += end - pc
+        wp.cycles += prefix[end] - prefix[pc]
 
         ins = instructions[pc]
         op = ins.opcode
-        cost = costs[op]
-        cycles += cost
-        per_warp_cycles[wp.key] = per_warp_cycles.get(wp.key, 0) + cost
-
-        members = wp.members
         lanes = _lanes(mask)
+        hung = -1
+        if wp.issued > budget and op != "exit":
+            # Some lane may pass the budget: issue to the lanes before the
+            # first that does, then stop the run.
+            for k, li in enumerate(lanes):
+                if icnt[members[li]] >= budget:
+                    hung = members[li]
+                    mask &= (1 << li) - 1
+                    lanes = lanes[:k]
+                    break
 
-        if op == "bra":
-            if not ins.srcs:
-                for li in lanes:
-                    t = members[li]
-                    n = icnt[t] + 1
-                    icnt[t] = n
-                    if n > budget:
-                        raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
-                frags.append([ins.target, mask])
-            else:
-                p = ins.srcs[0]
-                taken = 0
-                for li in lanes:
-                    t = members[li]
-                    n = icnt[t] + 1
-                    icnt[t] = n
-                    if n > budget:
-                        raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
-                    if regs[t][p] != 0:
-                        taken |= 1 << li
-                fall = mask & ~taken
-                if taken:
-                    frags.append([ins.target, taken])
-                if fall:
-                    frags.append([pc + 1, fall])
-            return
-
-        if op == "exit":
-            for li in lanes:
+        if op in _REGISTER_ONLY_OPS:
+            stepped = lanes
+            if fused:
+                stepped = ()
+                if wp is f_warp and mask & f_bit and icnt[f_thread] < f_dyn <= icnt[f_thread] + end - pc:
+                    # Lanes are independent: the faulted lane steps alone.
+                    stepped = (f_lane,)
+                    lanes = [li for li in lanes if li != f_lane]
+                runs.fused[pc](regs, members, lanes, icnt, writes)
+            for li in stepped:
                 t = members[li]
-                icnt[t] += 1
-            return  # fragment dropped; lanes are done
-
-        if op == "bar":
-            for li in lanes:
-                t = members[li]
-                n = icnt[t] + 1
-                icnt[t] = n
-                if n > budget:
-                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
-            wp.waiting.append([pc + 1, mask])
-            return
-
-        if op == "st":
-            buf = out_bufs[ins.buffer]
-            size = len(buf)
-            a = ins.addr_reg
-            s = ins.srcs[0]
-            stored = per_warp_stores.get(wp.key, 0)
-            stream = None
-            if streams is not None:
-                stream = streams.setdefault(wp.key, [])
-            for li in lanes:
-                t = members[li]
-                n = icnt[t] + 1
-                icnt[t] = n
-                if n > budget:
-                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
                 r = regs[t]
-                addr = r[a]
-                if addr >= size:
-                    raise _Abort(
-                        CRASHED,
-                        f"thread {t} stored out of bounds: {ins.buffer}[{addr}] (size {size})",
-                    )
-                v = r[s]
-                buf[addr] = v
-                stored += 1
-                if stream is not None:
-                    stream.append((ins.buffer, addr, v, phase))
-            per_warp_stores[wp.key] = stored
-            frags.append([pc + 1, mask])
-            return
-
-        # register-writing opcodes
-        dest = ins.dest
-        if op == "ld":
+                n = icnt[t]
+                for step in instructions[pc:end]:
+                    n += 1
+                    v = _value_of(step.opcode, step.cond)(r, step.srcs, step.imm)
+                    if n == f_dyn and t == f_thread:
+                        v ^= f_mask
+                        fault_applied = True
+                    r[step.dest] = v
+                    if writes is not None:
+                        writes[t].append(n)
+                icnt[t] = n
+        elif op == "ld":
             buf = in_bufs[ins.buffer]
             size = len(buf)
             a = ins.addr_reg
+            dest = ins.dest
             for li in lanes:
                 t = members[li]
                 n = icnt[t] + 1
                 icnt[t] = n
-                if n > budget:
-                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
                 r = regs[t]
                 addr = r[a]
                 if addr >= size:
@@ -409,107 +548,54 @@ def execute(
                 r[dest] = v
                 if writes is not None:
                     writes[t].append(n)
-            frags.append([pc + 1, mask])
-            return
-
-        if op == "movi":
-            imm = ins.imm
-            for li in lanes:
-                t = members[li]
-                n = icnt[t] + 1
-                icnt[t] = n
-                if n > budget:
-                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
-                v = imm
-                if n == f_dyn and t == f_thread:
-                    v ^= f_mask
-                    fault_applied = True
-                regs[t][dest] = v
-                if writes is not None:
-                    writes[t].append(n)
-            frags.append([pc + 1, mask])
-            return
-
-        if op == "mov":
+        elif op == "st":
+            buf = out_bufs[ins.buffer]
+            size = len(buf)
+            a = ins.addr_reg
             s = ins.srcs[0]
+            stream = streams.setdefault(wp.key, []) if streams is not None else None
             for li in lanes:
                 t = members[li]
-                n = icnt[t] + 1
-                icnt[t] = n
-                if n > budget:
-                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
+                icnt[t] += 1
                 r = regs[t]
+                addr = r[a]
+                if addr >= size:
+                    raise _Abort(
+                        CRASHED,
+                        f"thread {t} stored out of bounds: {ins.buffer}[{addr}] (size {size})",
+                    )
                 v = r[s]
-                if n == f_dyn and t == f_thread:
-                    v ^= f_mask
-                    fault_applied = True
-                r[dest] = v
-                if writes is not None:
-                    writes[t].append(n)
-            frags.append([pc + 1, mask])
-            return
-
-        if op == "setp":
-            a, b = ins.srcs
-            cond = ins.cond
+                buf[addr] = v
+                if stream is not None:
+                    stream.append((ins.buffer, addr, v, phase))
+        else:  # bra, bar, exit
             for li in lanes:
-                t = members[li]
-                n = icnt[t] + 1
-                icnt[t] = n
-                if n > budget:
-                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
-                r = regs[t]
-                x = _signed(r[a])
-                y = _signed(r[b])
-                if cond == "eq":
-                    v = 1 if x == y else 0
-                elif cond == "ne":
-                    v = 1 if x != y else 0
-                elif cond == "lt":
-                    v = 1 if x < y else 0
-                elif cond == "le":
-                    v = 1 if x <= y else 0
-                elif cond == "gt":
-                    v = 1 if x > y else 0
-                else:
-                    v = 1 if x >= y else 0
-                if n == f_dyn and t == f_thread:
-                    v ^= f_mask
-                    fault_applied = True
-                r[dest] = v
-                if writes is not None:
-                    writes[t].append(n)
-            frags.append([pc + 1, mask])
-            return
+                icnt[members[li]] += 1
 
-        # two-source arithmetic
-        a, b = ins.srcs
-        for li in lanes:
-            t = members[li]
-            n = icnt[t] + 1
-            icnt[t] = n
-            if n > budget:
-                raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
-            r = regs[t]
-            x = r[a]
-            y = r[b]
-            if op == "iadd":
-                v = (x + y) & WORD_MASK
-            elif op == "isub":
-                v = (x - y) & WORD_MASK
-            elif op == "imul":
-                v = (x * y) & WORD_MASK
-            elif op == "fadd":
-                v = _f32_bits(_f32(x) + _f32(y))
-            else:  # fmul
-                v = _f32_bits(_f32(x) * _f32(y))
-            if n == f_dyn and t == f_thread:
-                v ^= f_mask
-                fault_applied = True
-            r[dest] = v
-            if writes is not None:
-                writes[t].append(n)
-        frags.append([pc + 1, mask])
+        if hung >= 0:
+            icnt[hung] += 1
+            raise _Abort(HUNG, f"thread {hung} exceeded budget {budget}")
+
+        if op == "bra":
+            taken = mask
+            if ins.srcs:
+                p = ins.srcs[0]
+                taken = 0
+                for li in lanes:
+                    if regs[members[li]][p] != 0:
+                        taken |= 1 << li
+            if taken:
+                frags.append([ins.target, taken])
+            if mask & ~taken:
+                frags.append([pc + 1, mask & ~taken])
+        elif op == "bar":
+            frag[0] = end
+            wp.waiting.append(frag)
+        elif op != "exit":  # an exited fragment is dropped
+            if op == "st":
+                per_warp_stores[wp.key] = per_warp_stores.get(wp.key, 0) + len(lanes)
+            frag[0] = end
+            frags.append(frag)
 
     try:
         for warps in ctas:
@@ -536,10 +622,11 @@ def execute(
         termination = abort.kind
         error = abort.message
 
+    per_warp_cycles = {wp.key: wp.cycles for warps in ctas for wp in warps if wp.issued}
     return ExecutionResult(
         outputs=out_bufs,
         per_thread_icnt=icnt,
-        cycles=cycles,
+        cycles=sum(per_warp_cycles.values()),
         termination=termination,
         fault_applied=fault_applied,
         per_warp_cycles=per_warp_cycles,

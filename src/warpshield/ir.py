@@ -7,6 +7,15 @@ in register 62 and their CTA id in register 63.  There is no shared memory and
 no warp-level communication; CTA threads couple only through ``bar`` ordering,
 which is what makes per-thread behaviour independent of warp composition.
 
+Write-write contract: every thread's registers, iCnt and store stream are the
+same under any per-CTA regrouping, but the final outputs are bit-identical
+only when no two threads of one CTA store to one location in the same barrier
+phase (between the same two releases of their CTA's barrier).  Such stores
+land in warp order, and regrouping changes which warp each thread is in.
+Stores to one location in different phases, or from different CTAs, keep
+their order, since CTAs run one after another and a regrouping stays inside
+its CTA.
+
 Text format (one instruction per line, ``#`` comments, ``label:`` prefixes)::
 
     .kernel add_one
@@ -45,6 +54,14 @@ WRITING_OPS = frozenset({"iadd", "isub", "imul", "fadd", "fmul", "mov", "movi", 
 NON_WRITING_OPS = frozenset({"st", "bra", "bar", "exit"})
 OPCODES = WRITING_OPS | NON_WRITING_OPS
 SETP_CONDS = ("eq", "ne", "lt", "le", "gt", "ge")
+# Allowed numbers of source registers per opcode (``ld``/``st`` addresses apart).
+_SOURCE_COUNTS = {
+    **{op: (2,) for op in ("iadd", "isub", "imul", "fadd", "fmul", "setp")},
+    "mov": (1,),
+    "st": (1,),
+    "bra": (0, 1),
+    **{op: (0,) for op in ("movi", "ld", "bar", "exit")},
+}
 
 _REG_ALIASES = {"tid": TID_REGISTER, "ctaid": CTAID_REGISTER}
 _BUF_RE = re.compile(r"^(\w+)\[(\w+)\]$")
@@ -162,10 +179,21 @@ def _validate_program(p: KernelProgram) -> None:
             _check_dest(ins.dest, where)
         elif ins.dest is not None:
             raise ValidationError(f"{where}: {ins.opcode} does not write a destination register")
+        if not isinstance(ins.srcs, tuple) or len(ins.srcs) not in _SOURCE_COUNTS[ins.opcode]:
+            raise ValidationError(f"{where}: {ins.opcode} has bad source operands {ins.srcs!r}")
         for s in ins.srcs:
             _check_src(s, where)
-        if ins.addr_reg is not None:
+        if ins.opcode in ("ld", "st"):
+            if ins.addr_reg is None:
+                raise ValidationError(f"{where}: {ins.opcode} requires an address register")
             _check_src(ins.addr_reg, where)
+        elif ins.addr_reg is not None:
+            raise ValidationError(f"{where}: {ins.opcode} takes no address register")
+        if ins.opcode == "movi":
+            if not _is_int(ins.imm) or not (0 <= ins.imm <= WORD_MASK):
+                raise ValidationError(f"{where}: movi immediate {ins.imm!r} is not a 32-bit word")
+        elif ins.imm is not None:
+            raise ValidationError(f"{where}: {ins.opcode} takes no immediate")
         if ins.opcode == "ld" and ins.buffer not in in_names:
             raise ValidationError(f"{where}: ld reads undeclared input buffer {ins.buffer!r}")
         if ins.opcode == "st" and ins.buffer not in out_names:
@@ -173,7 +201,7 @@ def _validate_program(p: KernelProgram) -> None:
         if ins.opcode == "setp" and ins.cond not in SETP_CONDS:
             raise ValidationError(f"{where}: bad setp condition {ins.cond!r}")
         if ins.opcode == "bra":
-            if ins.target is None or not (0 <= ins.target < n):
+            if not _is_int(ins.target) or not (0 <= ins.target < n):
                 raise ValidationError(f"{where}: branch target out of range")
 
     last = p.instructions[-1]
@@ -189,14 +217,19 @@ def _validate_program(p: KernelProgram) -> None:
         validate_layout(p.layout, p.num_ctas, p.cta_size)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_dest(reg: int, where: str) -> None:
+    _check_src(reg, where)
     if reg in (TID_REGISTER, CTAID_REGISTER):
         raise ValidationError(f"{where}: register r{reg} is read-only")
-    if not (0 <= reg < REGISTER_COUNT):
-        raise ValidationError(f"{where}: register r{reg} out of range (file size {REGISTER_COUNT})")
 
 
 def _check_src(reg: int, where: str) -> None:
+    if not _is_int(reg):
+        raise ValidationError(f"{where}: register operand {reg!r} is not an integer")
     if not (0 <= reg < REGISTER_COUNT):
         raise ValidationError(f"{where}: register r{reg} out of range (file size {REGISTER_COUNT})")
 

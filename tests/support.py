@@ -2,12 +2,34 @@
 compare the package's shortcuts against."""
 
 import random
+import struct
 from collections import Counter
 from fractions import Fraction
 
-from warpshield.errors import ProtectionError
-from warpshield.interp import COMPLETED, DEFAULT_COST_TABLE, execute, replay_stores, word_inputs
-from warpshield.ir import Instruction, KernelProgram, parse_kernel
+from warpshield.errors import ProtectionError, ValidationError
+from warpshield.interp import (
+    COMPLETED,
+    CRASHED,
+    DEFAULT_BUDGET,
+    DEFAULT_COST_TABLE,
+    HUNG,
+    ExecutionResult,
+    WordInputs,
+    execute,
+    replay_stores,
+    validate_inputs,
+    word_inputs,
+)
+from warpshield.ir import (
+    CTAID_REGISTER,
+    REGISTER_COUNT,
+    TID_REGISTER,
+    WARP_SIZE,
+    WORD_MASK,
+    Instruction,
+    KernelProgram,
+    parse_kernel,
+)
 from warpshield.profiling import to_fraction
 from warpshield.protect import DETECT, ProtectedRunResult, WarpIncident
 from warpshield.remap import RemapPlan
@@ -205,4 +227,380 @@ def run_protected_every_replica(program, inputs, protection, *, fault=None, budg
         corrections=corrections,
         cycles=cycles,
         warp_terminations=warp_terminations,
+    )
+
+
+# ---------------------------------------------------------------------------
+# single-step reference interpreter
+
+
+class _Abort(Exception):
+    def __init__(self, kind: str, message: str):
+        self.kind = kind
+        self.message = message
+
+
+class _WarpCtx:
+    __slots__ = ("key", "members", "frags", "waiting")
+
+    def __init__(self, key, members):
+        self.key = key
+        self.members = members
+        self.frags = [[0, (1 << len(members)) - 1]]
+        self.waiting = []
+
+
+def _f32(bits: int) -> float:
+    return struct.unpack("<f", struct.pack("<I", bits))[0]
+
+
+def _f32_bits(x: float) -> int:
+    try:
+        return struct.unpack("<I", struct.pack("<f", x))[0]
+    except OverflowError:
+        return 0x7F800000 if x > 0 else 0xFF800000
+
+
+def _signed(v: int) -> int:
+    return v - 0x100000000 if v >= 0x80000000 else v
+
+
+def _lanes(mask: int) -> tuple[int, ...]:
+    return tuple(lane for lane in range(mask.bit_length()) if mask >> lane & 1)
+
+
+def single_step_execute(
+    program: KernelProgram,
+    inputs: dict[str, list[int]],
+    *,
+    fault=None,
+    budget: int = DEFAULT_BUDGET,
+    cost_table=None,
+    warp_filter: tuple[int, int] | None = None,
+    record_writes: bool = False,
+    record_stores: bool = False,
+) -> ExecutionResult:
+    """Reference for ``execute`` without fused runs: every issue runs one
+    instruction over the active lanes, with the opcode semantics, budget
+    check and fault hook written out per opcode."""
+    if budget < 1:
+        raise ValidationError("instruction budget must be positive")
+    if isinstance(inputs, WordInputs):
+        validate_inputs(program, inputs)
+        in_bufs = inputs
+    else:
+        in_bufs = word_inputs(program, inputs)
+    costs = (cost_table or DEFAULT_COST_TABLE).op_cycles
+
+    out_bufs = {name: [0] * size for name, size in program.output_buffers}
+
+    total = program.total_threads
+    icnt = [0] * total
+    regs: list[list[int] | None] = [None] * total
+    writes: list[list[int]] | None = [[] for _ in range(total)] if record_writes else None
+
+    launched = range(program.num_ctas)
+    if warp_filter is not None:
+        launched = [warp_filter[0]] if 0 <= warp_filter[0] < program.num_ctas else []
+    ctas: list[list[_WarpCtx]] = []
+    for cta in launched:
+        order = program.launch_order(cta)
+        warps = []
+        for wid, start in enumerate(range(0, len(order), WARP_SIZE)):
+            key = (cta, wid)
+            if warp_filter is not None and key != warp_filter:
+                continue
+            members = order[start : start + WARP_SIZE]
+            warps.append(_WarpCtx(key, members))
+            for t in members:
+                r = [0] * REGISTER_COUNT
+                r[TID_REGISTER] = t
+                r[CTAID_REGISTER] = cta
+                regs[t] = r
+        if warps:
+            ctas.append(warps)
+    if not ctas:
+        raise ValidationError(f"warp filter {warp_filter} matches no warp")
+
+    instructions = program.instructions
+    per_warp_cycles: dict[tuple[int, int], int] = {}
+    per_warp_stores: dict[tuple[int, int], int] = {}
+    streams: dict[tuple[int, int], list[tuple[str, int, int, int]]] | None = (
+        {} if record_stores else None
+    )
+
+    if fault is not None:
+        f_thread, f_dyn, f_mask = fault.thread_id, fault.dyn_instr, 1 << fault.bit
+    else:
+        f_thread, f_dyn, f_mask = -1, -1, 0
+    fault_applied = False
+
+    cycles = 0
+    termination = COMPLETED
+    error = None
+
+    def issue(wp: _WarpCtx) -> None:
+        nonlocal cycles, fault_applied
+        frags = wp.frags
+        best = 0
+        for i in range(1, len(frags)):
+            if frags[i][0] < frags[best][0]:
+                best = i
+        pc, mask = frags.pop(best)
+        i = 0
+        while i < len(frags):  # merge fragments reconverged at this pc
+            if frags[i][0] == pc:
+                mask |= frags.pop(i)[1]
+            else:
+                i += 1
+
+        ins = instructions[pc]
+        op = ins.opcode
+        cost = costs[op]
+        cycles += cost
+        per_warp_cycles[wp.key] = per_warp_cycles.get(wp.key, 0) + cost
+
+        members = wp.members
+        lanes = _lanes(mask)
+
+        if op == "bra":
+            if not ins.srcs:
+                for li in lanes:
+                    t = members[li]
+                    n = icnt[t] + 1
+                    icnt[t] = n
+                    if n > budget:
+                        raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
+                frags.append([ins.target, mask])
+            else:
+                p = ins.srcs[0]
+                taken = 0
+                for li in lanes:
+                    t = members[li]
+                    n = icnt[t] + 1
+                    icnt[t] = n
+                    if n > budget:
+                        raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
+                    if regs[t][p] != 0:
+                        taken |= 1 << li
+                fall = mask & ~taken
+                if taken:
+                    frags.append([ins.target, taken])
+                if fall:
+                    frags.append([pc + 1, fall])
+            return
+
+        if op == "exit":
+            for li in lanes:
+                t = members[li]
+                icnt[t] += 1
+            return  # fragment dropped; lanes are done
+
+        if op == "bar":
+            for li in lanes:
+                t = members[li]
+                n = icnt[t] + 1
+                icnt[t] = n
+                if n > budget:
+                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
+            wp.waiting.append([pc + 1, mask])
+            return
+
+        if op == "st":
+            buf = out_bufs[ins.buffer]
+            size = len(buf)
+            a = ins.addr_reg
+            s = ins.srcs[0]
+            stored = per_warp_stores.get(wp.key, 0)
+            stream = None
+            if streams is not None:
+                stream = streams.setdefault(wp.key, [])
+            for li in lanes:
+                t = members[li]
+                n = icnt[t] + 1
+                icnt[t] = n
+                if n > budget:
+                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
+                r = regs[t]
+                addr = r[a]
+                if addr >= size:
+                    raise _Abort(
+                        CRASHED,
+                        f"thread {t} stored out of bounds: {ins.buffer}[{addr}] (size {size})",
+                    )
+                v = r[s]
+                buf[addr] = v
+                stored += 1
+                if stream is not None:
+                    stream.append((ins.buffer, addr, v, phase))
+            per_warp_stores[wp.key] = stored
+            frags.append([pc + 1, mask])
+            return
+
+        # register-writing opcodes
+        dest = ins.dest
+        if op == "ld":
+            buf = in_bufs[ins.buffer]
+            size = len(buf)
+            a = ins.addr_reg
+            for li in lanes:
+                t = members[li]
+                n = icnt[t] + 1
+                icnt[t] = n
+                if n > budget:
+                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
+                r = regs[t]
+                addr = r[a]
+                if addr >= size:
+                    raise _Abort(
+                        CRASHED,
+                        f"thread {t} loaded out of bounds: {ins.buffer}[{addr}] (size {size})",
+                    )
+                v = buf[addr]
+                if n == f_dyn and t == f_thread:
+                    v ^= f_mask
+                    fault_applied = True
+                r[dest] = v
+                if writes is not None:
+                    writes[t].append(n)
+            frags.append([pc + 1, mask])
+            return
+
+        if op == "movi":
+            imm = ins.imm
+            for li in lanes:
+                t = members[li]
+                n = icnt[t] + 1
+                icnt[t] = n
+                if n > budget:
+                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
+                v = imm
+                if n == f_dyn and t == f_thread:
+                    v ^= f_mask
+                    fault_applied = True
+                regs[t][dest] = v
+                if writes is not None:
+                    writes[t].append(n)
+            frags.append([pc + 1, mask])
+            return
+
+        if op == "mov":
+            s = ins.srcs[0]
+            for li in lanes:
+                t = members[li]
+                n = icnt[t] + 1
+                icnt[t] = n
+                if n > budget:
+                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
+                r = regs[t]
+                v = r[s]
+                if n == f_dyn and t == f_thread:
+                    v ^= f_mask
+                    fault_applied = True
+                r[dest] = v
+                if writes is not None:
+                    writes[t].append(n)
+            frags.append([pc + 1, mask])
+            return
+
+        if op == "setp":
+            a, b = ins.srcs
+            cond = ins.cond
+            for li in lanes:
+                t = members[li]
+                n = icnt[t] + 1
+                icnt[t] = n
+                if n > budget:
+                    raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
+                r = regs[t]
+                x = _signed(r[a])
+                y = _signed(r[b])
+                if cond == "eq":
+                    v = 1 if x == y else 0
+                elif cond == "ne":
+                    v = 1 if x != y else 0
+                elif cond == "lt":
+                    v = 1 if x < y else 0
+                elif cond == "le":
+                    v = 1 if x <= y else 0
+                elif cond == "gt":
+                    v = 1 if x > y else 0
+                else:
+                    v = 1 if x >= y else 0
+                if n == f_dyn and t == f_thread:
+                    v ^= f_mask
+                    fault_applied = True
+                r[dest] = v
+                if writes is not None:
+                    writes[t].append(n)
+            frags.append([pc + 1, mask])
+            return
+
+        # two-source arithmetic
+        a, b = ins.srcs
+        for li in lanes:
+            t = members[li]
+            n = icnt[t] + 1
+            icnt[t] = n
+            if n > budget:
+                raise _Abort(HUNG, f"thread {t} exceeded budget {budget}")
+            r = regs[t]
+            x = r[a]
+            y = r[b]
+            if op == "iadd":
+                v = (x + y) & WORD_MASK
+            elif op == "isub":
+                v = (x - y) & WORD_MASK
+            elif op == "imul":
+                v = (x * y) & WORD_MASK
+            elif op == "fadd":
+                v = _f32_bits(_f32(x) + _f32(y))
+            else:  # fmul
+                v = _f32_bits(_f32(x) * _f32(y))
+            if n == f_dyn and t == f_thread:
+                v ^= f_mask
+                fault_applied = True
+            r[dest] = v
+            if writes is not None:
+                writes[t].append(n)
+        frags.append([pc + 1, mask])
+
+    try:
+        for warps in ctas:
+            phase = 0  # barrier releases so far in this CTA; read by issue()
+            while True:
+                ran = False
+                for wp in warps:
+                    while wp.frags:
+                        issue(wp)
+                        ran = True
+                if ran:
+                    continue
+                # nothing runnable: every live thread is waiting at a barrier
+                released = False
+                for wp in warps:
+                    if wp.waiting:
+                        wp.frags.extend(wp.waiting)
+                        wp.waiting.clear()
+                        released = True
+                if not released:
+                    break
+                phase += 1
+    except _Abort as abort:
+        termination = abort.kind
+        error = abort.message
+
+    return ExecutionResult(
+        outputs=out_bufs,
+        per_thread_icnt=icnt,
+        cycles=cycles,
+        termination=termination,
+        fault_applied=fault_applied,
+        per_warp_cycles=per_warp_cycles,
+        per_warp_stores=per_warp_stores,
+        register_writes=[tuple(w) for w in writes] if writes is not None else None,
+        store_streams=(
+            {k: tuple(v) for k, v in streams.items()} if streams is not None else None
+        ),
+        error=error,
     )

@@ -4,6 +4,7 @@ import pytest
 
 from warpshield.cli import main
 from warpshield.fixtures import generate_fixture
+from warpshield.interp import CostTable
 from warpshield.profiling import load_profile, save_profile
 
 from support import ADD_ONE_SOURCE
@@ -73,8 +74,16 @@ def test_bad_inputs_file_exits_3(tmp_path, content, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", json.dumps({"compare_per_store": "one"}), json.dumps({"op_cycles": {"iadd": 1}}), "[]"],
-    ids=["missing", "not-json", "string-count", "missing-opcodes", "not-an-object"],
+    [
+        None,
+        "{not json",
+        json.dumps({"compare_per_store": "one"}),
+        json.dumps({"op_cycles": {"iadd": 1}}),
+        "[]",
+        json.dumps({"op_cycles": {op: 0 for op in CostTable().op_cycles}, "vote_per_store": 0}),
+        json.dumps({"vote_per_store": -2}),
+    ],
+    ids=["missing", "not-json", "string-count", "missing-opcodes", "not-an-object", "all-zero", "negative-vote"],
 )
 def test_malformed_cost_table_exits_3(tmp_path, content, capsys):
     table = tmp_path / "costs.json"
@@ -82,6 +91,18 @@ def test_malformed_cost_table_exits_3(tmp_path, content, capsys):
         table.write_text(content)
     assert main(["suite", "--cost-table", str(table), "--out", str(tmp_path / "out")]) == 3
     assert "cost table" in capsys.readouterr().err
+
+
+def test_negative_op_cycles_exit_3_before_a_report_is_written(tmp_path, capsys):
+    save_profile(generate_fixture("pathfinder_k1").profile, tmp_path / "profile.csv")
+    out = ["--out", str(tmp_path)]
+    assert main(["classify", *out]) == 0 and main(["remap", *out]) == 0
+    table = tmp_path / "costs.json"
+    table.write_text(json.dumps({"op_cycles": {**CostTable().op_cycles, "iadd": -1}}))
+    argv = ["report", "--mode", "correct", "--fixture", "pathfinder_k1", "--cost-table", str(table)]
+    assert main([*argv, *out]) == 3
+    assert "cost table" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def _first_order(edit):

@@ -14,6 +14,7 @@ from warpshield.faults import (
     run_campaign,
     sample_sites,
 )
+from warpshield.fixtures import generate_fixture
 from warpshield.interp import execute
 from warpshield.ir import parse_kernel
 from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
@@ -24,6 +25,7 @@ from support import (
     address_probe_kernel,
     dead_write_kernel,
     run_protected_every_replica,
+    single_step_execute,
     two_group_kernel,
 )
 
@@ -222,6 +224,18 @@ def test_warp_local_campaign_equals_full_runs_on_every_site(kernel):
     assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
 
 
+@pytest.mark.parametrize("name, fraction", [("fidelity_probe", 0.01), ("split_probe", 0.005)])
+def test_warp_local_campaign_equals_full_runs_on_sampled_probe_sites(name, fraction):
+    """The dispatch kernels of the fixture suite: one mixed warp, and one
+    pure warp of each class."""
+    fixture = generate_fixture(name)
+    program, inputs = fixture.program, fixture.inputs
+    sites = sample_sites(enumerate_fault_space(program, inputs), fraction, seed=3)
+    campaign = run_campaign(program, inputs, sites)
+    assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
+    assert {o.kind for o in campaign.per_site.values()} == {"masked", "sdc"}
+
+
 # Two CTAs of two warps (32 + 1 threads).  In CTA 0, warp 0 stores after the
 # bar and warp 1 before it, and threads 0 and 32 both store to out[0]; CTA 1
 # splits around the bar lane by lane and stores to out[tid].  Faults in dst
@@ -399,6 +413,26 @@ def test_warp_local_campaign_equals_full_runs_on_sampled_loop_sites():
     assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
     kinds = {o.detail or o.kind for o in campaign.per_site.values()}
     assert {"crashed", "hung", "sdc", "masked"} <= kinds
+
+
+def test_fused_runs_equal_single_step_on_sampled_loop_sites():
+    """Full and warp-filtered faulted runs of the loop kernel equal the
+    single-step reference, over masked, sdc, crashed and hung outcomes."""
+    program, inputs = _chase()
+    golden = golden_run(program, inputs)
+    budget = default_budget(golden)
+    sites = sample_sites(enumerate_fault_space(program, inputs, golden=golden), 0.004, seed=5)
+    warp_of = {t: (w.cta_id, w.warp_id) for w in program.warps() for t in w.members}
+    kinds = set()
+    for site in sites:
+        kwargs = dict(fault=site, budget=budget, record_writes=site.bit % 2 == 0)
+        full = execute(program, inputs, **kwargs)
+        assert full == single_step_execute(program, inputs, **kwargs), site
+        outcome = classify_outcome(golden, full)
+        kinds.add(outcome.detail or outcome.kind)
+        kwargs = dict(kwargs, warp_filter=warp_of[site.thread_id], record_stores=True)
+        assert execute(program, inputs, **kwargs) == single_step_execute(program, inputs, **kwargs)
+    assert kinds == {"masked", "sdc", "crashed", "hung"}
 
 
 def test_fault_free_replicas_sharing_a_run_equal_every_replica_on_loop_sites():

@@ -4,8 +4,9 @@ Each kernel mixes if/else, bounded loops, ``bar``, early ``exit`` and
 stores to computed in-bounds addresses, over 1-2 CTAs of up to 3 warps.
 An unprotected replay of isolated warps and warp-local fault injection must
 agree with full re-execution of the whole kernel, protected runs must equal
-a run of every replica, and for kernels whose threads store only to
-``out[tid]`` so must a run under any per-CTA layout.
+a run of every replica, execute must equal the single-step reference
+interpreter, and for kernels whose threads store only to ``out[tid]`` so
+must a run under any per-CTA layout.
 """
 
 import random
@@ -18,7 +19,7 @@ from warpshield.interp import execute
 from warpshield.ir import parse_kernel
 from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
 
-from support import run_protected_every_replica
+from support import run_protected_every_replica, single_step_execute
 
 DATA = (1, 2, 3, 4, 5, 6)  # registers arithmetic may write
 SMALL = 10  # holds small[tid], in [0, 4): loop trips and address offsets
@@ -184,6 +185,28 @@ def test_fault_free_replicas_sharing_a_run_equal_every_replica(kernel, seed):
             assert result == run_protected_every_replica(
                 program, inputs, plan, fault=fault, budget=budget
             ), (mode, fault)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kernel=kernels(tid_only=False), seed=st.integers(0, 2**16))
+def test_fused_runs_equal_single_step(kernel, seed):
+    """execute equals the single-step reference on every field: fault-free,
+    at sampled sites, under warp filters, and under budgets that run out."""
+    program, inputs = kernel
+    golden = golden_run(program, inputs)
+    assert golden == single_step_execute(program, inputs, record_writes=True, record_stores=True)
+    rng = random.Random(seed)
+    warps = [(w.cta_id, w.warp_id) for w in program.warps()]
+    budgets = [default_budget(golden), *rng.sample(range(1, golden.max_icnt() + 2), 2)]
+    for fault in [None, *_sample_sites(golden, seed)]:
+        kwargs = dict(
+            fault=fault,
+            budget=rng.choice(budgets),
+            warp_filter=rng.choice([None, *warps]),
+            record_writes=rng.random() < 0.5,
+            record_stores=rng.random() < 0.5,
+        )
+        assert execute(program, inputs, **kwargs) == single_step_execute(program, inputs, **kwargs), kwargs
 
 
 @st.composite

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from warpshield.errors import ValidationError
-from warpshield.faults import FaultSite
-from warpshield.interp import CostTable, execute, seeded_inputs
+from warpshield.faults import FaultSite, default_budget
+from warpshield.fixtures import fixture_names, generate_fixture
+from warpshield.interp import CostTable, execute, seeded_inputs, word_inputs
 from warpshield.ir import parse_kernel
 
-from support import add_one_inputs, add_one_kernel, address_probe_kernel
+from support import add_one_inputs, add_one_kernel, address_probe_kernel, single_step_execute
 
 IFELSE_SRC = """.kernel ifelse
 .ctas 1
@@ -230,3 +231,103 @@ def test_custom_cost_table_changes_cycles():
     table = CostTable(op_cycles={**CostTable().op_cycles, "ld": 10, "st": 10})
     result = execute(program, add_one_inputs(program), cost_table=table)
     assert all(c == 23 for c in result.per_warp_cycles.values())
+
+
+# ---------------------------------------------------------------------------
+# fused runs against the single-step reference interpreter
+
+
+def _same(program, inputs, **kwargs):
+    """execute, asserted equal to the single-step reference on every field."""
+    fused = execute(program, inputs, **kwargs)
+    assert fused == single_step_execute(program, inputs, **kwargs), kwargs
+    return fused
+
+
+# Runs of register-only instructions: pcs 1-5, 7-9 and 10-11 (the branch
+# target SKIP cuts 7-11 in two).  Threads with x < 3 skip 7-9, so the
+# fall-through fragment runs 7-9 alone and then merges at SKIP.
+RUNS_SRC = """.kernel runs
+.ctas 1
+.ctasize 40
+.in x 40
+.out y 40
+    ld r1, x[tid]
+    movi r2, 3
+    iadd r3, r1, r2
+    imul r4, r3, r3
+    setp.lt r5, r1, r2
+    isub r6, r4, r5
+    bra r5, SKIP
+    fmul r7, r6, r6
+    fadd r6, r7, r6
+    mov r8, r6
+SKIP: iadd r9, r6, r1
+    movi r10, 1
+    st y[tid], r9
+    exit
+"""
+
+
+def test_fused_runs_equal_single_step_at_every_site_and_budget():
+    """Faults on the first, a middle and the last instruction of each run
+    (every register write of threads on both paths, in both warps), and
+    every budget, so that many run out in the middle of a run."""
+    program = parse_kernel(RUNS_SRC)
+    inputs = {"x": [t % 5 for t in range(40)]}
+    golden = _same(program, inputs, record_writes=True, record_stores=True)
+    assert golden.per_thread_icnt[:5] == [11, 11, 11, 14, 14]
+    threads = (0, 4, 33, 36)
+    applied = 0
+    for t in threads:
+        for dyn in golden.register_writes[t]:
+            for bit in (0, 31):
+                site = FaultSite(t, dyn, bit)
+                applied += _same(program, inputs, fault=site, record_writes=bit == 0).fault_applied
+                _same(program, inputs, fault=site, warp_filter=(0, t // 32), record_stores=True)
+    assert applied == 2 * sum(len(golden.register_writes[t]) for t in threads)
+    terminations = set()
+    for budget in range(1, golden.max_icnt() + 2):
+        for warp_filter in (None, (0, 1)):
+            result = _same(
+                program,
+                inputs,
+                budget=budget,
+                warp_filter=warp_filter,
+                fault=FaultSite(3, 4, 0),
+                record_writes=True,
+                record_stores=True,
+            )
+            terminations.add(result.termination)
+    assert terminations == {"hung", "completed"}
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fused_runs_equal_single_step_on_fixtures(name):
+    """Fault-free, at sampled sites, under warp filters and under budgets
+    that run out, with and without recorded writes and stores."""
+    fixture = generate_fixture(name)
+    program, inputs = fixture.program, word_inputs(fixture.program, fixture.inputs)
+    golden = _same(program, inputs, record_writes=True, record_stores=True)
+    rng = random.Random(name)
+    warps = [(w.cta_id, w.warp_id) for w in program.warps()]
+    warp_of = {t: (w.cta_id, w.warp_id) for w in program.warps() for t in w.members}
+    writers = [t for t, w in enumerate(golden.register_writes) if w]
+    budget = default_budget(golden)
+    sites = [
+        FaultSite(t, rng.choice(golden.register_writes[t]), rng.randrange(32))
+        for t in rng.sample(writers, 6)
+    ]
+    for site in sites:
+        _same(
+            program,
+            inputs,
+            fault=site,
+            budget=budget,
+            warp_filter=warp_of[site.thread_id],
+            record_writes=rng.random() < 0.5,
+            record_stores=rng.random() < 0.5,
+        )
+    _same(program, inputs, fault=sites[0], budget=budget)
+    for small in rng.sample(range(1, golden.max_icnt() + 2), 4):
+        _same(program, inputs, budget=small, warp_filter=rng.choice(warps), record_stores=True)

@@ -192,3 +192,36 @@ def test_duplicate_buffer_name_rejected():
     exit
 """
         )
+
+
+@pytest.mark.parametrize(
+    "ins, message",
+    [
+        (Instruction("movi", dest=0, imm=None), "not a 32-bit word"),
+        (Instruction("movi", dest=0, imm=2**40), "not a 32-bit word"),
+        (Instruction("movi", dest=0, imm=-1), "not a 32-bit word"),
+        (Instruction("movi", dest=0, imm=1.5), "not a 32-bit word"),
+        (Instruction("movi", dest=0, imm=True), "not a 32-bit word"),
+        (Instruction("mov", dest=0, srcs=(1,), imm=3), "no immediate"),
+        (Instruction("iadd", dest="0", srcs=(1, 2)), "not an integer"),
+        (Instruction("iadd", dest=0, srcs=(1, "r2")), "not an integer"),
+        (Instruction("iadd", dest=0, srcs=(1, True)), "not an integer"),
+        (Instruction("iadd", dest=0, srcs=(1,)), "bad source operands"),
+        (Instruction("iadd", dest=0, srcs=[1, 2]), "bad source operands"),
+        (Instruction("mov", dest=0, srcs=(1, 2)), "bad source operands"),
+        (Instruction("ld", dest=0, buffer="in"), "requires an address register"),
+        (Instruction("ld", dest=0, buffer="in", addr_reg=2.0), "not an integer"),
+        (Instruction("setp", dest=0, srcs=(1, 2), cond="lt", addr_reg=3), "no address register"),
+    ],
+)
+def test_operands_must_be_integers_of_the_right_shape(ins, message):
+    """Operands reach the interpreter's generated code, so only integer
+    registers and 32-bit immediates of each opcode's shape validate."""
+    with pytest.raises(ValidationError, match=message):
+        KernelProgram(
+            name="bad",
+            instructions=(ins, Instruction("exit")),
+            num_ctas=1,
+            cta_size=1,
+            input_buffers=(("in", 1),),
+        )
