@@ -12,10 +12,13 @@ import csv
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .ir import Warp
 from .profiling import KernelProfile, to_fraction
+
+if TYPE_CHECKING:
+    from .ir import Warp
 
 RELIABLE = "reliable"
 UNRELIABLE = "unreliable"
@@ -47,11 +50,17 @@ def classify_threads(profile: KernelProfile, tau=None) -> list[bool]:
     tau = profile.tau if tau is None else to_fraction(tau)
     if not 0 <= tau <= 1:
         raise ValidationError(f"threshold {float(tau)} outside [0, 1]")
-    cache: dict[Fraction, bool] = {}
-    return [
-        cache[t.sdc_pct] if t.sdc_pct in cache else cache.setdefault(t.sdc_pct, t.sdc_pct <= tau)
-        for t in profile.threads
-    ]
+    # Threads share a handful of sdc_pct objects: compare each one with tau
+    # once, keyed by identity, since hashing a Fraction costs a pow().
+    verdict: dict[int, bool] = {}
+    flags = []
+    for t in profile.threads:
+        sdc = t.sdc_pct
+        flag = verdict.get(id(sdc))
+        if flag is None:
+            flag = verdict[id(sdc)] = sdc <= tau
+        flags.append(flag)
+    return flags
 
 
 def classify_warps(flags: list[bool], warps: tuple[Warp, ...]) -> list[WarpClassification]:

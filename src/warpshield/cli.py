@@ -5,6 +5,10 @@ and writes plain CSV/JSON artifacts there; the run configuration is embedded
 in each artifact so results are reproducible byte-for-byte from the same
 flags.  Exit codes: 0 success, 2 configuration error, 3 artifact error,
 4 execution error.
+
+Commands import what they use: this module loads only what the parser needs,
+and each handler imports its own modules, so ``classify`` never loads the
+interpreter and a ``--kernel`` run never builds the fixture table.
 """
 
 from __future__ import annotations
@@ -12,18 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import fixtures as fx
-from .classify import classify_threads, classify_warps, format_pct, kernel_stats, scatter_rows, stats_to_json, write_scatter_csv
-from .costs import REFERENCE_FIGURES, account
 from .errors import ArtifactError, ExecutionError, ValidationError, WarpshieldError
-from .interp import CostTable, DEFAULT_BUDGET, DEFAULT_COST_TABLE, seeded_inputs
-from .ir import KernelProgram, parse_kernel, program_to_source
-from .profiling import load_profile, profile_digest, profile_kernel, save_profile, to_fraction
-from .protect import build_protection_plan, protection_report, run_protected
-from .remap import build_plan, load_plan, remapped_stats, save_plan
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .fixtures import Fixture
+    from .interp import CostTable
+    from .ir import KernelProgram
+    from .profiling import KernelProfile
+    from .remap import RemapPlan
 
 _EXIT_CONFIG = 2
 _EXIT_ARTIFACT = 3
@@ -34,11 +39,23 @@ class _ConfigError(WarpshieldError):
     pass
 
 
+def _fixture(args) -> Fixture:
+    from . import fixtures as fx
+
+    if args.fixture not in fx.fixture_names():
+        raise _ConfigError(f"unknown fixture {args.fixture!r} (see `warpshield fixtures`)")
+    return fx.generate_fixture(args.fixture, seed=args.seed)
+
+
 def _load_program(args) -> tuple[KernelProgram, dict[str, list[int]]]:
+    """The kernel and its inputs, from ``--fixture`` or ``--kernel``."""
     if getattr(args, "fixture", None):
-        fixture = fx.generate_fixture(args.fixture, seed=args.seed)
+        fixture = _fixture(args)
         return fixture.program, fixture.inputs
     if getattr(args, "kernel", None):
+        from .interp import seeded_inputs
+        from .ir import parse_kernel
+
         path = Path(args.kernel)
         if not path.exists():
             raise ArtifactError(f"kernel file {path} does not exist")
@@ -71,6 +88,8 @@ def _out_dir(args) -> Path:
 
 
 def _cost_table(args) -> CostTable:
+    from .interp import DEFAULT_COST_TABLE, CostTable
+
     if getattr(args, "cost_table", None):
         path = Path(args.cost_table)
         try:
@@ -81,10 +100,23 @@ def _cost_table(args) -> CostTable:
 
 
 def _tau(args) -> Fraction:
+    from .profiling import to_fraction
+
     tau = to_fraction(args.tau)
     if not 0 <= tau <= 1:
         raise _ConfigError(f"--tau {args.tau} outside [0, 1]")
     return tau
+
+
+def _load_plan_for(out: Path, profile: KernelProfile) -> RemapPlan:
+    """plan.json, refused unless it was built from this profile."""
+    from .profiling import profile_digest
+    from .remap import load_plan
+
+    plan = load_plan(out / "plan.json")
+    if plan.profile_sha256 != profile_digest(profile):
+        raise ArtifactError("plan.json was built from a different profile.csv")
+    return plan
 
 
 def _config_dict(args, command: str) -> dict:
@@ -113,6 +145,20 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_bars(path: Path, rows: list[dict]) -> None:
+    header = list(rows[0])
+    _write_csv(path, header, ([row[key] for key in header] for row in rows))
+
+
 def _read_json(path: Path, what: str):
     if not path.exists():
         raise ArtifactError(f"missing {what} {path}")
@@ -123,6 +169,8 @@ def _read_json(path: Path, what: str):
 
 
 def cmd_profile(args) -> int:
+    from .profiling import profile_digest, profile_kernel, save_profile
+
     out = _out_dir(args)
     program, inputs = _load_program(args)
     if args.sample is not None and not 0 < args.sample <= 1:
@@ -151,14 +199,23 @@ def cmd_profile(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import (
+        classify_threads,
+        classify_warps,
+        format_pct,
+        kernel_stats,
+        scatter_rows,
+        stats_to_json,
+        write_scatter_csv,
+    )
+    from .ir import warps_for
+    from .profiling import load_profile
+
     out = _out_dir(args)
     profile = load_profile(out / "profile.csv")
     tau = _tau(args)
     flags = classify_threads(profile, tau)
-    num_ctas, cta_size = profile.geometry
-    from .ir import warps_for
-
-    warps = warps_for(num_ctas, cta_size)
+    warps = warps_for(*profile.geometry)
     stats = kernel_stats(classify_warps(flags, warps), flags, tau)
     payload = stats_to_json(stats, profile.kernel)
     payload["config"] = _config_dict(args, "classify")
@@ -172,6 +229,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_remap(args) -> int:
+    from .classify import classify_threads, format_pct, scatter_rows, stats_to_json, write_scatter_csv
+    from .profiling import load_profile, profile_digest
+    from .remap import build_plan, remapped_stats, save_plan
+
     out = _out_dir(args)
     profile = load_profile(out / "profile.csv")
     tau = _tau(args)
@@ -196,16 +257,17 @@ def cmd_remap(args) -> int:
 
 
 def cmd_protect(args) -> int:
+    from .classify import classify_threads, classify_warps
+    from .profiling import load_profile
+    from .protect import build_protection_plan, protection_report, run_protected
+    from .remap import apply_plan
+
     out = _out_dir(args)
     if args.mode == "none":
         raise _ConfigError("--mode none leaves nothing for the protect step to do")
     program, inputs = _load_program(args)
     profile = load_profile(out / "profile.csv")
-    plan = load_plan(out / "plan.json")
-    if plan.profile_sha256 != profile_digest(profile):
-        raise ArtifactError("plan.json was built from a different profile.csv")
-    from .remap import apply_plan
-
+    plan = _load_plan_for(out, profile)
     remapped = apply_plan(program, plan)
     flags = classify_threads(profile, plan.tau)
     classifications = classify_warps(flags, remapped.warps())
@@ -228,6 +290,10 @@ def cmd_protect(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .classify import classify_threads
+    from .costs import REFERENCE_FIGURES, account
+    from .profiling import load_profile, to_fraction
+
     out = _out_dir(args)
     program, inputs = _load_program(args)
     profile = load_profile(out / "profile.csv")
@@ -239,9 +305,7 @@ def cmd_report(args) -> int:
         "before": stats_before,
     }
     if args.mode != "none":
-        plan = load_plan(out / "plan.json")
-        if plan.profile_sha256 != profile_digest(profile):
-            raise ArtifactError("plan.json was built from a different profile.csv")
+        plan = _load_plan_for(out, profile)
         flags = classify_threads(profile, plan.tau)
         cost = account(
             program,
@@ -283,23 +347,17 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _write_bars(path: Path, rows: list[dict]) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def cmd_sweep(args) -> int:
+    from .classify import classify_threads, classify_warps, kernel_stats
+    from .ir import warps_for
+    from .profiling import load_profile, to_fraction
+    from .remap import build_plan, remapped_stats
+
     out = _out_dir(args)
     profile = load_profile(out / "profile.csv")
     taus = [to_fraction(t.strip()) for t in args.taus.split(",") if t.strip()]
     if not taus:
         raise _ConfigError("--taus produced an empty threshold list")
-    from .ir import warps_for
-
     geometry = profile.geometry
     warps = warps_for(*geometry)
     rows = []
@@ -315,18 +373,21 @@ def cmd_sweep(args) -> int:
                 float(after.pct_reliable_warps * 100),
             )
         )
-    import csv
-
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "pct_reliable_warps_before", "pct_reliable_warps_after"])
-        writer.writerows(rows)
+    _write_csv(out / "sweep.csv", ["tau", "pct_reliable_warps_before", "pct_reliable_warps_after"], rows)
     print(f"sweep over {len(rows)} thresholds -> {out / 'sweep.csv'}")
     return 0
 
 
 def cmd_suite(args) -> int:
     """Run the full pipeline over the regroup-eligible fixtures and aggregate."""
+    from fractions import Fraction
+
+    from . import fixtures as fx
+    from .classify import classify_warps, format_pct, kernel_stats
+    from .costs import REFERENCE_FIGURES, account
+    from .profiling import profile_digest, to_fraction
+    from .remap import build_plan, remapped_stats
+
     out = _out_dir(args)
     table = _cost_table(args)
     rows = []
@@ -387,6 +448,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from . import fixtures as fx
+
     print(f"{'name':24} {'geometry':>12} {'pattern':>18} {'warps%':>8} {'threads%':>9}  flags")
     for spec in fx.suite_specs():
         warps_pct, threads_pct = spec.expected
@@ -399,8 +462,11 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from .ir import program_to_source
+    from .profiling import save_profile
+
     out = _out_dir(args)
-    fixture = fx.generate_fixture(args.fixture, seed=args.seed)
+    fixture = _fixture(args)
     (out / f"{fixture.name}.wir").write_text(program_to_source(fixture.program))
     _write_json(out / f"{fixture.name}_inputs.json", {k: v for k, v in fixture.inputs.items()})
     save_profile(fixture.profile, out / f"{fixture.name}_profile.csv")
@@ -408,7 +474,23 @@ def cmd_emit(args) -> int:
     return 0
 
 
+# Each handler imports the modules it uses, so a command loads only those.
+_COMMANDS = {
+    "profile": cmd_profile,
+    "classify": cmd_classify,
+    "remap": cmd_remap,
+    "protect": cmd_protect,
+    "report": cmd_report,
+    "sweep": cmd_sweep,
+    "suite": cmd_suite,
+    "fixtures": cmd_fixtures,
+    "emit": cmd_emit,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .ir import DEFAULT_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="warpshield",
         description="Profile per-thread soft-error resilience, regroup threads into "
@@ -435,43 +517,34 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, kernel_source=True)
     p.add_argument("--profile-mode", dest="profile_mode", choices=["pruned", "exhaustive"], default="pruned")
     p.add_argument("--sample", type=float, default=None, help="site sample fraction in (0, 1]")
-    p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("classify", help="classify threads and warps at a threshold")
     common(p)
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("remap", help="build and evaluate a regrouping plan")
     common(p)
-    p.set_defaults(fn=cmd_remap)
 
     p = sub.add_parser("protect", help="run replicated execution under the plan")
     common(p, kernel_source=True, mode=True)
-    p.set_defaults(fn=cmd_protect)
 
     p = sub.add_parser("report", help="aggregate artifacts and cost the protection")
     common(p, kernel_source=True, mode=True)
     p.add_argument("--remap-overhead", dest="remap_overhead", default="0")
-    p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("sweep", help="reliable-warp percentages across thresholds")
     common(p, tau=False)
     p.add_argument("--taus", required=True, help="comma-separated threshold list")
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("suite", help="pipeline + aggregate over the regroupable fixtures")
     common(p, tau=False)
     p.add_argument("--remap-overhead", dest="remap_overhead", default="0")
-    p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("fixtures", help="list the built-in fixture table")
-    p.set_defaults(fn=cmd_fixtures)
 
     p = sub.add_parser("emit", help="write a fixture's kernel/inputs/profile to files")
     p.add_argument("--fixture", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_emit)
 
     return parser
 
@@ -480,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command](args)
     except WarpshieldError as err:
         code = _EXIT_EXECUTION
         if isinstance(err, (_ConfigError, ValidationError)):

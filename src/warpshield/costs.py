@@ -87,6 +87,8 @@ def account(
     if program.layout is not None:
         raise ValidationError("pass the unmapped program; the plan supplies the new layout")
     overhead = to_fraction(remap_overhead)
+    if overhead <= -1:
+        raise ValidationError(f"remap overhead {float(overhead)} must exceed -1")
     table = cost_table or DEFAULT_COST_TABLE
 
     base = execute(program, inputs, budget=budget, cost_table=table)

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING
 from .errors import ValidationError
 from .ir import (
     CTAID_REGISTER,
+    DEFAULT_BUDGET,
     REGISTER_COUNT,
     TID_REGISTER,
     WARP_SIZE,
@@ -62,8 +63,6 @@ if TYPE_CHECKING:
 COMPLETED = "completed"
 CRASHED = "crashed"
 HUNG = "hung"
-
-DEFAULT_BUDGET = 1_000_000
 
 _DEFAULT_OP_CYCLES = {
     "iadd": 1,
@@ -94,6 +93,9 @@ class CostTable:
         missing = set(_DEFAULT_OP_CYCLES) - set(self.op_cycles)
         if missing:
             raise ValidationError(f"cost table missing opcodes: {sorted(missing)}")
+        unknown = set(self.op_cycles) - set(_DEFAULT_OP_CYCLES)
+        if unknown:
+            raise ValidationError(f"cost table names unknown opcodes: {sorted(unknown)}")
         # Every issued instruction costs time, and savings divide by cycles.
         cheap = sorted(op for op in _DEFAULT_OP_CYCLES if self.op_cycles[op] < 1)
         if cheap:
@@ -112,6 +114,9 @@ class CostTable:
     def from_json(cls, data) -> "CostTable":
         if not isinstance(data, dict):
             raise ValidationError("cost table must be a JSON object")
+        unknown = set(data) - {"op_cycles", "compare_per_store", "vote_per_store"}
+        if unknown:
+            raise ValidationError(f"cost table has unknown keys: {sorted(unknown)}")
         op_cycles = data.get("op_cycles", _DEFAULT_OP_CYCLES)
         compare = data.get("compare_per_store", 1)
         vote = data.get("vote_per_store", 2)

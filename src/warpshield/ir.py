@@ -49,6 +49,8 @@ REGISTER_COUNT = 64
 TID_REGISTER = 62
 CTAID_REGISTER = 63
 WORD_MASK = 0xFFFFFFFF
+# Per-thread dynamic-instruction budget; a thread that passes it has hung.
+DEFAULT_BUDGET = 1_000_000
 
 WRITING_OPS = frozenset({"iadd", "isub", "imul", "fadd", "fmul", "mov", "movi", "ld", "setp"})
 NON_WRITING_OPS = frozenset({"st", "bra", "bar", "exit"})

@@ -9,6 +9,12 @@ so its measured rows may differ within a group.
 Fractions are exact rationals derived from outcome counts, so downstream
 threshold comparisons are reproducible; files render them as shortest-decimal
 strings, which round-trips every terminating decimal exactly.
+
+Thousands of threads share a handful of outcome rows (masked, SDC and other
+fractions plus provenance).  Rows are checked once per distinct outcome row
+when a :class:`KernelProfile` is built, and loading, rendering and
+classification each handle a distinct row once, keyed by the identity of its
+objects.
 """
 
 from __future__ import annotations
@@ -18,12 +24,13 @@ import hashlib
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ArtifactError, ValidationError
-from .faults import FaultSpace, default_budget, golden_run, run_campaign, sample_sites
-from .interp import DEFAULT_BUDGET, ExecutionResult
-from .ir import KernelProgram
+from .ir import DEFAULT_BUDGET, KernelProgram
+
+if TYPE_CHECKING:
+    from .interp import ExecutionResult
 
 TAU_DEFAULT = Fraction(1, 20)  # reliable iff sdc fraction <= 5%
 
@@ -31,35 +38,6 @@ MEASURED = "measured"
 EXTRAPOLATED = "extrapolated"
 
 _SUM_TOLERANCE = Fraction(1, 10**9)
-
-
-def _check_fractions(masked: Fraction, sdc: Fraction, other: Fraction) -> str | None:
-    # Profiles repeat a handful of distinct triples across thousands of
-    # threads; memoize on the raw integers to keep construction cheap.
-    return _check_fraction_ints(
-        masked.numerator,
-        masked.denominator,
-        sdc.numerator,
-        sdc.denominator,
-        other.numerator,
-        other.denominator,
-    )
-
-
-@lru_cache(maxsize=65536)
-def _check_fraction_ints(mn, md, sn, sd, on, od) -> str | None:
-    triple = (
-        ("masked_pct", Fraction(mn, md)),
-        ("sdc_pct", Fraction(sn, sd)),
-        ("other_pct", Fraction(on, od)),
-    )
-    for name, v in triple:
-        if not 0 <= v <= 1:
-            return f"{name}={float(v)} outside [0, 1]"
-    total = sum(v for _, v in triple)
-    if abs(total - 1) > _SUM_TOLERANCE:
-        return f"outcome fractions sum to {float(total):.12f}"
-    return None
 
 
 def to_fraction(value) -> Fraction:
@@ -83,8 +61,9 @@ def to_fraction(value) -> Fraction:
     raise ValidationError(f"cannot convert {type(value).__name__} to a fraction")
 
 
-@dataclass(frozen=True)
-class ThreadProfile:
+class ThreadProfile(NamedTuple):
+    """One thread's row; :class:`KernelProfile` checks it when it is built."""
+
     thread_id: int
     cta_id: int
     icnt: int
@@ -94,12 +73,17 @@ class ThreadProfile:
     other_pct: Fraction
     provenance: str  # measured | extrapolated
 
-    def __post_init__(self):
-        problem = _check_fractions(self.masked_pct, self.sdc_pct, self.other_pct)
-        if problem:
-            raise ValidationError(f"thread {self.thread_id}: {problem}")
-        if self.provenance not in (MEASURED, EXTRAPOLATED):
-            raise ValidationError(f"bad provenance {self.provenance!r}")
+
+def _check_outcome_row(t: ThreadProfile) -> None:
+    fractions = (("masked_pct", t.masked_pct), ("sdc_pct", t.sdc_pct), ("other_pct", t.other_pct))
+    for name, v in fractions:
+        if not 0 <= v <= 1:
+            raise ValidationError(f"thread {t.thread_id}: {name}={float(v)} outside [0, 1]")
+    total = t.masked_pct + t.sdc_pct + t.other_pct
+    if abs(total - 1) > _SUM_TOLERANCE:
+        raise ValidationError(f"thread {t.thread_id}: outcome fractions sum to {float(total):.12f}")
+    if t.provenance not in (MEASURED, EXTRAPOLATED):
+        raise ValidationError(f"bad provenance {t.provenance!r}")
 
 
 @dataclass(frozen=True)
@@ -110,16 +94,27 @@ class KernelProfile:
     tau: Fraction = field(default=TAU_DEFAULT, compare=False)
 
     def __post_init__(self):
+        # Thousands of threads share a handful of outcome rows, and the rows
+        # of one file or one campaign share their Fraction objects.  So each
+        # distinct (group, outcome row) is checked once, at its first thread,
+        # and found by identity: hashing a Fraction costs a pow().
+        distinct: dict[tuple, ThreadProfile] = {}
+        for t in self.threads:
+            key = (t.group_id, id(t.masked_pct), id(t.sdc_pct), id(t.other_pct), t.provenance)
+            if key not in distinct:
+                distinct[key] = t
+        for t in distinct.values():
+            _check_outcome_row(t)
         ids = [t.thread_id for t in self.threads]
         if ids != list(range(len(ids))):
             raise ValidationError("profile must cover thread ids 0..N-1 exactly once, in order")
         # An extrapolated row copies its group's measured representative (the
         # group's lowest-id measured row); measured rows may differ freely.
         measured: dict[int, tuple] = {}
-        for t in self.threads:
+        for t in distinct.values():
             if t.provenance == MEASURED:
                 measured.setdefault(t.group_id, (t.masked_pct, t.sdc_pct, t.other_pct))
-        for t in self.threads:
+        for t in distinct.values():
             if t.provenance == EXTRAPOLATED:
                 rep = measured.get(t.group_id)
                 if rep is None:
@@ -181,6 +176,8 @@ def profile_kernel(
     """
     if mode not in ("pruned", "exhaustive"):
         raise ValidationError(f"unknown profiling mode {mode!r}")
+    from .faults import FaultSpace, default_budget, golden_run, run_campaign, sample_sites
+
     golden = golden_run(program, inputs, budget)
     groups = group_by_icnt(golden)
     run_budget = default_budget(golden)
@@ -249,36 +246,24 @@ PROFILE_HEADER = [
 
 
 def profile_to_csv_text(profile: KernelProfile) -> str:
-    # Thousands of rows share a handful of fractions: render each value once.
-    # The key is its numerator and denominator, because hashing a Fraction
-    # costs as much as rendering it.
-    rendered: dict[tuple[int, int], str] = {}
-
-    def fmt(x: Fraction) -> str:
-        key = (x.numerator, x.denominator)
-        text = rendered.get(key)
-        if text is None:
-            text = rendered[key] = repr(float(x))
-        return text
-
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(PROFILE_HEADER)
-    w.writerows(
-        [
-            profile.kernel,
-            t.cta_id,
-            t.thread_id,
-            t.icnt,
-            t.group_id,
-            fmt(t.masked_pct),
-            fmt(t.sdc_pct),
-            fmt(t.other_pct),
-            t.provenance,
-        ]
-        for t in profile.threads
-    )
-    return out.getvalue()
+    # Thousands of rows share a handful of outcome rows: render the tail of
+    # each distinct one once, found by the identity of its objects.  The
+    # kernel name is the only field the csv module could quote; render it
+    # once, in a two-field row as in the file.
+    field_text = io.StringIO()
+    csv.writer(field_text, lineterminator="\n").writerow([profile.kernel, 0])
+    kernel = field_text.getvalue()[: -len(",0\n")]
+    tails: dict[tuple, str] = {}
+    lines = [",".join(PROFILE_HEADER) + "\n"]
+    for t in profile.threads:
+        key = (id(t.masked_pct), id(t.sdc_pct), id(t.other_pct), t.provenance)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (
+                f"{float(t.masked_pct)!r},{float(t.sdc_pct)!r},{float(t.other_pct)!r},{t.provenance}"
+            )
+        lines.append(f"{kernel},{t.cta_id},{t.thread_id},{t.icnt},{t.group_id},{tail}\n")
+    return "".join(lines)
 
 
 def save_profile(profile: KernelProfile, path) -> None:
@@ -304,9 +289,10 @@ def profile_from_csv_text(text: str) -> KernelProfile:
         raise ValidationError("empty profile file") from None
     if header != PROFILE_HEADER:
         raise ValidationError(f"unexpected profile header {header}")
-    # Thousands of rows share a handful of fraction strings: parse each once.
-    # Rows that share a string then share its Fraction, which also makes the
-    # group consistency check in KernelProfile an identity comparison.
+    # Thousands of rows share a handful of tails (iCnt, group and outcome
+    # row): parse each distinct one once, and each fraction string once.  Rows
+    # that share a tail then share its objects, which KernelProfile's checks
+    # and every later pass over the profile key on.
     parsed: dict[str, Fraction] = {}
 
     def fraction(text: str) -> Fraction:
@@ -315,6 +301,7 @@ def profile_from_csv_text(text: str) -> KernelProfile:
             value = parsed[text] = Fraction(text)
         return value
 
+    tails: dict[tuple[str, ...], tuple] = {}
     kernel = None
     rows: dict[int, ThreadProfile] = {}
     for lineno, row in enumerate(reader, 2):
@@ -324,16 +311,18 @@ def profile_from_csv_text(text: str) -> KernelProfile:
             raise ValidationError(f"profile row {lineno}: expected {len(PROFILE_HEADER)} fields")
         try:
             tid = int(row[2])
-            profile_row = ThreadProfile(
-                thread_id=tid,
-                cta_id=int(row[1]),
-                icnt=int(row[3]),
-                group_id=int(row[4]),
-                masked_pct=fraction(row[5]),
-                sdc_pct=fraction(row[6]),
-                other_pct=fraction(row[7]),
-                provenance=row[8],
-            )
+            tail_text = (row[3], row[4], row[5], row[6], row[7], row[8])
+            tail = tails.get(tail_text)
+            if tail is None:
+                tail = tails[tail_text] = (
+                    int(row[3]),
+                    int(row[4]),
+                    fraction(row[5]),
+                    fraction(row[6]),
+                    fraction(row[7]),
+                    row[8],
+                )
+            profile_row = ThreadProfile(tid, int(row[1]), *tail)
         except (ValueError, ZeroDivisionError) as e:
             raise ValidationError(f"profile row {lineno}: {e}") from None
         if kernel is None:
@@ -345,10 +334,11 @@ def profile_from_csv_text(text: str) -> KernelProfile:
         rows[tid] = profile_row
     if kernel is None:
         raise ValidationError("profile has no rows")
-    if sorted(rows) != list(range(len(rows))):
+    order = sorted(rows)
+    if order != list(range(len(rows))):
         missing = sorted(set(range(len(rows))) - set(rows))[:5]
         raise ValidationError(f"profile is missing thread ids (first few: {missing})")
-    profile = KernelProfile(kernel=kernel, threads=tuple(rows[t] for t in sorted(rows)))
+    profile = KernelProfile(kernel=kernel, threads=tuple(rows[t] for t in order))
     profile.geometry  # validates the CTA blocking
     return profile
 

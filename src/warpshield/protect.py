@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .classify import RELIABLE, WarpClassification
 from .errors import ProtectionError, ValidationError
-from .faults import FaultSite
 from .interp import (
     COMPLETED,
     CostTable,
@@ -34,6 +34,9 @@ from .interp import (
     word_inputs,
 )
 from .ir import KernelProgram
+
+if TYPE_CHECKING:
+    from .faults import FaultSite
 
 DETECT = "detect"
 CORRECT = "correct"
@@ -120,7 +123,9 @@ def run_protected(
     replica crash or hang) and keeps the primary's values.  Correct mode takes
     the store stream agreed by a majority of surviving replicas; it raises
     :class:`ProtectionError` only if fewer than two replicas survive or no two
-    agree, which a single fault cannot cause.
+    agree, which a single fault cannot cause.  A fault-free warp run that
+    does not complete raises :class:`ValidationError`: the kernel or the
+    budget is wrong, and no replica comparison could mean anything.
     """
     table = cost_table or DEFAULT_COST_TABLE
     warps = program.warps()
@@ -129,7 +134,7 @@ def run_protected(
     words = word_inputs(program, inputs)
 
     def run_warp(key, warp_fault):
-        return execute(
+        result = execute(
             program,
             words,
             fault=warp_fault,
@@ -138,6 +143,11 @@ def run_protected(
             warp_filter=key,
             record_stores=True,
         )
+        if warp_fault is None and not result.completed:
+            raise ValidationError(
+                f"fault-free run of warp {key} terminated {result.termination}: {result.error}"
+            )
+        return result
 
     cycles = 0
     detections: list[WarpIncident] = []

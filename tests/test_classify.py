@@ -47,6 +47,17 @@ def test_threshold_boundary_is_inclusive():
     assert classify_threads(profile, "0.05") == [True]
 
 
+def test_equal_values_in_distinct_fraction_objects_classify_alike():
+    """classify_threads compares each distinct sdc_pct object once; equal
+    values held in distinct objects, or one object shared, agree with a
+    per-thread comparison."""
+    shared = Fraction(1, 20)
+    sdc = [shared, Fraction(1, 20), Fraction(5, 100), shared, Fraction(3, 50), Fraction(6, 100), Fraction(0)]
+    profile = _profile(sdc)
+    for tau in (Fraction(0), Fraction(1, 20), Fraction(59, 1000), Fraction(3, 50), Fraction(1)):
+        assert classify_threads(profile, tau) == [t.sdc_pct <= tau for t in profile.threads]
+
+
 def test_threshold_zero_requires_exactly_zero():
     profile = _profile([Fraction(0), Fraction(1, 10**9)])
     assert classify_threads(profile, 0) == [True, False]

@@ -1,7 +1,13 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import warpshield
 from warpshield.cli import main
 from warpshield.fixtures import generate_fixture
 from warpshield.interp import CostTable
@@ -82,8 +88,20 @@ def test_bad_inputs_file_exits_3(tmp_path, content, capsys):
         "[]",
         json.dumps({"op_cycles": {op: 0 for op in CostTable().op_cycles}, "vote_per_store": 0}),
         json.dumps({"vote_per_store": -2}),
+        json.dumps({"op_cycles": {**CostTable().op_cycles, "ldd": 40}}),
+        json.dumps({"vote_per_stor": 9}),
     ],
-    ids=["missing", "not-json", "string-count", "missing-opcodes", "not-an-object", "all-zero", "negative-vote"],
+    ids=[
+        "missing",
+        "not-json",
+        "string-count",
+        "missing-opcodes",
+        "not-an-object",
+        "all-zero",
+        "negative-vote",
+        "unknown-opcode",
+        "misspelt-key",
+    ],
 )
 def test_malformed_cost_table_exits_3(tmp_path, content, capsys):
     table = tmp_path / "costs.json"
@@ -135,3 +153,99 @@ def test_plan_the_pipeline_cannot_run_exits_3(tmp_path, command, corrupt, capsys
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     assert main([command, "--fixture", "gaussian_k1", *out]) == 3
     assert "plan" in capsys.readouterr().err
+
+
+def _pathfinder_artifacts(tmp_path):
+    save_profile(generate_fixture("pathfinder_k1").profile, tmp_path / "profile.csv")
+    out = ["--out", str(tmp_path)]
+    assert main(["classify", *out]) == 0 and main(["remap", *out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["profile", "protect", "emit"])
+def test_unknown_fixture_exits_2(tmp_path, command, capsys):
+    assert main([command, "--fixture", "nope", "--out", str(tmp_path)]) == 2
+    assert "unknown fixture 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overhead", ["-2", "-1"])
+def test_remap_overhead_of_minus_one_or_below_exits_2(tmp_path, overhead, capsys):
+    out = _pathfinder_artifacts(tmp_path)
+    argv = ["report", "--mode", "correct", "--fixture", "pathfinder_k1", "--remap-overhead", overhead]
+    assert main([*argv, *out]) == 2
+    assert "remap overhead" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_suite_refuses_a_remap_overhead_of_minus_two(tmp_path, capsys):
+    assert main(["suite", "--remap-overhead", "-2", "--out", str(tmp_path)]) == 2
+    assert "remap overhead" in capsys.readouterr().err
+    assert not (tmp_path / "suite_report.json").exists()
+
+
+def test_protect_whose_fault_free_run_hangs_exits_2(tmp_path, capsys):
+    out = _pathfinder_artifacts(tmp_path)
+    assert main(["protect", "--fixture", "pathfinder_k1", "--budget", "1", *out]) == 2
+    assert "fault-free run of warp (0, 0) terminated hung" in capsys.readouterr().err
+    assert not (tmp_path / "protection.json").exists()
+
+
+COMMANDS = ["profile", "classify", "remap", "protect", "report", "sweep", "suite", "fixtures", "emit"]
+
+# Modules a command must not load: classify and remap never run the
+# interpreter, and a --kernel run never builds the fixture table.
+NOT_LOADED = {
+    "classify": {"interp", "faults", "fixtures", "protect", "costs"},
+    "remap": {"interp", "faults", "fixtures", "protect", "costs"},
+    "protect": {"fixtures"},
+    "report": {"fixtures"},
+}
+
+
+def _fresh_cli(cwd, *argv):
+    """Run ``python -m warpshield.cli`` in a new interpreter; return its exit
+    code, its stderr and the warpshield modules it imported."""
+    src = str(Path(warpshield.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "warpshield.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+    )
+    lines = proc.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    errors = "\n".join(line for line in lines if not line.startswith("import time:"))
+    modules = {name.split(".", 1)[1] for name in imported if name.startswith("warpshield.")}
+    return proc.returncode, errors, modules
+
+
+def test_every_command_runs_in_a_fresh_interpreter_and_loads_only_what_it_uses(tmp_path):
+    out = tmp_path / "pathfinder_k1"
+    kernel = ["--kernel", str(out / "pathfinder_k1.wir"), "--inputs", str(out / "pathfinder_k1_inputs.json")]
+    runs = [
+        ["emit", "--fixture", "pathfinder_k1", "--out", str(out)],
+        ["classify", "--out", str(out)],
+        ["remap", "--out", str(out)],
+        ["protect", "--mode", "correct", *kernel, "--out", str(out)],
+        ["report", "--mode", "correct", *kernel, "--out", str(out)],
+        ["sweep", "--taus", "0.04,0.05", "--out", str(out)],
+        ["profile", *kernel, "--sample", "0.01", "--out", str(tmp_path / "profiled")],
+        ["suite", "--out", str(tmp_path / "suite")],
+        ["fixtures"],
+    ]
+    assert sorted(argv[0] for argv in runs) == sorted(COMMANDS)
+    for argv in runs:
+        code, errors, modules = _fresh_cli(tmp_path, *argv)
+        assert code == 0, (argv, errors)
+        assert not modules & NOT_LOADED.get(argv[0], set()), (argv[0], sorted(modules))
+        if argv[0] == "emit":
+            shutil.copy(out / "pathfinder_k1_profile.csv", out / "profile.csv")
+    assert (out / "report.json").exists() and (tmp_path / "profiled" / "profile.csv").exists()
+
+
+def test_help_of_every_command_exits_0(tmp_path):
+    for argv in [["--help"], *([command, "--help"] for command in COMMANDS)]:
+        code, errors, _ = _fresh_cli(tmp_path, *argv)
+        assert code == 0, (argv, errors)

@@ -12,6 +12,8 @@ from warpshield.interp import execute
 from warpshield.ir import parse_kernel
 from warpshield.profiling import (
     PROFILE_HEADER,
+    KernelProfile,
+    ThreadProfile,
     group_by_icnt,
     load_profile,
     profile_digest,
@@ -251,3 +253,36 @@ def test_rendered_fractions_parse_back_exactly_for_terminating_decimals():
     text = profile_to_csv_text(fixture.profile)
     reloaded = profile_from_csv_text(text)
     assert reloaded == fixture.profile  # 0.036 and friends survive the file format
+
+
+def _rows(kernel="k", **changes):
+    """A two-thread profile; the second row takes ``changes``."""
+    half = Fraction(1, 2)
+    first = ThreadProfile(0, 0, 5, 0, half, half, Fraction(0), "measured")
+    second = ThreadProfile(1, 0, 5, 1, half, half, Fraction(0), "measured")._replace(**changes)
+    return kernel, (first, second)
+
+
+@pytest.mark.parametrize("kernel", ['a,"b', "line\nbreak", "", " spaced "])
+def test_kernel_name_that_needs_quoting_renders_per_field_and_round_trips(kernel):
+    profile = KernelProfile(*_rows(kernel))
+    text = profile_to_csv_text(profile)
+    assert text == _per_field_csv(profile)
+    assert profile_from_csv_text(text) == profile
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"masked_pct": Fraction(-1, 2), "sdc_pct": Fraction(3, 2)}, "thread 1: masked_pct=-0.5 outside"),
+        ({"sdc_pct": Fraction(2, 5)}, "thread 1: outcome fractions sum to 0.9"),
+        ({"provenance": "guessed"}, "bad provenance 'guessed'"),
+    ],
+    ids=["out-of-range", "bad-sum", "bad-provenance"],
+)
+def test_bad_rows_built_directly_are_refused_with_the_kernel_profile(changes, message):
+    """Each distinct outcome row is checked once, so a bad row is caught even
+    when it shares its Fraction objects with a good row before it."""
+    kernel, threads = _rows(**changes)
+    with pytest.raises(ValidationError, match=message):
+        KernelProfile(kernel, threads)
