@@ -169,7 +169,7 @@ def _read_json(path: Path, what: str):
 
 
 def cmd_profile(args) -> int:
-    from .profiling import profile_digest, profile_kernel, save_profile
+    from .profiling import profile_kernel, save_profile, text_digest
 
     out = _out_dir(args)
     program, inputs = _load_program(args)
@@ -184,14 +184,14 @@ def cmd_profile(args) -> int:
         budget=args.budget,
         tau=_tau(args),
     )
-    save_profile(profile, out / "profile.csv")
+    digest = text_digest(save_profile(profile, out / "profile.csv"))
     _write_json(
         out / "profile_meta.json",
         {
             "config": _config_dict(args, "profile"),
             "kernel": program.name,
             "geometry": list(program.geometry),
-            "profile_sha256": profile_digest(profile),
+            "profile_sha256": digest,
         },
     )
     print(f"profiled {program.name}: {program.total_threads} threads -> {out / 'profile.csv'}")

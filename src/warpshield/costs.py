@@ -125,7 +125,7 @@ def account(
     full_rmt = 2 * cycles_base + table.compare_per_store * total_stores
     full_tmr = 3 * cycles_base + table.vote_per_store * total_stores
 
-    return CostReport(
+    report = CostReport(
         kernel=program.name,
         cycles_base=cycles_base,
         cycles_remapped=remapped.cycles * inflate,
@@ -139,3 +139,10 @@ def account(
         protected_warps=len(protected),
         total_warps=len(warps),
     )
+    try:
+        report.to_json()  # every figure is printed as a float
+    except OverflowError:
+        raise ValidationError(
+            f"remap overhead {float(overhead)} makes cycle figures overflow a float"
+        ) from None
+    return report

@@ -19,21 +19,36 @@ Fault hook: when the matching thread executes its matching dynamic instruction
 register, one bit of the written value is inverted.  Instructions without a
 destination register never host a fault.
 
-Fused runs: a *run* is a maximal straight line of register-only instructions
-(``iadd isub imul fadd fmul mov movi setp``) that no branch enters except at
-its first instruction.  When the picked fragment sits in a run and no other
-fragment of its warp lies in the rest of it, min-pc scheduling would issue
-that fragment alone to the run's end, and each lane touches only its own
-registers; so one issue applies the rest of the run lane by lane, adds its
-length to each lane's iCnt and charges its cycles at once.  Each run is
-compiled once per program into a Python function built from the validated
-integer operands and one table of opcode expressions.  An issue falls back
-to a single step when the warp's issue count plus the run length would pass
-the budget (a lane's iCnt never exceeds its warp's issue count).  When the
-faulted thread is active and its faulted dynamic instruction lies inside the
-run, that lane alone steps through the run, and the other lanes run it
-fused.  A single step evaluates each instruction with a function generated
-from the same table, so opcode semantics are written once.
+Fused runs: a *run* is a basic block, a maximal straight line of
+register-writing instructions (``iadd isub imul fadd fmul mov movi setp ld``)
+that no branch enters except at its first instruction, closed by the ``bra``
+that follows it, if one does.  A run is cut before an ``ld`` whose address
+register an earlier instruction of the run writes, so every address a run
+loads from is a register value at its entry.  ``st`` never joins a run.
+When the picked fragment sits at the start of a run, no other fragment of its
+warp lies inside the run: fragments enter a run only at its first
+instruction (branch target, fall-through, barrier resume), and one that a
+single step leaves inside a run is still its warp's minimum, so it is picked
+next.  Min-pc scheduling would then issue that fragment alone to the run's
+end, and each lane touches only its own registers and the read-only input
+buffers; so one issue applies the whole run lane by lane, adds its length to
+each lane's iCnt, charges its cycles at once and, for a conditional ``bra``,
+builds the taken mask in the same lane loop.  The taken and fall-through
+fragments are pushed as a single-stepped ``bra`` pushes them.
+
+Each run is compiled once per program into a Python function built from the
+validated integer operands and one table of opcode expressions.  Before it
+changes anything, it checks every active lane's load addresses against the
+buffer sizes, the faulted lane's included.  If one is out of bounds, the
+issue single-steps the run instruction-major instead, and so reaches the
+crash with the same iCnts, register writes and outputs as single steps
+would.  An issue falls back to a single step when the warp's issue count
+plus the run length would pass the budget (a lane's iCnt never exceeds its
+warp's issue count).  When the faulted thread is active and its faulted
+dynamic instruction lies inside the run, that lane alone steps through the
+run, loads and branch included, its branch joining the taken mask, and the
+other lanes run it fused.  A single step evaluates each instruction from
+the same table, so opcode semantics are written once.
 """
 
 from __future__ import annotations
@@ -196,13 +211,12 @@ def _f32_bits(x: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fused runs of register-only instructions
+# fused runs: basic blocks compiled into lane-major functions
 
-_REGISTER_ONLY_OPS = WRITING_OPS - {"ld"}
-
-# Each register-only opcode's value as an expression of its source operands
-# {a} and {b} and its immediate {imm}; setp compares signed words: flipping
-# the sign bit maps signed order onto unsigned order.
+# Each register-writing opcode's value as an expression of its source
+# operands {a} and {b}, its immediate {imm} and, for ld, its input buffer
+# {buf} and address {a}; setp compares signed words: flipping the sign bit
+# maps signed order onto unsigned order.
 _VALUE = {
     "iadd": "({a} + {b}) & 0xFFFFFFFF",
     "isub": "({a} - {b}) & 0xFFFFFFFF",
@@ -212,7 +226,11 @@ _VALUE = {
     "mov": "{a}",
     "movi": "{imm}",
     "setp": "1 if ({a} ^ 0x80000000) {cmp} ({b} ^ 0x80000000) else 0",
+    "ld": "{buf}[{a}]",
 }
+# When an ld address {a} crashes a buffer of {size} words: registers hold
+# unsigned words, so only the end of the buffer can be passed.
+_OUT_OF_BOUNDS = "{a} >= {size}"
 _SETP_CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 _GENERATED_GLOBALS = {"_f32": _f32, "_f32_bits": _f32_bits}
 
@@ -223,81 +241,149 @@ def _generate(source: str, name: str):
     return namespace["f"]
 
 
-def _compile_run(instructions: tuple[Instruction, ...], start: int, end: int):
-    """One function ``f(regs, members, lanes, icnt, writes)`` that applies
-    ``instructions[start:end]`` to each lane in turn and counts them.
+def _compile_run(
+    instructions: tuple[Instruction, ...], start: int, end: int, buffers: tuple[str, ...]
+):
+    """One function ``f(regs, members, lanes, run, icnt, writes, bufs)`` for
+    the block ``instructions[start:end]``.
 
-    Register operands become locals ``x<reg>``.  Only validated integers
-    (register numbers, ``movi`` immediates) and the fixed strings above
-    enter the source.
+    If some lane of ``lanes`` would load out of bounds it returns -1 and
+    changes nothing.  Otherwise it applies the block to each lane of ``run``
+    in turn, counts it, and returns the lanes of ``run`` that take the
+    closing conditional ``bra`` (0 when there is none).  No ld address is
+    written inside the block before its ld, so every address is a register
+    value at block entry and the check can come first.
+
+    Register operands become locals ``x<reg>``, and the input buffer
+    ``buffers[k]`` is ``bufs[k]``.  Only validated integers (register
+    numbers, ``movi`` immediates, buffer indices) and the fixed strings
+    above enter the source.
     """
-    loads, body, written = [], [], []
+    reads, body, written, checks, used = [], [], [], [], []
+    writing = 0
+    taken = None
+
+    def read(reg):
+        if reg not in written and reg not in reads:
+            reads.append(reg)
+        return f"x{reg}"
+
     for ins in instructions[start:end]:
-        srcs = []
-        for reg in ins.srcs:
-            if reg not in written and reg not in loads:
-                loads.append(reg)
-            srcs.append(f"x{reg}")
-        a, b = (*srcs, None, None)[:2]
-        value = _VALUE[ins.opcode].format(a=a, b=b, imm=ins.imm, cmp=_SETP_CMP.get(ins.cond))
+        if ins.opcode == "bra":  # only ever the last instruction
+            if ins.srcs:
+                taken = read(ins.srcs[0])
+            continue
+        if ins.opcode == "ld":
+            k = buffers.index(ins.buffer)
+            if k not in used:
+                used.append(k)
+            check = _OUT_OF_BOUNDS.format(a=f"r[{ins.addr_reg}]", size=f"s{k}")
+            if check not in checks:
+                checks.append(check)
+            value = _VALUE["ld"].format(buf=f"b{k}", a=read(ins.addr_reg))
+        else:
+            a, b = (*(read(reg) for reg in ins.srcs), None, None)[:2]
+            value = _VALUE[ins.opcode].format(a=a, b=b, imm=ins.imm, cmp=_SETP_CMP.get(ins.cond))
         body.append(f"x{ins.dest} = {value}")
         if ins.dest not in written:
             written.append(ins.dest)
+        writing += 1
     length = end - start
-    lines = [
-        "def f(regs, members, lanes, icnt, writes):",
-        "    for li in lanes:",
+    lines = ["def f(regs, members, lanes, run, icnt, writes, bufs):"]
+    for k in used:
+        lines += [f"    b{k} = bufs[{k}]", f"    s{k} = len(b{k})"]
+    if checks:
+        lines += [
+            "    for li in lanes:",
+            "        r = regs[members[li]]",
+            f"        if {' or '.join(checks)}:",
+            "            return -1",
+        ]
+    lines += [
+        "    taken = 0",
+        "    for li in run:",
         "        t = members[li]",
         "        r = regs[t]",
-        *(f"        x{reg} = r[{reg}]" for reg in loads),
+        *(f"        x{reg} = r[{reg}]" for reg in reads),
         *(f"        {line}" for line in body),
         *(f"        r[{reg}] = x{reg}" for reg in written),
         "        n = icnt[t]",
         f"        icnt[t] = n + {length}",
         "        if writes is not None:",
-        f"            writes[t].extend(range(n + 1, n + {length + 1}))",
+        f"            writes[t].extend(range(n + 1, n + {writing + 1}))",
     ]
+    if taken is not None:
+        lines += [f"        if {taken} != 0:", "            taken |= 1 << li"]
+    lines.append("    return taken")
     return _generate("\n".join(lines) + "\n", f"<run {start}:{end}>")
 
 
 @lru_cache(maxsize=None)  # one per opcode and setp condition
 def _value_of(opcode: str, cond: str | None):
-    """``f(r, srcs, imm)``: the value an instruction writes, given its
-    thread's registers ``r``, for single steps one lane at a time."""
+    """``f(r, srcs, imm)``: the value a register-only instruction writes,
+    given its thread's registers ``r``, for single steps one lane at a time."""
     value = _VALUE[opcode].format(a="r[srcs[0]]", b="r[srcs[1]]", imm="imm", cmp=_SETP_CMP.get(cond))
     return _generate(f"def f(r, srcs, imm):\n    return {value}\n", f"<{opcode}>")
 
 
+# ``f(buf, addr)``: the word an ld of ``addr`` reads, or None when it crashes.
+_load = _generate(
+    "def f(buf, addr):\n"
+    f"    if {_OUT_OF_BOUNDS.format(a='addr', size='len(buf)')}:\n"
+    "        return None\n"
+    f"    return {_VALUE['ld'].format(buf='buf', a='addr')}\n",
+    "<ld>",
+)
+
+
 class _Runs:
-    """The runs of one program: ``end[pc]`` is the end of the run holding pc
-    (``pc`` itself when pc is not register-only), ``fused[pc]`` the compiled
-    form of the run starting at pc, and the prefix sums of op cycles per
-    cost table, made on first use.
+    """The fused runs of one program: ``end[pc]`` is the end of the run
+    holding pc (``pc`` itself when pc is in none), ``fused[pc]`` the compiled
+    form of the run starting at pc, ``buffers`` the input buffers its loads
+    read, in the order the compiled runs take them, and the prefix sums of
+    op cycles per cost table, made on first use.
+
+    A run is a basic block: a maximal straight line of register-writing
+    instructions (``ld`` included) that no branch enters except at its first
+    instruction, closed by the ``bra`` that follows it, if one does.  It is
+    cut before an ``ld`` whose address register an earlier instruction of
+    the run writes.  ``st`` never joins a run: lane-major order would
+    reorder a warp's store stream if a run held two.
 
     A fused issue always starts at the first instruction of a run: a single
     step inside a run happens only when the run would pass the budget, and
     then so would the rest of the run after it.
     """
 
-    __slots__ = ("end", "fused", "instructions", "prefixes")
+    __slots__ = ("buffers", "end", "fused", "instructions", "prefixes")
 
     def __init__(self, instructions: tuple[Instruction, ...]):
         self.instructions = instructions
         targets = {ins.target for ins in instructions if ins.opcode == "bra"}
-        end = list(range(len(instructions)))
-        # The last instruction is exit or bra, so pc + 1 always exists here.
-        for pc in reversed(range(len(instructions) - 1)):
-            if instructions[pc].opcode in _REGISTER_ONLY_OPS:
-                nxt = pc + 1
-                end[pc] = end[nxt] if end[nxt] > nxt and nxt not in targets else nxt
-        self.end = end
+        self.buffers = tuple(dict.fromkeys(i.buffer for i in instructions if i.opcode == "ld"))
         # Compiled now: execute asks for the runs before it allocates register
         # files, so compiling's transient memory is not added to theirs.
-        self.fused = {
-            pc: _compile_run(instructions, pc, end[pc])
-            for pc in range(len(instructions))
-            if end[pc] > pc and (pc == 0 or end[pc - 1] != end[pc])
-        }
+        self.end = end = list(range(len(instructions)))
+        self.fused = {}
+        pc = 0
+        # The last instruction is exit or bra, so every run ends before it.
+        while pc < len(instructions):
+            start, written = pc, set()
+            while (ins := instructions[pc]).opcode in WRITING_OPS:
+                if ins.opcode == "ld" and ins.addr_reg in written:
+                    break
+                written.add(ins.dest)
+                pc += 1
+                if pc in targets:
+                    break
+            else:
+                if ins.opcode == "bra" and pc > start:
+                    pc += 1  # the closing branch
+            if pc == start:  # st, bar, exit or a lone bra: single steps
+                pc += 1
+                continue
+            end[start:pc] = [pc] * (pc - start)
+            self.fused[start] = _compile_run(instructions, start, pc, self.buffers)
         self.prefixes: dict[tuple[int, ...], list[int]] = {}
 
     def prefix(self, op_cycles: dict[str, int]) -> list[int]:
@@ -397,6 +483,13 @@ def execute(
     of barrier releases before it, which is the same in both runs, so
     :func:`replay_stores` can put isolated streams back in full-run order.
     Protection replicas and fault injection both run warps this way.
+
+    Each issue runs a whole basic block over the warp's active lanes (see
+    the module docstring).  It steps one instruction at a time instead when
+    a lane would load out of bounds in the block, so the crash lands where
+    single steps put it, and when the budget may run out inside the block.
+    ``register_writes`` holds, per thread, the dynamic numbers of its
+    register-writing instructions, never those of a ``bra``.
     """
     if budget < 1:
         raise ValidationError("instruction budget must be positive")
@@ -413,6 +506,7 @@ def execute(
     runs = _runs_of(instructions)
     run_end = runs.end
     prefix = runs.prefix(costs)
+    load_bufs = [in_bufs[name] for name in runs.buffers]
 
     total = program.total_threads
     icnt = [0] * total
@@ -460,93 +554,36 @@ def execute(
     termination = COMPLETED
     error = None
 
-    def issue(wp: _WarpCtx) -> None:
+    def step(wp: _WarpCtx, pc: int, lanes) -> int:
+        """Issue instruction ``pc`` alone to ``lanes``, one lane after
+        another; return the lanes a conditional ``bra`` takes."""
         nonlocal fault_applied
-        frags = wp.frags
-        if len(frags) == 1:
-            frag = frags.pop()
-        else:
-            best = 0
-            for i in range(1, len(frags)):
-                if frags[i][0] < frags[best][0]:
-                    best = i
-            frag = frags.pop(best)
-            i = 0
-            while i < len(frags):  # merge fragments reconverged at this pc
-                if frags[i][0] == frag[0]:
-                    frag[1] |= frags.pop(i)[1]
-                else:
-                    i += 1
-        pc, mask = frag
-        members = wp.members
-
-        # Issue a whole run at once unless the budget may run out in it; a
-        # single step leaves pc inside the run only then (see _Runs).  No
-        # other fragment lies inside the run: fragments enter a run only at
-        # its first instruction (branch target, fall-through, barrier
-        # resume), and one that a single step leaves inside a run is still
-        # its warp's minimum, so it is picked next.
-        end = run_end[pc]
-        fused = end > pc and wp.issued + end - pc <= budget
-        if not fused:
-            end = pc + 1
-        wp.issued += end - pc
-        wp.cycles += prefix[end] - prefix[pc]
-
         ins = instructions[pc]
         op = ins.opcode
-        lanes = _lanes(mask)
-        hung = -1
-        if wp.issued > budget and op != "exit":
-            # Some lane may pass the budget: issue to the lanes before the
-            # first that does, then stop the run.
-            for k, li in enumerate(lanes):
-                if icnt[members[li]] >= budget:
-                    hung = members[li]
-                    mask &= (1 << li) - 1
-                    lanes = lanes[:k]
-                    break
-
-        if op in _REGISTER_ONLY_OPS:
-            stepped = lanes
-            if fused:
-                stepped = ()
-                if wp is f_warp and mask & f_bit and icnt[f_thread] < f_dyn <= icnt[f_thread] + end - pc:
-                    # Lanes are independent: the faulted lane steps alone.
-                    stepped = (f_lane,)
-                    lanes = [li for li in lanes if li != f_lane]
-                runs.fused[pc](regs, members, lanes, icnt, writes)
-            for li in stepped:
-                t = members[li]
-                r = regs[t]
-                n = icnt[t]
-                for step in instructions[pc:end]:
-                    n += 1
-                    v = _value_of(step.opcode, step.cond)(r, step.srcs, step.imm)
-                    if n == f_dyn and t == f_thread:
-                        v ^= f_mask
-                        fault_applied = True
-                    r[step.dest] = v
-                    if writes is not None:
-                        writes[t].append(n)
-                icnt[t] = n
-        elif op == "ld":
-            buf = in_bufs[ins.buffer]
-            size = len(buf)
-            a = ins.addr_reg
+        members = wp.members
+        if op in WRITING_OPS:
             dest = ins.dest
+            if op == "ld":
+                buf = in_bufs[ins.buffer]
+                a = ins.addr_reg
+            else:
+                value = _value_of(op, ins.cond)
+                srcs = ins.srcs
+                imm = ins.imm
             for li in lanes:
                 t = members[li]
                 n = icnt[t] + 1
                 icnt[t] = n
                 r = regs[t]
-                addr = r[a]
-                if addr >= size:
-                    raise _Abort(
-                        CRASHED,
-                        f"thread {t} loaded out of bounds: {ins.buffer}[{addr}] (size {size})",
-                    )
-                v = buf[addr]
+                if op == "ld":
+                    v = _load(buf, r[a])
+                    if v is None:
+                        raise _Abort(
+                            CRASHED,
+                            f"thread {t} loaded out of bounds: {ins.buffer}[{r[a]}] (size {len(buf)})",
+                        )
+                else:
+                    v = value(r, srcs, imm)
                 if n == f_dyn and t == f_thread:
                     v ^= f_mask
                     fault_applied = True
@@ -576,23 +613,94 @@ def execute(
         else:  # bra, bar, exit
             for li in lanes:
                 icnt[members[li]] += 1
-
-        if hung >= 0:
-            icnt[hung] += 1
-            raise _Abort(HUNG, f"thread {hung} exceeded budget {budget}")
-
-        if op == "bra":
-            taken = mask
-            if ins.srcs:
+            if op == "bra" and ins.srcs:
                 p = ins.srcs[0]
                 taken = 0
                 for li in lanes:
                     if regs[members[li]][p] != 0:
                         taken |= 1 << li
+                return taken
+        return 0
+
+    def issue(wp: _WarpCtx) -> None:
+        frags = wp.frags
+        if len(frags) == 1:
+            frag = frags.pop()
+        else:
+            best = 0
+            for i in range(1, len(frags)):
+                if frags[i][0] < frags[best][0]:
+                    best = i
+            frag = frags.pop(best)
+            i = 0
+            while i < len(frags):  # merge fragments reconverged at this pc
+                if frags[i][0] == frag[0]:
+                    frag[1] |= frags.pop(i)[1]
+                else:
+                    i += 1
+        pc, mask = frag
+        lanes = _lanes(mask)
+
+        # Issue a whole run at once unless the budget may run out in it; a
+        # single step leaves pc inside the run only then (see _Runs).  No
+        # other fragment lies inside the run: fragments enter a run only at
+        # its first instruction (branch target, fall-through, barrier
+        # resume), and one that a single step leaves inside a run is still
+        # its warp's minimum, so it is picked next.
+        end = run_end[pc]
+        if end > pc and wp.issued + end - pc <= budget:
+            run = lanes
+            stepped = (
+                wp is f_warp
+                and mask & f_bit
+                and icnt[f_thread] < f_dyn <= icnt[f_thread] + end - pc
+            )
+            if stepped:  # lanes are independent: the faulted lane steps alone
+                run = [li for li in lanes if li != f_lane]
+            taken = runs.fused[pc](regs, wp.members, lanes, run, icnt, writes, load_bufs)
+            if taken < 0:
+                # A lane would load out of bounds, and nothing has changed:
+                # single steps, instruction-major, reach that crash as the
+                # hardware would, with every earlier write of every lane.
+                for s in range(pc, end):
+                    wp.issued += 1
+                    wp.cycles += prefix[s + 1] - prefix[s]
+                    taken = step(wp, s, lanes)
+            else:
+                if stepped:
+                    for s in range(pc, end):
+                        taken |= step(wp, s, (f_lane,))
+                wp.issued += end - pc
+                wp.cycles += prefix[end] - prefix[pc]
+        else:
+            end = pc + 1
+            wp.issued += 1
+            wp.cycles += prefix[end] - prefix[pc]
+            hung = -1
+            if wp.issued > budget and instructions[pc].opcode != "exit":
+                # Some lane may pass the budget: issue to the lanes before the
+                # first that does, then stop.
+                for k, li in enumerate(lanes):
+                    t = wp.members[li]
+                    if icnt[t] >= budget:
+                        hung = t
+                        mask &= (1 << li) - 1
+                        lanes = lanes[:k]
+                        break
+            taken = step(wp, pc, lanes)
+            if hung >= 0:
+                icnt[hung] += 1
+                raise _Abort(HUNG, f"thread {hung} exceeded budget {budget}")
+
+        ins = instructions[end - 1]
+        op = ins.opcode
+        if op == "bra":
+            if not ins.srcs:
+                taken = mask
             if taken:
                 frags.append([ins.target, taken])
             if mask & ~taken:
-                frags.append([pc + 1, mask & ~taken])
+                frags.append([end, mask & ~taken])
         elif op == "bar":
             frag[0] = end
             wp.waiting.append(frag)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -40,24 +42,60 @@ EXTRAPOLATED = "extrapolated"
 _SUM_TOLERANCE = Fraction(1, 10**9)
 
 
+# Decimal exponents beyond those of binary64's nonzero finite values, and
+# the largest finite binary64.
+_EXP10_RANGE = (-324, 308)
+_FLOAT_MAX = Fraction(sys.float_info.max)
+_SCIENTIFIC = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing with :class:`ValueError` a value beyond
+    binary64's range.
+
+    ``Fraction`` builds a power of ten as large as a decimal's exponent, so
+    ``1e999999999`` would take hours: an exponent that puts the leading
+    digit beyond binary64's range is refused before the ``Fraction`` is
+    built.  What is left costs time bounded by the length of the text, and
+    a value past the largest finite float is refused too, since every
+    figure is printed as a float.
+    """
+    m = _SCIENTIFIC.match(text)
+    if m is not None:
+        whole = m.group(1).replace("_", "")
+        digits = whole + (m.group(2) or "").replace("_", "")
+        exponent = int(m.group(3).replace("_", ""))
+        significant = digits.lstrip("0")
+        if significant:  # the exponent of the leading nonzero digit
+            exponent += len(whole) - 1 - (len(digits) - len(significant))
+        low, high = _EXP10_RANGE
+        if not low <= exponent <= high:
+            raise ValueError("exponent beyond binary64 range")
+    value = Fraction(text)
+    if abs(value) > _FLOAT_MAX:
+        raise ValueError("value beyond binary64 range")
+    return value
+
+
 def to_fraction(value) -> Fraction:
     """Exact rational for a threshold or fraction-valued knob.
 
-    Strings parse as decimals; floats are interpreted as the decimal they
-    print as (``0.036`` means 36/1000, not the nearest binary double), which
-    keeps boundary comparisons like ``sdc <= 3.6%`` exact.
+    Strings parse as decimals (see :func:`parse_fraction`); floats are
+    interpreted as the decimal they print as (``0.036`` means 36/1000, not
+    the nearest binary double), which keeps boundary comparisons like
+    ``sdc <= 3.6%`` exact.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(repr(value))
+        value = repr(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"cannot parse fraction {value!r}") from None
+            return parse_fraction(value)
+        except (ValueError, ZeroDivisionError) as e:
+            raise ValidationError(f"cannot parse fraction {value!r}: {e}") from None
     raise ValidationError(f"cannot convert {type(value).__name__} to a fraction")
 
 
@@ -266,9 +304,13 @@ def profile_to_csv_text(profile: KernelProfile) -> str:
     return "".join(lines)
 
 
-def save_profile(profile: KernelProfile, path) -> None:
+def save_profile(profile: KernelProfile, path) -> str:
+    """Write ``profile.csv`` and return the text written, which
+    :func:`text_digest` hashes without rendering it again."""
+    text = profile_to_csv_text(profile)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(profile_to_csv_text(profile))
+        fh.write(text)
+    return text
 
 
 def load_profile(path) -> KernelProfile:
@@ -298,7 +340,7 @@ def profile_from_csv_text(text: str) -> KernelProfile:
     def fraction(text: str) -> Fraction:
         value = parsed.get(text)
         if value is None:
-            value = parsed[text] = Fraction(text)
+            value = parsed[text] = parse_fraction(text)
         return value
 
     tails: dict[tuple[str, ...], tuple] = {}
@@ -345,4 +387,9 @@ def profile_from_csv_text(text: str) -> KernelProfile:
 
 def profile_digest(profile: KernelProfile) -> str:
     """Stable content hash used to bind downstream artifacts to their source profile."""
-    return hashlib.sha256(profile_to_csv_text(profile).encode()).hexdigest()
+    return text_digest(profile_to_csv_text(profile))
+
+
+def text_digest(text: str) -> str:
+    """:func:`profile_digest` of the profile that renders as ``text``."""
+    return hashlib.sha256(text.encode()).hexdigest()

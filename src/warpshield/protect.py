@@ -10,10 +10,11 @@ the chosen per-warp streams into the kernel's outputs.
 
 A fault, when given, lands only in the primary replica, matching the
 single-event model the outcome taxonomy is built on.  Every other replica is
-fault-free, and a fault-free isolated run is deterministic, so all of a
-warp's fault-free replicas share one run: it executes once per warp, plus
-once more for the primary of the faulted warp.  Cycles are still charged per
-replica, as the hardware would spend them.
+fault-free, and a fault-free isolated run is deterministic and equals the
+warp's part of a full run, so every fault-free replica of every warp reads
+its stream, cycles and termination from one full run; only the primary of
+the faulted warp runs apart.  Cycles are still charged per replica, as the
+hardware would spend them.
 """
 
 from __future__ import annotations
@@ -114,18 +115,19 @@ def run_protected(
     """Execute the kernel under a protection plan and reconcile replica outputs.
 
     Each warp's replicas are isolated runs of that warp; the fault-free ones
-    share one execution and only the faulted warp's primary runs apart, while
-    cycles count every replica.  The final outputs replay each warp's chosen
-    store stream in full-run order, so a plan of factor 1 everywhere gives
-    the outputs of :func:`execute`.
+    all come from one full run and only the faulted warp's primary runs
+    apart, while cycles count every replica.  The final outputs replay each
+    warp's chosen store stream in full-run order, so a plan of factor 1
+    everywhere gives the outputs of :func:`execute`.
 
     Detect mode records a detection for any replica disagreement (including a
     replica crash or hang) and keeps the primary's values.  Correct mode takes
     the store stream agreed by a majority of surviving replicas; it raises
     :class:`ProtectionError` only if fewer than two replicas survive or no two
-    agree, which a single fault cannot cause.  A fault-free warp run that
-    does not complete raises :class:`ValidationError`: the kernel or the
-    budget is wrong, and no replica comparison could mean anything.
+    agree, which a single fault cannot cause.  A fault-free run that does
+    not complete raises :class:`ValidationError` naming the first warp whose
+    own run fails: the kernel or the budget is wrong, and no replica
+    comparison could mean anything.
     """
     table = cost_table or DEFAULT_COST_TABLE
     warps = program.warps()
@@ -133,8 +135,8 @@ def run_protected(
         raise ValidationError("protection plan does not cover the program's warps")
     words = word_inputs(program, inputs)
 
-    def run_warp(key, warp_fault):
-        result = execute(
+    def run(key=None, warp_fault=None):
+        return execute(
             program,
             words,
             fault=warp_fault,
@@ -143,11 +145,19 @@ def run_protected(
             warp_filter=key,
             record_stores=True,
         )
-        if warp_fault is None and not result.completed:
-            raise ValidationError(
-                f"fault-free run of warp {key} terminated {result.termination}: {result.error}"
-            )
-        return result
+
+    clean = run()
+    if not clean.completed:
+        # Name the first warp whose own run fails; one must, since an
+        # isolated warp runs exactly as it does in the full run.
+        for w in warps:
+            key = (w.cta_id, w.warp_id)
+            alone = run(key)
+            if not alone.completed:
+                raise ValidationError(
+                    f"fault-free run of warp {key} terminated {alone.termination}: {alone.error}"
+                )
+        raise ValidationError(f"fault-free run terminated {clean.termination}: {clean.error}")
 
     cycles = 0
     detections: list[WarpIncident] = []
@@ -158,14 +168,15 @@ def run_protected(
     for w in warps:
         key = (w.cta_id, w.warp_id)
         factor = protection.factors[key]
-        warp_fault = fault if (fault is not None and fault.thread_id in w.members) else None
-        runs = [run_warp(key, warp_fault)]
-        if factor > 1:
-            clean = runs[0] if warp_fault is None else run_warp(key, None)
-            runs += [clean] * (factor - 1)
-        cycles += sum(r.cycles for r in runs)
-        warp_terminations[key] = tuple(r.termination for r in runs)
-        streams = [r.store_streams.get(key, ()) for r in runs]
+        # (termination, store stream, cycles) of each replica
+        fault_free = (COMPLETED, clean.store_streams.get(key, ()), clean.per_warp_cycles[key])
+        replicas = [fault_free] * factor
+        if fault is not None and fault.thread_id in w.members:
+            faulted = run(key, fault)
+            replicas[0] = (faulted.termination, faulted.store_streams.get(key, ()), faulted.cycles)
+        cycles += sum(c for _, _, c in replicas)
+        warp_terminations[key] = tuple(t for t, _, _ in replicas)
+        streams = [s for _, s, _ in replicas]
         primary = streams[0]
 
         if factor == 1:
@@ -175,17 +186,14 @@ def run_protected(
         if protection.mode == DETECT:
             replica_stream = streams[1]
             cycles += table.compare_per_store * max(len(primary), len(replica_stream))
-            mismatch = (
-                primary != replica_stream
-                or runs[0].termination != runs[1].termination
-            )
+            mismatch = primary != replica_stream or replicas[0][0] != replicas[1][0]
             if mismatch:
                 detections.append(
                     WarpIncident(w.cta_id, w.warp_id, _mismatch_locations(primary, replica_stream))
                 )
             chosen_streams[key] = primary
         else:
-            survivors = [s for s, r in zip(streams, runs) if r.termination == COMPLETED]
+            survivors = [s for t, s, _ in replicas if t == COMPLETED]
             if len(survivors) < 2:
                 raise ProtectionError(
                     f"warp {key}: only {len(survivors)} of {factor} replicas survived"

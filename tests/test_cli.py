@@ -183,6 +183,41 @@ def test_suite_refuses_a_remap_overhead_of_minus_two(tmp_path, capsys):
     assert not (tmp_path / "suite_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--mode", "correct", "--fixture", "pathfinder_k1", "--remap-overhead", "1e401"],
+        ["suite", "--remap-overhead", "1e401"],
+        ["sweep", "--taus", "0.05,1e401"],
+        ["classify", "--tau", "1e-401"],
+    ],
+    ids=["report", "suite", "sweep", "classify"],
+)
+def test_flag_beyond_binary64_range_exits_2(tmp_path, argv, capsys):
+    out = _pathfinder_artifacts(tmp_path)
+    assert main([*argv, *out]) == 2
+    assert "beyond binary64 range" in capsys.readouterr().err
+
+
+def test_remap_overhead_whose_figures_overflow_a_float_exits_2(tmp_path, capsys):
+    out = _pathfinder_artifacts(tmp_path)
+    argv = ["report", "--mode", "correct", "--fixture", "pathfinder_k1", "--remap-overhead", "1e308"]
+    assert main([*argv, *out]) == 2
+    assert "overflow a float" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_profile_field_beyond_binary64_range_exits_3(tmp_path, capsys):
+    out = _pathfinder_artifacts(tmp_path)
+    lines = (tmp_path / "profile.csv").read_text().splitlines(keepends=True)
+    row = lines[1].split(",")
+    row[5] = "1e401"
+    lines[1] = ",".join(row)
+    (tmp_path / "profile.csv").write_text("".join(lines))
+    assert main(["classify", *out]) == 3
+    assert "beyond binary64 range" in capsys.readouterr().err
+
+
 def test_protect_whose_fault_free_run_hangs_exits_2(tmp_path, capsys):
     out = _pathfinder_artifacts(tmp_path)
     assert main(["protect", "--fixture", "pathfinder_k1", "--budget", "1", *out]) == 2

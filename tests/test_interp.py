@@ -244,9 +244,9 @@ def _same(program, inputs, **kwargs):
     return fused
 
 
-# Runs of register-only instructions: pcs 1-5, 7-9 and 10-11 (the branch
-# target SKIP cuts 7-11 in two).  Threads with x < 3 skip 7-9, so the
-# fall-through fragment runs 7-9 alone and then merges at SKIP.
+# Runs: pcs 0-6 (a load, register ops and the closing branch), 7-9 and
+# 10-11 (the branch target SKIP cuts 7-11 in two).  Threads with x < 3 skip
+# 7-9, so the fall-through fragment runs 7-9 alone and then merges at SKIP.
 RUNS_SRC = """.kernel runs
 .ctas 1
 .ctasize 40
@@ -331,3 +331,137 @@ def test_fused_runs_equal_single_step_on_fixtures(name):
     _same(program, inputs, fault=sites[0], budget=budget)
     for small in rng.sample(range(1, golden.max_icnt() + 2), 4):
         _same(program, inputs, budget=small, warp_filter=rng.choice(warps), record_stores=True)
+
+
+# ---------------------------------------------------------------------------
+# whole basic blocks: loads and the closing branch inside fused runs
+
+# Runs: pcs 0-3, cut before pc 4 because pc 3 writes its address register;
+# pcs 4-8, two loads closed by the divergent branch; 9-10, cut by SKIP; 11.
+BLOCKS_SRC = """.kernel blocks
+.ctas 1
+.ctasize 40
+.in idx 40
+.in off 40
+.in data 40
+.out y 40
+    ld r1, idx[tid]
+    ld r8, off[tid]
+    movi r2, 1
+    iadd r3, r1, r2
+    ld r4, data[r3]
+    iadd r9, r4, r2
+    ld r5, data[r8]
+    setp.lt r6, r4, r5
+    bra r6, SKIP
+    imul r7, r4, r5
+    iadd r9, r9, r7
+SKIP: iadd r9, r9, r5
+    st y[tid], r9
+    exit
+"""
+BLOCK_LOAD_DYN, BLOCK_SECOND_LOAD_DYN, PREDICATE_DYN, BRANCH_DYN = 5, 7, 8, 9
+RECORDINGS = [(w, s) for w in (False, True) for s in (False, True)]
+
+
+def _blocks(changes=()):
+    """The blocks kernel and inputs with every address in bounds, then
+    ``changes`` applied: ``{(buffer, thread): word}``."""
+    inputs = {
+        "idx": [t % 39 for t in range(40)],
+        "off": [7 * t % 40 for t in range(40)],
+        "data": [37 * t % 101 for t in range(40)],
+    }
+    for (name, t), word in dict(changes).items():
+        inputs[name][t] = word
+    return parse_kernel(BLOCKS_SRC), inputs
+
+
+def _same_recorded(program, inputs, **kwargs):
+    """_same with and without recorded writes and stores."""
+    results = [
+        _same(program, inputs, record_writes=w, record_stores=s, **kwargs) for w, s in RECORDINGS
+    ]
+    return results[-1]
+
+
+def test_block_closes_with_a_divergent_branch():
+    program, inputs = _blocks()
+    golden = _same_recorded(program, inputs)
+    assert golden.completed
+    for warp in (range(32), range(32, 40)):  # both paths in both warps
+        assert {golden.per_thread_icnt[t] for t in warp} == {12, 14}
+    for warp_filter in ((0, 0), (0, 1)):
+        _same_recorded(program, inputs, warp_filter=warp_filter)
+
+
+def test_register_writes_never_hold_a_branch():
+    program, inputs = _blocks()
+    golden = _same(program, inputs, record_writes=True)
+    for t, writes in enumerate(golden.register_writes):
+        assert BRANCH_DYN not in writes
+        taken = golden.per_thread_icnt[t] == 12
+        assert writes == (1, 2, 3, 4, 5, 6, 7, 8, 10) + (() if taken else (11, 12))
+
+
+def test_block_is_cut_before_a_load_of_an_address_it_writes():
+    """Lane 17's address register is 0 at entry to pcs 0-4 and 40, out of
+    bounds, once pc 3 writes it: only a cut at pc 4 checks the right one."""
+    program, inputs = _blocks({("idx", 17): 39})
+    result = _same_recorded(program, inputs)
+    assert result.termination == "crashed"
+    assert "thread 17 loaded out of bounds: data[40]" in result.error
+    assert result.per_thread_icnt[:19] == [5] * 18 + [4]
+
+
+def test_out_of_bounds_load_on_a_middle_lane_stops_instruction_major():
+    """Every lane has run pcs 4-5, and lanes before 17 pc 6, when lane 17's
+    second load of the block crashes; also when lane 17 is the faulted lane
+    and its fault lies in the same block."""
+    program, inputs = _blocks({("off", 17): 1000})
+    result = _same_recorded(program, inputs)
+    assert result.termination == "crashed"
+    assert "thread 17 loaded out of bounds: data[1000]" in result.error
+    assert result.per_thread_icnt[:19] == [7] * 18 + [6]
+    for dyn in (BLOCK_LOAD_DYN, BLOCK_LOAD_DYN + 1):  # the first load and the iadd after it
+        faulted = _same_recorded(program, inputs, fault=FaultSite(17, dyn, 3))
+        assert faulted.per_thread_icnt == result.per_thread_icnt
+        assert faulted.fault_applied
+    # The faulted lane alone out of bounds, its fault inside the block.
+    program, inputs = _blocks({("off", 20): 1000})
+    faulted = _same_recorded(program, inputs, fault=FaultSite(20, BLOCK_LOAD_DYN, 0))
+    assert faulted.termination == "crashed" and "thread 20" in faulted.error
+
+
+def test_fault_on_a_block_load_and_on_the_closing_branch_predicate():
+    """Faults on both loads of the block and on the setp that feeds its
+    branch; a bit-0 flip of the predicate sends the lane down the other
+    path."""
+    program, inputs = _blocks()
+    golden = execute(program, inputs)
+    flipped = 0
+    for t in (0, 5, 17, 31, 33, 39):
+        for dyn in (BLOCK_LOAD_DYN, BLOCK_SECOND_LOAD_DYN, PREDICATE_DYN):
+            for bit in (0, 4, 31):
+                site = FaultSite(t, dyn, bit)
+                for warp_filter in (None, (0, t // 32)):
+                    result = _same_recorded(program, inputs, fault=site, warp_filter=warp_filter)
+                    assert result.fault_applied
+                if dyn == PREDICATE_DYN and bit == 0:
+                    assert result.per_thread_icnt[t] == 26 - golden.per_thread_icnt[t]
+                    flipped += 1
+    assert flipped == 6
+
+
+def test_budget_runs_out_inside_a_block_that_ends_in_a_branch():
+    program, inputs = _blocks()
+    golden = execute(program, inputs)
+    hung_at = set()
+    for budget in range(1, golden.max_icnt() + 2):
+        for warp_filter in (None, (0, 1)):
+            result = _same_recorded(
+                program, inputs, budget=budget, warp_filter=warp_filter, fault=FaultSite(33, 7, 0)
+            )
+            if result.termination == "hung":
+                hung_at.add(budget)
+    assert set(range(5, 10)) <= hung_at  # inside pcs 4-8

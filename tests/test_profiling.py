@@ -16,11 +16,13 @@ from warpshield.profiling import (
     ThreadProfile,
     group_by_icnt,
     load_profile,
+    parse_fraction,
     profile_digest,
     profile_from_csv_text,
     profile_kernel,
     profile_to_csv_text,
     save_profile,
+    text_digest,
     to_fraction,
 )
 
@@ -158,7 +160,7 @@ def test_profile_file_is_the_per_field_rendering_and_round_trips(name, tmp_path)
     expected = _per_field_csv(profile).encode()
     assert profile_digest(profile) == hashlib.sha256(expected).hexdigest()
     path = tmp_path / "profile.csv"
-    save_profile(profile, path)
+    assert text_digest(save_profile(profile, path)) == profile_digest(profile)
     assert path.read_bytes() == expected
     save_profile(load_profile(path), tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == expected
@@ -246,6 +248,37 @@ def test_to_fraction_decimal_semantics():
     assert to_fraction(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(ValidationError):
         to_fraction("not-a-number")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1e308", Fraction(10**308)),
+        ("123.45e306", Fraction(12345 * 10**304)),
+        ("0.001e-321", Fraction(1, 10**324)),
+        ("1000e-327", Fraction(1, 10**324)),
+        ("5E-1", Fraction(1, 2)),
+        ("1/3", Fraction(1, 3)),
+    ],
+)
+def test_parse_fraction_keeps_every_value_in_binary64_range(text, value):
+    assert parse_fraction(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["1e401", "-1e401", "1e-401", "0.001e-322", "0e401", "9e308", "1" + "0" * 309]
+)
+def test_parse_fraction_refuses_values_beyond_binary64_range(text):
+    """Just past the limit: a far larger exponent would take Fraction hours."""
+    with pytest.raises(ValueError, match="beyond binary64 range"):
+        parse_fraction(text)
+    with pytest.raises(ValidationError, match="beyond binary64 range"):
+        to_fraction(text)
+
+
+def test_profile_field_beyond_binary64_range_is_refused():
+    with pytest.raises(ValidationError, match="profile row 2: exponent beyond binary64 range"):
+        profile_from_csv_text(_csv(["k,0,0,5,0,1e401,0.0,0.0,measured"]))
 
 
 def test_rendered_fractions_parse_back_exactly_for_terminating_decimals():
