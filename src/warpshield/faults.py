@@ -13,11 +13,21 @@ the injected budget covers every fault-free thread, so no other warp can
 crash, hang or store anything new.  Each site therefore re-runs only the
 faulted warp.  Its store stream, tagged with barrier phases, is replayed
 with :func:`~warpshield.interp.replay_stores` together with the golden
-streams of the other warps that write any location it touches, which puts
-every store to those locations in the order the full faulted run issues
-them, even when the fault moves a store across a barrier.  Locations the
-warp does not touch keep their golden values, so comparing the touched ones
+stores of the other warps to every location it touches, which puts every
+store to those locations in the order the full faulted run issues them,
+even when the fault moves a store across a barrier.  Locations the warp does
+not touch keep their golden values, so comparing the touched ones
 classifies the site exactly, without a full-kernel run.
+
+Nor does a site re-run its warp from launch.  Until the faulted thread
+first reads the flipped register, the faulted run equals the golden run but
+for that register.  So one fault-free :class:`~warpshield.interp.WarpRun`
+of each warp that hosts sites serves as a golden checkpoint: as it advances
+issue by issue, each site's run forks from it at the issue that first reads
+the flipped value, and a site whose value is overwritten before any read,
+or never read before its thread exits, is masked with no run at all (the
+exact form of def-use pruning: Hari et al., Relyzer, ASPLOS 2012; Nie et
+al., MICRO 2018).
 """
 
 from __future__ import annotations
@@ -34,11 +44,13 @@ from .interp import (
     CRASHED,
     DEFAULT_BUDGET,
     ExecutionResult,
+    WarpRun,
+    _lanes,
     execute,
     replay_stores,
     word_inputs,
 )
-from .ir import WARP_SIZE, KernelProgram
+from .ir import WARP_SIZE, Instruction, KernelProgram
 
 MASKED = "masked"
 SDC = "sdc"
@@ -189,18 +201,41 @@ def run_campaign(
     golden: ExecutionResult | None = None,
     seed: int | None = None,
 ) -> CampaignResult:
-    """Classify every site against the golden run, re-running only its warp.
+    """Classify every site against the golden run, re-running only its warp
+    from the golden state before the fault's effect first matters.
 
-    A run that crashes or hangs is ``other``.  Otherwise the locations the
-    warp stores to, in the golden or the faulted run, are decided by
-    replaying the faulted stream together with the golden streams of every
-    other warp that writes one of them, in full-run order (a location no
-    replayed store writes is 0).  Any difference from the golden output is
-    ``sdc``, none is ``masked``.  A site whose thread is never launched is
-    masked, not executed, without a run.
+    One fault-free :class:`~warpshield.interp.WarpRun` of each warp that
+    hosts sites advances issue by issue.  A site enters at the issue whose
+    block executes its dynamic instruction, and its written register is
+    then followed along the faulted lane's issues:
 
-    Runs are independent and may be reordered or parallelised; aggregation is
-    commutative counting, so the result does not depend on schedule.
+    - a site on no register-writing instruction of its thread's golden
+      path, past that path's end or on a thread never launched is masked,
+      not executed, without a run;
+    - a site whose register is overwritten before it is read, or never read
+      before the lane exits, is masked without a run;
+    - otherwise the run forks at the issue that first reads it: at the
+      fault's own issue, armed with the fault, when its block reads the
+      value, or at a later issue with the bit already flipped.
+
+    A read is a source register, the address register of an ``ld`` or
+    ``st``, the value register of an ``st`` or the predicate of a ``bra``;
+    an instruction that reads a register and rewrites it reads it.  This
+    is exact: until the first read, the faulted run equals the golden run
+    but for that one register, and a value never read cannot change a
+    branch, an address, a store, a crash or an iCnt.
+
+    A forked run that crashes or hangs is ``other``.  Otherwise the
+    locations the warp stores to, in the golden or the faulted run, are
+    decided by replaying the faulted stream together with the golden
+    stores of every other warp to those locations, in full-run order (a
+    location no replayed store writes is 0).  Any difference from the golden
+    output is ``sdc``, none is ``masked``.
+
+    The sites of one warp share its fault-free pass, so they are classified
+    in the pass's order; each outcome depends on its site alone, so the
+    result does not depend on the order of ``sites``.  A list that repeats
+    a site is refused.
     """
     if golden is None:
         golden = golden_run(program, inputs)
@@ -212,25 +247,24 @@ def run_campaign(
         raise ValidationError(
             f"budget {budget} is below the golden run's peak iCnt {golden.max_icnt()}"
         )
+    per_site: dict[FaultSite, Outcome] = dict.fromkeys(sites)  # filled in below, in site order
+    if len(per_site) != len(sites):
+        raise ValidationError("site list repeats a site")
     words = word_inputs(program, inputs)
     writers = _location_writers(program, golden.store_streams)
-    warp_of = {
-        t: _warp_key(program, t)
-        for t in {s.thread_id for s in sites}
-        if t < program.total_threads
-    }
-    per_site: dict[FaultSite, Outcome] = {}
-    tallies: dict[int, list[int]] = {}
+    by_warp: dict[tuple[int, int], list[FaultSite]] = {}
     for site in sites:
-        key = warp_of.get(site.thread_id)
-        if key is None:
-            outcome = Outcome(MASKED, "not-executed")
+        if site.thread_id < program.total_threads:
+            by_warp.setdefault(_warp_key(program, site.thread_id), []).append(site)
         else:
-            run = execute(
-                program, words, fault=site, budget=budget, warp_filter=key, record_stores=True
-            )
-            outcome = _warp_outcome(golden, run, key, writers)
-        per_site[site] = outcome
+            per_site[site] = _NOT_EXECUTED
+    for key, warp_sites in by_warp.items():
+        cursor = WarpRun(program, words, key, budget)
+        own = {(buf, addr) for buf, addr, _, _ in golden.store_streams.get(key, ())}
+        for site, run in _warp_forks(cursor, warp_sites, per_site):
+            per_site[site] = _warp_outcome(golden, run, key, own, writers)
+    tallies: dict[int, list[int]] = {}
+    for site, outcome in per_site.items():
         tally = tallies.setdefault(site.thread_id, [0, 0, 0])
         tally[_OUTCOME_KINDS.index(outcome.kind)] += 1
     return CampaignResult(
@@ -238,6 +272,98 @@ def run_campaign(
         per_thread_counts={t: tuple(v) for t, v in sorted(tallies.items())},
         seed=seed,
     )
+
+
+_MASKED = Outcome(MASKED)
+_NOT_EXECUTED = Outcome(MASKED, "not-executed")
+_SDC = Outcome(SDC)
+
+
+def _warp_forks(cursor: WarpRun, sites: list[FaultSite], outcomes: dict):
+    """Yield ``(site, finished faulted run)`` for each site of the cursor's
+    warp whose flipped value is read, in the order the fault-free cursor
+    reaches the forks; put every other site's outcome in ``outcomes``.
+
+    Sites of one thread and dynamic instruction differ only in the bit, so
+    they share every decision but their run.
+    """
+    instructions = cursor.instructions
+    members = cursor.warp.members
+    lane_of = {t: li for li, t in enumerate(members)}
+    bits: dict[tuple[int, int], list[FaultSite]] = {}
+    for site in sites:
+        bits.setdefault((site.thread_id, site.dyn_instr), []).append(site)
+    todo: dict[int, list[int]] = {}  # lane -> dynamic instructions not reached, last first
+    for thread, dyn in sorted(bits, reverse=True):
+        todo.setdefault(lane_of[thread], []).append(dyn)
+    watched: dict[int, list[tuple[int, list[FaultSite]]]] = {}  # lane -> (register, sites)
+    interest = sum(1 << li for li in todo)  # lanes with sites not yet decided
+    scans: dict[tuple[int, int], tuple[dict[int, bool], bool]] = {}
+
+    def first_access(start: int, end: int) -> tuple[dict[int, bool], bool]:
+        """Per register, whether its first access in ``start:end`` reads
+        it (True) or only writes it (False); and whether the range exits."""
+        scan = scans.get((start, end))
+        if scan is None:
+            accessed: dict[int, bool] = {}
+            exits = False
+            for ins in instructions[start:end]:
+                for reg in _reads(ins):
+                    accessed.setdefault(reg, True)
+                if ins.dest is not None:
+                    accessed.setdefault(ins.dest, False)
+                exits = ins.opcode == "exit"
+            scan = scans[(start, end)] = (accessed, exits)
+        return scan
+
+    while interest:
+        coming = cursor.next_issue()
+        if coming is None:
+            break
+        pc, end, mask = coming
+        forks = []
+        for li in _lanes(mask & interest):
+            t = members[li]
+            n = cursor.icnt[t]
+            dyns = todo.get(li, [])
+            if li not in watched and dyns[-1] > n + end - pc:
+                continue  # nothing of this lane's is due in this issue
+            # (register, sites, first instruction to scan, register if written before this issue)
+            follow = [(reg, group, pc, reg) for reg, group in watched.pop(li, ())]
+            while dyns and dyns[-1] <= n + end - pc:
+                group = bits[(t, dyns.pop())]
+                at = pc + group[0].dyn_instr - n - 1
+                dest = instructions[at].dest
+                if dest is None:  # st, bra, bar or exit writes no register
+                    outcomes.update(dict.fromkeys(group, _NOT_EXECUTED))
+                else:
+                    follow.append((dest, group, at + 1, None))
+            kept = []
+            for reg, group, start, written in follow:
+                accessed, exits = first_access(start, end)
+                read = accessed.get(reg)
+                if read:
+                    forks += ((site, written) for site in group)
+                elif read is None and not exits:
+                    kept.append((reg, group))
+                else:  # overwritten before any read, or never read
+                    outcomes.update(dict.fromkeys(group, _MASKED))
+            if kept:
+                watched[li] = kept
+            elif not dyns:
+                interest &= ~(1 << li)
+        for site, written in forks:
+            yield site, cursor.fork(site, written).finish()
+        cursor.advance()
+    for li, dyns in todo.items():  # past the end of the thread's path
+        for dyn in dyns:
+            outcomes.update(dict.fromkeys(bits[(members[li], dyn)], _NOT_EXECUTED))
+
+
+def _reads(ins: Instruction) -> tuple[int, ...]:
+    """The registers an instruction reads: its sources (an ``st``'s value,
+    a ``bra``'s predicate) and the address register of an ``ld`` or ``st``."""
+    return ins.srcs if ins.addr_reg is None else (*ins.srcs, ins.addr_reg)
 
 
 def _location_writers(program: KernelProgram, streams) -> dict[str, list[tuple]]:
@@ -259,17 +385,31 @@ def _warp_key(program: KernelProgram, thread_id: int) -> tuple[int, int]:
     return (cta, program.launch_order(cta).index(thread_id) // WARP_SIZE)
 
 
-def _warp_outcome(golden: ExecutionResult, run: ExecutionResult, key, writers) -> Outcome:
-    """Outcome of a warp-filtered faulted run against the golden run."""
+def _warp_outcome(golden: ExecutionResult, run: WarpRun, key, own, writers) -> Outcome:
+    """Outcome of a faulted run of warp ``key`` against the golden run;
+    ``own`` is the set of locations the warp's golden stream stores to.
+
+    Only the touched locations are replayed: the faulted stream and, in
+    stream order, the other warps' golden stores to those locations, which
+    is all :func:`~warpshield.interp.replay_stores` needs to order them as
+    the full faulted run would.
+    """
     if run.termination != COMPLETED:
         return classify_outcome(golden, run)
-    stream = run.store_streams.get(key, ())
-    touched = {(buf, addr) for buf, addr, _, _ in golden.store_streams.get(key, ())}
-    touched.update((buf, addr) for buf, addr, _, _ in stream)
-    streams = {w: golden.store_streams[w] for buf, addr in touched for w in writers[buf][addr]}
+    stream = run.stream
+    touched = own.union((buf, addr) for buf, addr, _, _ in stream)
+    streams = {}
+    for buf, addr in touched:
+        for warp in writers[buf][addr]:
+            if warp != key and warp not in streams:
+                streams[warp] = [
+                    record
+                    for record in golden.store_streams[warp]
+                    if (record[0], record[1]) in touched
+                ]
     streams[key] = stream
     outputs = golden.outputs
-    replayed = replay_stores({buf: [0] * len(v) for buf, v in outputs.items()}, streams)
-    if all(replayed[buf][addr] == outputs[buf][addr] for buf, addr in touched):
-        return Outcome(MASKED, None if run.fault_applied else "not-executed")
-    return Outcome(SDC)
+    replayed = replay_stores({buf: {} for buf in outputs}, streams)
+    if all(replayed[buf].get(addr, 0) == outputs[buf][addr] for buf, addr in touched):
+        return _MASKED  # a forked run always reaches its fault
+    return _SDC

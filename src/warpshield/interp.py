@@ -49,6 +49,16 @@ dynamic instruction lies inside the run, that lane alone steps through the
 run, loads and branch included, its branch joining the taken mask, and the
 other lanes run it fused.  A single step evaluates each instruction from
 the same table, so opcode semantics are written once.
+
+Snapshot and resume: :class:`WarpRun` runs one warp as a warp-filtered
+:func:`execute` does, but holds it between issues.  It names the coming
+issue (pc, block end, lane mask), makes it, or forks a copy at that
+boundary: the warp's registers, iCnts, fragments, waiting fragments,
+barrier phase, issue count, cycles and store stream so far.  A fork is armed
+with a fault, or gets a bit flipped in a register directly, and runs to its
+end.  ``execute`` and every ``WarpRun`` issue through one ``issue`` closure
+built by ``_issuer``; a ``WarpRun`` keys its state by the warp's own
+threads and keeps no output buffers, so it costs O(warp) memory.
 """
 
 from __future__ import annotations
@@ -184,7 +194,7 @@ class _Abort(Exception):
 
 
 class _WarpCtx:
-    __slots__ = ("key", "members", "frags", "waiting", "issued", "cycles")
+    __slots__ = ("key", "members", "frags", "waiting", "issued", "cycles", "phase")
 
     def __init__(self, key, members):
         self.key = key
@@ -193,6 +203,48 @@ class _WarpCtx:
         self.waiting: list[list[int]] = []
         self.issued = 0  # instructions issued, fused ones counted singly
         self.cycles = 0
+        self.phase = 0  # barrier releases of the warp's CTA so far
+
+    def copy(self) -> "_WarpCtx":
+        twin = _WarpCtx(self.key, self.members)
+        twin.frags = [frag[:] for frag in self.frags]
+        twin.waiting = [frag[:] for frag in self.waiting]
+        twin.issued, twin.cycles, twin.phase = self.issued, self.cycles, self.phase
+        return twin
+
+
+class _State:
+    """What issues change besides each warp's own context: registers and
+    iCnts keyed by thread id, recorded register writes, output buffers,
+    store streams and store counts keyed by warp, and whether the fault has
+    been applied."""
+
+    __slots__ = ("icnt", "regs", "writes", "outputs", "streams", "stores", "fault_applied")
+
+    def __init__(self, icnt, regs, writes, outputs, streams, stores):
+        self.icnt = icnt
+        self.regs = regs
+        self.writes = writes
+        self.outputs = outputs
+        self.streams = streams
+        self.stores = stores
+        self.fault_applied = False
+
+
+class _Unkept:
+    """An output buffer whose words a run does not keep: its size bounds
+    stores, whose values go to the store stream alone."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __setitem__(self, index: int, value: int) -> None:
+        pass
 
 
 _F32 = struct.Struct("<f")
@@ -482,7 +534,8 @@ def execute(
     as it does inside the full run.  Each recorded store carries the count
     of barrier releases before it, which is the same in both runs, so
     :func:`replay_stores` can put isolated streams back in full-run order.
-    Protection replicas and fault injection both run warps this way.
+    Protection replicas run warps this way, and :class:`WarpRun` runs one
+    warp so for fault injection.
 
     Each issue runs a whole basic block over the warp's active lanes (see
     the module docstring).  It steps one instruction at a time instead when
@@ -499,26 +552,21 @@ def execute(
     else:
         in_bufs = word_inputs(program, inputs)
     costs = (cost_table or DEFAULT_COST_TABLE).op_cycles
-
-    out_bufs = {name: [0] * size for name, size in program.output_buffers}
-
-    instructions = program.instructions
-    runs = _runs_of(instructions)
-    run_end = runs.end
-    prefix = runs.prefix(costs)
-    load_bufs = [in_bufs[name] for name in runs.buffers]
+    runs = _runs_of(program.instructions)
 
     total = program.total_threads
-    icnt = [0] * total
-    regs: list[list[int] | None] = [None] * total
-    writes: list[list[int]] | None = [[] for _ in range(total)] if record_writes else None
+    state = _State(
+        icnt=[0] * total,
+        regs=[None] * total,
+        writes=[[] for _ in range(total)] if record_writes else None,
+        outputs={name: [0] * size for name, size in program.output_buffers},
+        streams={} if record_stores else None,
+        stores={},
+    )
+    regs = state.regs
 
-    if fault is not None:
-        f_thread, f_dyn, f_mask = fault.thread_id, fault.dyn_instr, 1 << fault.bit
-    else:
-        f_thread, f_dyn, f_mask = -1, -1, 0
-    f_warp, f_lane, f_bit = None, -1, 0  # the faulted thread's warp, lane and lane bit
-    fault_applied = False
+    f_thread = fault.thread_id if fault is not None else -1
+    f_warp = None  # the faulted thread's warp
 
     launched = range(program.num_ctas)
     if warp_filter is not None:
@@ -534,30 +582,99 @@ def execute(
             members = order[start : start + WARP_SIZE]
             wp = _WarpCtx(key, members)
             warps.append(wp)
-            for lane, t in enumerate(members):
+            for t in members:
                 r = [0] * REGISTER_COUNT
                 r[TID_REGISTER] = t
                 r[CTAID_REGISTER] = cta
                 regs[t] = r
                 if t == f_thread:
-                    f_warp, f_lane, f_bit = wp, lane, 1 << lane
+                    f_warp = wp
         if warps:
             ctas.append(warps)
     if not ctas:
         raise ValidationError(f"warp filter {warp_filter} matches no warp")
 
-    per_warp_stores: dict[tuple[int, int], int] = {}
-    streams: dict[tuple[int, int], list[tuple[str, int, int, int]]] | None = (
-        {} if record_stores else None
-    )
-
+    issue = _issuer(runs, runs.prefix(costs), in_bufs, budget, state, fault, f_warp)
     termination = COMPLETED
     error = None
+    try:
+        for warps in ctas:
+            _run_cta(warps, issue)
+    except _Abort as abort:
+        termination = abort.kind
+        error = abort.message
+
+    per_warp_cycles = {wp.key: wp.cycles for warps in ctas for wp in warps if wp.issued}
+    streams = state.streams
+    return ExecutionResult(
+        outputs=state.outputs,
+        per_thread_icnt=state.icnt,
+        cycles=sum(per_warp_cycles.values()),
+        termination=termination,
+        fault_applied=state.fault_applied,
+        per_warp_cycles=per_warp_cycles,
+        per_warp_stores=state.stores,
+        register_writes=[tuple(w) for w in state.writes] if record_writes else None,
+        store_streams=(
+            {k: tuple(v) for k, v in streams.items()} if streams is not None else None
+        ),
+        error=error,
+    )
+
+
+def _run_cta(warps: list[_WarpCtx], issue) -> None:
+    """Issue the warps of one CTA until every thread has exited, releasing
+    the barrier each time nothing else can run."""
+    while True:
+        ran = False
+        for wp in warps:
+            while wp.frags:
+                issue(wp)
+                ran = True
+        if not ran and not _release(warps):
+            return
+
+
+def _release(warps) -> bool:
+    """Release the CTA's barrier if a fragment waits at it: once no fragment
+    can run, every live thread is waiting."""
+    if not any(wp.waiting for wp in warps):
+        return False
+    for wp in warps:
+        wp.frags.extend(wp.waiting)
+        wp.waiting.clear()
+        wp.phase += 1
+    return True
+
+
+def _issuer(
+    runs: _Runs,
+    prefix: list[int],
+    in_bufs: WordInputs,
+    budget: int,
+    state: _State,
+    fault: "FaultSite | None",
+    f_warp: _WarpCtx | None,
+):
+    """``issue(wp)``, which issues the next fragment of warp ``wp``, for one
+    run: its state, its budget and its fault, whose thread is in warp
+    ``f_warp`` (None when no launched warp holds it)."""
+    instructions = runs.instructions
+    run_end = runs.end
+    fused = runs.fused
+    load_bufs = [in_bufs[name] for name in runs.buffers]
+    icnt, regs, writes = state.icnt, state.regs, state.writes
+    out_bufs, streams, per_warp_stores = state.outputs, state.streams, state.stores
+    if fault is not None:
+        f_thread, f_dyn, f_mask = fault.thread_id, fault.dyn_instr, 1 << fault.bit
+    else:
+        f_thread, f_dyn, f_mask = -1, -1, 0
+    f_lane = f_warp.members.index(f_thread) if f_warp is not None else -1
+    f_bit = 1 << f_lane if f_warp is not None else 0
 
     def step(wp: _WarpCtx, pc: int, lanes) -> int:
         """Issue instruction ``pc`` alone to ``lanes``, one lane after
         another; return the lanes a conditional ``bra`` takes."""
-        nonlocal fault_applied
         ins = instructions[pc]
         op = ins.opcode
         members = wp.members
@@ -586,7 +703,7 @@ def execute(
                     v = value(r, srcs, imm)
                 if n == f_dyn and t == f_thread:
                     v ^= f_mask
-                    fault_applied = True
+                    state.fault_applied = True
                 r[dest] = v
                 if writes is not None:
                     writes[t].append(n)
@@ -596,6 +713,7 @@ def execute(
             a = ins.addr_reg
             s = ins.srcs[0]
             stream = streams.setdefault(wp.key, []) if streams is not None else None
+            phase = wp.phase
             for li in lanes:
                 t = members[li]
                 icnt[t] += 1
@@ -657,7 +775,7 @@ def execute(
             )
             if stepped:  # lanes are independent: the faulted lane steps alone
                 run = [li for li in lanes if li != f_lane]
-            taken = runs.fused[pc](regs, wp.members, lanes, run, icnt, writes, load_bufs)
+            taken = fused[pc](regs, wp.members, lanes, run, icnt, writes, load_bufs)
             if taken < 0:
                 # A lane would load out of bounds, and nothing has changed:
                 # single steps, instruction-major, reach that crash as the
@@ -710,46 +828,137 @@ def execute(
             frag[0] = end
             frags.append(frag)
 
-    try:
-        for warps in ctas:
-            phase = 0  # barrier releases so far in this CTA; read by issue()
-            while True:
-                ran = False
-                for wp in warps:
-                    while wp.frags:
-                        issue(wp)
-                        ran = True
-                if ran:
-                    continue
-                # nothing runnable: every live thread is waiting at a barrier
-                released = False
-                for wp in warps:
-                    if wp.waiting:
-                        wp.frags.extend(wp.waiting)
-                        wp.waiting.clear()
-                        released = True
-                if not released:
-                    break
-                phase += 1
-    except _Abort as abort:
-        termination = abort.kind
-        error = abort.message
+    return issue
 
-    per_warp_cycles = {wp.key: wp.cycles for warps in ctas for wp in warps if wp.issued}
-    return ExecutionResult(
-        outputs=out_bufs,
-        per_thread_icnt=icnt,
-        cycles=sum(per_warp_cycles.values()),
-        termination=termination,
-        fault_applied=fault_applied,
-        per_warp_cycles=per_warp_cycles,
-        per_warp_stores=per_warp_stores,
-        register_writes=[tuple(w) for w in writes] if writes is not None else None,
-        store_streams=(
-            {k: tuple(v) for k, v in streams.items()} if streams is not None else None
-        ),
-        error=error,
-    )
+
+class WarpRun:
+    """One warp run on its own, as ``execute(..., warp_filter=key)`` runs
+    it, held between issues so that it can be copied and resumed.
+
+    A new ``WarpRun`` is the fault-free warp at launch.  :meth:`next_issue`
+    names the coming issue, :meth:`advance` makes it, :meth:`fork` copies the
+    run at that boundary (armed with a fault, or with its bit already
+    flipped) and :meth:`finish` runs a copy to its end.  A copy holds the
+    warp's registers, iCnts, fragments, barrier phase, issue count, cycles
+    and store stream so far, all keyed by the warp's own threads; output
+    buffers are not kept, so a resumed run allocates O(warp) memory whatever
+    the kernel's thread count.  Every issue goes through the same
+    :func:`_issuer` as :func:`execute`.
+    """
+
+    __slots__ = ("warp", "termination", "_state", "_runs", "_prefix", "_inputs", "_budget", "_issue")
+
+    def __init__(self, program: KernelProgram, inputs: WordInputs, key: tuple[int, int], budget: int):
+        if budget < 1:
+            raise ValidationError("instruction budget must be positive")
+        validate_inputs(program, inputs)
+        cta, wid = key
+        order = program.launch_order(cta) if 0 <= cta < program.num_ctas else ()
+        members = order[wid * WARP_SIZE : (wid + 1) * WARP_SIZE] if wid >= 0 else ()
+        if not members:
+            raise ValidationError(f"warp filter {key} matches no warp")
+        self.warp = _WarpCtx(key, members)
+        self.termination = COMPLETED
+        self._state = _State(
+            icnt=dict.fromkeys(members, 0),
+            regs={t: [0] * REGISTER_COUNT for t in members},
+            writes=None,
+            outputs={name: _Unkept(size) for name, size in program.output_buffers},
+            streams={},
+            stores={},
+        )
+        for t, r in self._state.regs.items():
+            r[TID_REGISTER] = t
+            r[CTAID_REGISTER] = cta
+        self._runs = _runs_of(program.instructions)
+        self._prefix = self._runs.prefix(DEFAULT_COST_TABLE.op_cycles)
+        self._inputs = inputs
+        self._budget = budget
+        self._issue = _issuer(self._runs, self._prefix, inputs, budget, self._state, None, None)
+
+    @property
+    def instructions(self) -> tuple[Instruction, ...]:
+        return self._runs.instructions
+
+    @property
+    def icnt(self) -> dict[int, int]:
+        """Each thread's dynamic instructions so far."""
+        return self._state.icnt
+
+    @property
+    def stream(self) -> list[tuple[str, int, int, int]]:
+        """The warp's stores so far, as ``execute`` records them."""
+        return self._state.streams.get(self.warp.key, [])
+
+    def next_issue(self) -> tuple[int, int, int] | None:
+        """``(pc, end, mask)`` of the coming issue: it runs instructions
+        ``pc`` to ``end - 1`` over the lanes of ``mask``.  None once the warp
+        has exited.  A barrier release, if due, happens here."""
+        wp = self.warp
+        frags = wp.frags
+        if not frags and not _release((wp,)):
+            return None
+        if len(frags) == 1:
+            pc, mask = frags[0]
+        else:
+            pc = min(frag[0] for frag in frags)
+            mask = 0
+            for frag_pc, frag_mask in frags:
+                if frag_pc == pc:
+                    mask |= frag_mask
+        end = self._runs.end[pc]
+        if not (end > pc and wp.issued + end - pc <= self._budget):  # as issue decides
+            end = pc + 1
+        return pc, end, mask
+
+    def advance(self) -> None:
+        """Make the issue :meth:`next_issue` names."""
+        self._issue(self.warp)
+
+    def fork(self, fault: "FaultSite", written: int | None = None) -> "WarpRun":
+        """A copy of this run at the boundary before the coming issue.
+
+        The copy is armed with ``fault``, whose dynamic instruction has not
+        issued yet.  With ``written``, that instruction has issued and wrote
+        register ``written``, which nothing has read since: the copy gets
+        the fault's bit flipped in that register instead, as the faulted
+        run would have it now.
+        """
+        state = self._state
+        twin = object.__new__(WarpRun)
+        twin.warp = self.warp.copy()
+        twin.termination = COMPLETED
+        twin._state = _State(
+            icnt=dict(state.icnt),
+            regs={t: r[:] for t, r in state.regs.items()},
+            writes=None,
+            outputs=state.outputs,
+            streams={key: stream[:] for key, stream in state.streams.items()},
+            stores=dict(state.stores),
+        )
+        twin._state.fault_applied = state.fault_applied
+        twin._runs, twin._prefix, twin._inputs, twin._budget = (
+            self._runs, self._prefix, self._inputs, self._budget
+        )
+        if written is None:
+            twin._issue = _issuer(
+                twin._runs, twin._prefix, twin._inputs, twin._budget, twin._state, fault, twin.warp
+            )
+        else:
+            twin._state.regs[fault.thread_id][written] ^= 1 << fault.bit
+            twin._state.fault_applied = True
+            twin._issue = _issuer(
+                twin._runs, twin._prefix, twin._inputs, twin._budget, twin._state, None, None
+            )
+        return twin
+
+    def finish(self) -> "WarpRun":
+        """Run to the end: completion, a crash or a hang."""
+        try:
+            _run_cta([self.warp], self._issue)
+        except _Abort as abort:
+            self.termination = abort.kind
+        return self
 
 
 def replay_stores(

@@ -211,6 +211,10 @@ def profile_kernel(
 
     Pruned mode injects only the lowest-id thread of each iCnt group and
     copies its fractions to the group; exhaustive mode injects every thread.
+    Each injected thread's sites are sampled on their own, salted by its
+    group (pruned) or thread id (exhaustive), and one campaign per warp
+    classifies the sites of all its injected threads, sharing the warp's
+    fault-free pass.
     """
     if mode not in ("pruned", "exhaustive"):
         raise ValidationError(f"unknown profiling mode {mode!r}")
@@ -225,26 +229,36 @@ def profile_kernel(
         for t in members:
             group_of[t] = gid
 
+    if mode == "pruned":
+        salts = {members[0]: gid for gid, members in groups.items()}
+    else:
+        salts = {t: t for t in range(program.total_threads)}
+    counts: dict[int, tuple[int, int, int]] = {}
+    for w in program.warps():
+        injected = [t for t in w.members if t in salts]
+        if not injected:
+            continue
+        sites = [
+            site
+            for t in injected
+            for site in sample_sites(FaultSpace(golden, [t]), sample_fraction, seed=hash_seed(seed, salts[t]))
+        ]
+        campaign = run_campaign(program, inputs, sites, budget=run_budget, golden=golden)
+        counts.update((t, campaign.counts(t)) for t in injected)
+
     fractions: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
     provenance: dict[int, str] = {}
     if mode == "pruned":
-        for gid, members in groups.items():
+        for members in groups.values():
             rep = members[0]
-            space = FaultSpace(golden, [rep])
-            sites = sample_sites(space, sample_fraction, seed=hash_seed(seed, gid))
-            campaign = run_campaign(program, inputs, sites, budget=run_budget, golden=golden)
-            shared = _fractions(campaign.counts(rep))
+            shared = _fractions(counts[rep])
             for t in members:
                 fractions[t] = shared
                 provenance[t] = MEASURED if t == rep else EXTRAPOLATED
     else:
-        for gid, members in groups.items():
-            for t in members:
-                space = FaultSpace(golden, [t])
-                sites = sample_sites(space, sample_fraction, seed=hash_seed(seed, t))
-                campaign = run_campaign(program, inputs, sites, budget=run_budget, golden=golden)
-                fractions[t] = _fractions(campaign.counts(t))
-                provenance[t] = MEASURED
+        for t in range(program.total_threads):
+            fractions[t] = _fractions(counts[t])
+            provenance[t] = MEASURED
 
     threads = tuple(
         ThreadProfile(

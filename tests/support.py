@@ -7,6 +7,17 @@ from collections import Counter
 from fractions import Fraction
 
 from warpshield.errors import ProtectionError, ValidationError
+from warpshield.faults import (
+    MASKED,
+    SDC,
+    CampaignResult,
+    FaultSpace,
+    Outcome,
+    classify_outcome,
+    default_budget,
+    golden_run,
+    sample_sites,
+)
 from warpshield.interp import (
     COMPLETED,
     CRASHED,
@@ -30,7 +41,15 @@ from warpshield.ir import (
     KernelProgram,
     parse_kernel,
 )
-from warpshield.profiling import to_fraction
+from warpshield.profiling import (
+    EXTRAPOLATED,
+    MEASURED,
+    KernelProfile,
+    ThreadProfile,
+    group_by_icnt,
+    hash_seed,
+    to_fraction,
+)
 from warpshield.protect import DETECT, ProtectedRunResult, WarpIncident
 from warpshield.remap import RemapPlan
 
@@ -154,6 +173,43 @@ def address_probe_kernel() -> tuple[KernelProgram, dict[str, list[int]]]:
     return program, {"idx": list(range(32)), "data": [100 + i for i in range(32)]}
 
 
+CHASE_SOURCE = """\
+.kernel chase
+.ctas 2
+.ctasize 48
+.in trips 96
+.in link 96
+.in vals 96
+.out out 96
+    ld r1, trips[tid]
+    mov r3, tid
+    movi r6, 1
+LOOP: setp.ge r8, r4, r1
+    bra r8, DONE
+    ld r3, link[r3]
+    ld r9, vals[r3]
+    iadd r5, r5, r9
+    iadd r4, r4, r6
+    bra LOOP
+DONE: bar
+    st out[tid], r5
+    exit
+"""
+
+
+def chase_kernel() -> tuple[KernelProgram, dict[str, list[int]]]:
+    """Data-dependent loop trips, chained load addresses and a bar: its
+    sites mask, corrupt, crash and hang."""
+    program = parse_kernel(CHASE_SOURCE)
+    rng = random.Random("chase")
+    inputs = {
+        "trips": [rng.randrange(6) for _ in range(96)],
+        "link": [rng.randrange(96) for _ in range(96)],
+        "vals": [rng.getrandbits(32) for _ in range(96)],
+    }
+    return program, inputs
+
+
 def identity_plan(geometry: tuple[int, int], tau=Fraction(1, 20), kernel=None) -> RemapPlan:
     """The launch order every program has without a plan."""
     num_ctas, cta_size = geometry
@@ -228,6 +284,110 @@ def run_protected_every_replica(program, inputs, protection, *, fault=None, budg
         cycles=cycles,
         warp_terminations=warp_terminations,
     )
+
+
+# ---------------------------------------------------------------------------
+# from-launch campaign
+
+
+def from_launch_campaign(program, inputs, sites, *, budget=None, golden=None, seed=None):
+    """``run_campaign`` as it was before sites resumed from a golden
+    checkpoint: every site re-runs its whole warp from launch, and its
+    outcome replays zero-filled copies of every output buffer."""
+    if golden is None:
+        golden = golden_run(program, inputs)
+    if budget is None:
+        budget = default_budget(golden)
+    words = word_inputs(program, inputs)
+    writers = _location_writers(program, golden.store_streams)
+    warp_of = {
+        t: _warp_key(program, t)
+        for t in {s.thread_id for s in sites}
+        if t < program.total_threads
+    }
+    per_site = {}
+    tallies = {}
+    for site in sites:
+        key = warp_of.get(site.thread_id)
+        if key is None:
+            outcome = Outcome(MASKED, "not-executed")
+        else:
+            run = execute(
+                program, words, fault=site, budget=budget, warp_filter=key, record_stores=True
+            )
+            outcome = _warp_outcome(golden, run, key, writers)
+        per_site[site] = outcome
+        tally = tallies.setdefault(site.thread_id, [0, 0, 0])
+        tally[("masked", "sdc", "other").index(outcome.kind)] += 1
+    return CampaignResult(
+        per_site=per_site,
+        per_thread_counts={t: tuple(v) for t, v in sorted(tallies.items())},
+        seed=seed,
+    )
+
+
+def _location_writers(program, streams):
+    writers = {name: [()] * size for name, size in program.output_buffers}
+    for key, stream in streams.items():
+        alone = (key,)
+        for buf, addr, _, _ in stream:
+            row = writers[buf]
+            if not row[addr]:
+                row[addr] = alone
+            elif row[addr][-1] != key:
+                row[addr] += alone
+    return writers
+
+
+def _warp_key(program, thread_id):
+    cta = program.cta_of(thread_id)
+    return (cta, program.launch_order(cta).index(thread_id) // WARP_SIZE)
+
+
+def _warp_outcome(golden, run, key, writers):
+    if run.termination != COMPLETED:
+        return classify_outcome(golden, run)
+    stream = run.store_streams.get(key, ())
+    touched = {(buf, addr) for buf, addr, _, _ in golden.store_streams.get(key, ())}
+    touched.update((buf, addr) for buf, addr, _, _ in stream)
+    streams = {w: golden.store_streams[w] for buf, addr in touched for w in writers[buf][addr]}
+    streams[key] = stream
+    outputs = golden.outputs
+    replayed = replay_stores({buf: [0] * len(v) for buf, v in outputs.items()}, streams)
+    if all(replayed[buf][addr] == outputs[buf][addr] for buf, addr in touched):
+        return Outcome(MASKED, None if run.fault_applied else "not-executed")
+    return Outcome(SDC)
+
+
+def profile_per_campaign(program, inputs, mode, sample_fraction, seed, campaign):
+    """``profile_kernel`` as it was before one campaign served each warp:
+    one ``campaign`` call per iCnt group (pruned) or per thread
+    (exhaustive)."""
+    golden = golden_run(program, inputs)
+    groups = group_by_icnt(golden)
+    budget = default_budget(golden)
+    rows = {}
+    for gid, members in groups.items():
+        injected = members[:1] if mode == "pruned" else members
+        for t in injected:
+            salt = gid if mode == "pruned" else t
+            sites = sample_sites(FaultSpace(golden, [t]), sample_fraction, seed=hash_seed(seed, salt))
+            counts = campaign(program, inputs, sites, budget=budget, golden=golden).counts(t)
+            total = sum(counts)
+            if total:
+                fractions = tuple(Fraction(c, total) for c in counts)
+            else:  # no register write, no site
+                fractions = (Fraction(1), Fraction(0), Fraction(0))
+            for m in members if mode == "pruned" else [t]:
+                rows[m] = ThreadProfile(
+                    m,
+                    program.cta_of(m),
+                    golden.per_thread_icnt[m],
+                    gid,
+                    *fractions,
+                    MEASURED if m == t else EXTRAPOLATED,
+                )
+    return KernelProfile(program.name, tuple(rows[t] for t in range(program.total_threads)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from warpshield.errors import CampaignRefused, ValidationError
@@ -15,7 +13,7 @@ from warpshield.faults import (
     sample_sites,
 )
 from warpshield.fixtures import generate_fixture
-from warpshield.interp import execute
+from warpshield.interp import WarpRun, execute
 from warpshield.ir import parse_kernel
 from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
 
@@ -23,7 +21,9 @@ from support import (
     add_one_inputs,
     add_one_kernel,
     address_probe_kernel,
+    chase_kernel,
     dead_write_kernel,
+    from_launch_campaign,
     run_protected_every_replica,
     single_step_execute,
     two_group_kernel,
@@ -218,9 +218,11 @@ def _full_run_outcomes(program, inputs, sites):
 
 @pytest.mark.parametrize("kernel", [dead_write_kernel, address_probe_kernel, two_group_kernel])
 def test_warp_local_campaign_equals_full_runs_on_every_site(kernel):
+    """Warp-local injection scores every site as full re-execution and the
+    from-launch campaign do."""
     program, inputs = kernel()
     sites = enumerate_fault_space(program, inputs)
-    campaign = run_campaign(program, inputs, sites)
+    campaign = _assert_equals_from_launch(program, inputs, sites)
     assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
 
 
@@ -290,7 +292,7 @@ def _uniform_plan(program, mode, factor):
 
 def test_warp_local_campaign_equals_full_runs_with_barrier_and_shared_locations(phase_probe):
     program, inputs, golden, full = phase_probe
-    campaign = run_campaign(program, inputs, list(full), golden=golden)
+    campaign = _assert_equals_from_launch(program, inputs, list(full), golden=golden)
     assert campaign.per_site == {site: outcome for site, (outcome, _) in full.items()}
     kinds = {o.detail or o.kind for o in campaign.per_site.values()}
     assert kinds == {"masked", "sdc", "crashed"}
@@ -371,43 +373,8 @@ def test_fault_free_replicas_sharing_a_run_equal_every_replica_on_phase_probe(ph
     }
 
 
-CHASE_SOURCE = """\
-.kernel chase
-.ctas 2
-.ctasize 48
-.in trips 96
-.in link 96
-.in vals 96
-.out out 96
-    ld r1, trips[tid]
-    mov r3, tid
-    movi r6, 1
-LOOP: setp.ge r8, r4, r1
-    bra r8, DONE
-    ld r3, link[r3]
-    ld r9, vals[r3]
-    iadd r5, r5, r9
-    iadd r4, r4, r6
-    bra LOOP
-DONE: bar
-    st out[tid], r5
-    exit
-"""
-
-
-def _chase():
-    program = parse_kernel(CHASE_SOURCE)
-    rng = random.Random("chase")
-    inputs = {
-        "trips": [rng.randrange(6) for _ in range(96)],
-        "link": [rng.randrange(96) for _ in range(96)],
-        "vals": [rng.getrandbits(32) for _ in range(96)],
-    }
-    return program, inputs
-
-
 def test_warp_local_campaign_equals_full_runs_on_sampled_loop_sites():
-    program, inputs = _chase()
+    program, inputs = chase_kernel()
     sites = sample_sites(enumerate_fault_space(program, inputs), 0.01, seed=7)
     campaign = run_campaign(program, inputs, sites)
     assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
@@ -418,7 +385,7 @@ def test_warp_local_campaign_equals_full_runs_on_sampled_loop_sites():
 def test_fused_runs_equal_single_step_on_sampled_loop_sites():
     """Full and warp-filtered faulted runs of the loop kernel equal the
     single-step reference, over masked, sdc, crashed and hung outcomes."""
-    program, inputs = _chase()
+    program, inputs = chase_kernel()
     golden = golden_run(program, inputs)
     budget = default_budget(golden)
     sites = sample_sites(enumerate_fault_space(program, inputs, golden=golden), 0.004, seed=5)
@@ -436,8 +403,248 @@ def test_fused_runs_equal_single_step_on_sampled_loop_sites():
 
 
 def test_fault_free_replicas_sharing_a_run_equal_every_replica_on_loop_sites():
-    program, inputs = _chase()
+    program, inputs = chase_kernel()
     golden = golden_run(program, inputs)
     sites = sample_sites(enumerate_fault_space(program, inputs, golden=golden), 0.001, seed=7)
     primaries = _primaries_after_checking_replica_reuse(program, inputs, sites, golden)
     assert primaries == {"completed", "crashed", "hung"}
+
+
+def test_campaign_refuses_a_repeated_site(add_one):
+    program, inputs = add_one
+    site = FaultSite(3, 3, 0)
+    with pytest.raises(ValidationError, match="repeats a site"):
+        run_campaign(program, inputs, [site, site])
+
+
+# ---------------------------------------------------------------------------
+# differential gate: campaigns resumed from golden checkpoints against the
+# from-launch campaign
+
+
+def _assert_equals_from_launch(program, inputs, sites, **kwargs):
+    campaign = run_campaign(program, inputs, sites, **kwargs)
+    reference = from_launch_campaign(program, inputs, sites, **kwargs)
+    assert campaign.per_site == reference.per_site
+    assert list(campaign.per_site) == list(reference.per_site)
+    assert campaign.per_thread_counts == reference.per_thread_counts
+    return campaign
+
+
+def test_resumed_campaign_equals_from_launch_on_every_site(add_one):
+    """So do ``dead_write``, ``address_probe`` and ``two_group`` (the
+    full-run tests above) and ``phase_probe``, barrier and shared
+    locations included."""
+    program, inputs = add_one
+    _assert_equals_from_launch(program, inputs, enumerate_fault_space(program, inputs))
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["default-budget", "tight-budget"])
+def test_resumed_campaign_equals_from_launch_on_sampled_loop_sites(tight):
+    """With the budget at the golden peak iCnt, diverged warps pass it and
+    issue single steps, so forks happen at single-stepped issues too."""
+    program, inputs = chase_kernel()
+    golden = golden_run(program, inputs)
+    budget = golden.max_icnt() if tight else None
+    sites = sample_sites(enumerate_fault_space(program, inputs, golden=golden), 0.01, seed=7)
+    campaign = _assert_equals_from_launch(program, inputs, sites, golden=golden, budget=budget)
+    kinds = {o.detail or o.kind for o in campaign.per_site.values()}
+    assert {"crashed", "hung", "sdc", "masked"} <= kinds
+
+
+def test_resumed_campaign_equals_from_launch_on_user_supplied_sites():
+    program, inputs = chase_kernel()
+    golden = golden_run(program, inputs)
+    thread = max(range(96), key=lambda t: len(golden.register_writes[t]))
+    writes = golden.register_writes[thread]
+    icnt = golden.per_thread_icnt[thread]
+    store = icnt - 1  # the st before exit
+    assert store not in writes and icnt > writes[-1]
+    sites = [
+        *(FaultSite(thread, 1, bit) for bit in (0, 31)),
+        *(FaultSite(thread, writes[-1], bit) for bit in (0, 7, 31)),
+        FaultSite(thread, store, 3),
+        FaultSite(thread, icnt + 5, 3),
+        FaultSite(96, 1, 0),
+    ]
+    campaign = _assert_equals_from_launch(program, inputs, sites, golden=golden)
+    not_executed = [s for s, o in campaign.per_site.items() if o.detail == "not-executed"]
+    assert not_executed == sites[-3:]
+
+
+# One kernel per kind of read the dead-write rule must see.  Each flips
+# every bit of one register write whose value is read, if at all, in a
+# later issue than its own.
+_DEAD_WRITE_HEADER = """\
+.kernel reads
+.ctas 1
+.ctasize 32
+.in in 32
+.out out 32
+"""
+_READ_CASES = {
+    "bra-predicate": ("""\
+    ld r1, in[tid]
+    movi r2, 0
+    setp.ne r3, r1, r2
+    st out[tid], r1
+    bra r3, SKIP
+    st out[tid], r2
+SKIP: exit
+""", 5, 3, {"masked", "sdc"}, 32),
+    "st-address": ("""\
+    ld r1, in[tid]
+    mov r4, tid
+    st out[r4], r1
+    exit
+""", 5, 2, {"sdc", "crashed"}, 32),
+    "st-value": ("""\
+    ld r1, in[tid]
+    mov r4, r1
+    st out[tid], r4
+    exit
+""", 5, 2, {"sdc"}, 32),
+    "ld-address": ("""\
+    mov r4, tid
+    ld r5, in[r4]
+    st out[tid], r5
+    exit
+""", 5, 1, {"sdc", "crashed"}, 32),
+    "read-and-rewrite": ("""\
+    ld r1, in[tid]
+    movi r5, 3
+    st out[tid], r1
+    iadd r5, r5, r1
+    st out[tid], r5
+    exit
+""", 5, 2, {"sdc"}, 32),
+    "never-read-before-exit": ("""\
+    ld r1, in[tid]
+    movi r7, 9
+    st out[tid], r1
+    exit
+""", 5, 2, {"masked"}, 0),
+}
+_DIVERGENT_SOURCE = """\
+    ld r1, in[tid]
+    movi r7, 5
+    movi r9, 3
+    setp.eq r3, tid, r9
+    bra r3, THREE
+    st out[tid], r1
+    exit
+THREE: iadd r8, r7, r1
+    st out[tid], r8
+    exit
+"""
+# r7 is read only in the block that thread 3 alone runs.
+_READ_CASES["divergent-path-read"] = (_DIVERGENT_SOURCE, 3, 2, {"sdc"}, 32)
+_READ_CASES["divergent-path-unread"] = (_DIVERGENT_SOURCE, 4, 2, {"masked"}, 0)
+
+
+def _counted_forks(monkeypatch) -> list:
+    forks = []
+    fork = WarpRun.fork
+
+    def counted(self, *args, **kwargs):
+        forks.append(args)
+        return fork(self, *args, **kwargs)
+
+    monkeypatch.setattr(WarpRun, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("case", sorted(_READ_CASES))
+def test_dead_write_rule_on_hand_kernels(monkeypatch, case):
+    """A write read only by the named access runs and is scored as the
+    from-launch campaign scores it; a write never read is masked without
+    a run."""
+    body, thread, dyn, kinds, runs = _READ_CASES[case]
+    program = parse_kernel(_DEAD_WRITE_HEADER + body)
+    inputs = {"in": [100 + 3 * t for t in range(32)]}
+    sites = [FaultSite(thread, dyn, bit) for bit in range(32)]
+    forks = _counted_forks(monkeypatch)
+    campaign = _assert_equals_from_launch(program, inputs, sites)
+    assert {o.detail or o.kind for o in campaign.per_site.values()} == kinds
+    assert len(forks) == runs
+    assert all(written is not None for _, written in forks)  # forked at the read
+
+
+# Warp 0 (threads 0-31) waits at the bar, then stores out[0]; warp 1
+# (thread 32) stores out[0] before its bar.  Warp 0's store lands last only
+# because it carries the later barrier phase.
+FORK_AFTER_BAR_SOURCE = """\
+.kernel fork_after_bar
+.ctas 1
+.ctasize 33
+.in late 33
+.out out 2
+    ld r1, late[tid]
+    movi r5, 5
+    movi r2, 0
+    setp.ne r3, r1, r2
+    bra r3, LATE
+    st out[r2], r1
+    bar
+    exit
+LATE: bar
+    setp.ne r7, r5, r2
+    bra r7, STORE
+    exit
+STORE: st out[r2], r1
+    exit
+"""
+
+
+def test_fork_after_a_barrier_release_keeps_the_phase(monkeypatch):
+    """Every flip of thread 0's ``movi r5, 5`` keeps r5 nonzero, so it is
+    masked; its first read follows the bar, so each run forks after the
+    release and its store must carry phase 1 to land after warp 1's."""
+    program = parse_kernel(FORK_AFTER_BAR_SOURCE)
+    inputs = {"late": [1] * 32 + [0]}
+    sites = [FaultSite(0, 2, bit) for bit in range(32)]
+    forks = _counted_forks(monkeypatch)
+    campaign = _assert_equals_from_launch(program, inputs, sites)
+    assert set(campaign.per_site.values()) == {Outcome("masked")}
+    assert len(forks) == 32 and all(written == 5 for _, written in forks)
+
+
+# The two paths differ in length by more than what follows JOIN's block,
+# so at the golden peak iCnt the warp's issue count makes that block run
+# in single steps.
+STEPPED_BLOCK_SOURCE = """\
+.kernel stepped_block
+.ctas 1
+.ctasize 32
+.in in 32
+.out out 32
+    ld r1, in[tid]
+    movi r2, 16
+    setp.lt r3, tid, r2
+    bra r3, LOW
+    movi r4, 0
+    movi r4, 0
+    movi r4, 0
+    movi r4, 0
+    bra JOIN
+LOW: movi r4, 0
+    movi r4, 0
+    movi r4, 0
+    movi r4, 0
+JOIN: movi r6, 0
+    mov r5, tid
+    ld r7, in[r5]
+    st out[tid], r7
+    exit
+"""
+
+
+def test_site_in_a_block_the_budget_splits_into_single_steps():
+    """``mov r5`` (dynamic instruction 10 of thread 3) issues alone, one
+    step after its block starts; r5 is read by the next block's load."""
+    program = parse_kernel(STEPPED_BLOCK_SOURCE)
+    inputs = {"in": [100 + 3 * t for t in range(32)]}
+    golden = golden_run(program, inputs)
+    sites = [FaultSite(3, 10, bit) for bit in range(32)]
+    campaign = _assert_equals_from_launch(program, inputs, sites, budget=golden.max_icnt())
+    assert {o.detail or o.kind for o in campaign.per_site.values()} == {"sdc", "crashed"}

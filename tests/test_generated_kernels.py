@@ -19,7 +19,7 @@ from warpshield.interp import execute
 from warpshield.ir import parse_kernel
 from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
 
-from support import run_protected_every_replica, single_step_execute
+from support import from_launch_campaign, run_protected_every_replica, single_step_execute
 
 DATA = (1, 2, 3, 4, 5, 6)  # registers arithmetic may write
 SMALL = 10  # holds small[tid], in [0, 4): loop trips and address offsets
@@ -149,7 +149,8 @@ def _sample_sites(golden, seed):
 def test_isolated_warps_replay_into_the_full_run(kernel, seed):
     """An all-ones protection plan gives the outputs of execute, fault-free
     and at every sampled site whose full run completes, and warp-local
-    injection classifies every sampled site as the full run does."""
+    injection classifies every sampled site as the full run and the
+    from-launch campaign do."""
     program, inputs = kernel
     golden = golden_run(program, inputs)
     budget = default_budget(golden)
@@ -158,6 +159,12 @@ def test_isolated_warps_replay_into_the_full_run(kernel, seed):
 
     sites = _sample_sites(golden, seed)
     campaign = run_campaign(program, inputs, sites, golden=golden)
+    assert campaign.per_site == from_launch_campaign(program, inputs, sites, golden=golden).per_site
+    # At the golden peak iCnt the budget cuts diverged warps' runs into single steps.
+    tight = dict(golden=golden, budget=golden.max_icnt())
+    assert run_campaign(program, inputs, sites, **tight).per_site == (
+        from_launch_campaign(program, inputs, sites, **tight).per_site
+    )
     for site in sites:
         full = execute(program, inputs, fault=site, budget=budget)
         assert campaign.per_site[site] == classify_outcome(golden, full), site

@@ -26,7 +26,15 @@ from warpshield.profiling import (
     to_fraction,
 )
 
-from support import add_one_inputs, add_one_kernel, two_group_kernel
+import warpshield.faults
+from support import (
+    add_one_inputs,
+    add_one_kernel,
+    chase_kernel,
+    dead_write_kernel,
+    profile_per_campaign,
+    two_group_kernel,
+)
 
 
 def test_straight_line_kernel_is_one_group():
@@ -319,3 +327,37 @@ def test_bad_rows_built_directly_are_refused_with_the_kernel_profile(changes, me
     kernel, threads = _rows(**changes)
     with pytest.raises(ValidationError, match=message):
         KernelProfile(kernel, threads)
+
+
+@pytest.mark.parametrize(
+    "kernel, mode, fraction",
+    [
+        (two_group_kernel, "pruned", 1.0),
+        (two_group_kernel, "exhaustive", 0.15),
+        (dead_write_kernel, "pruned", 1.0),
+        (dead_write_kernel, "exhaustive", 1.0),
+        (chase_kernel, "pruned", 0.1),
+        (chase_kernel, "exhaustive", 0.02),
+    ],
+)
+def test_one_campaign_per_warp_equals_a_campaign_per_group_or_thread(monkeypatch, kernel, mode, fraction):
+    """profile_kernel samples each injected thread as before and runs one
+    campaign per warp that hosts injected threads; profile.csv is the same
+    as with one campaign per iCnt group (pruned) or per thread (exhaustive)."""
+    program, inputs = kernel()
+    reference = profile_per_campaign(program, inputs, mode, fraction, 4, warpshield.faults.run_campaign)
+    calls = []
+    run_campaign = warpshield.faults.run_campaign
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return run_campaign(*args, **kwargs)
+
+    monkeypatch.setattr(warpshield.faults, "run_campaign", counted)
+    profile = profile_kernel(program, inputs, mode, fraction, seed=4)
+    assert profile_to_csv_text(profile) == profile_to_csv_text(reference)
+    injected = {t.thread_id for t in profile.threads if t.provenance == "measured"}
+    hosts = [w for w in program.warps() if injected & set(w.members)]
+    assert len(calls) == len(hosts)
+    for sites, w in zip(calls, hosts):
+        assert {s.thread_id for s in sites} <= set(w.members)
