@@ -188,6 +188,7 @@ def cmd_profile(args) -> int:
     _write_json(
         out / "profile_meta.json",
         {
+            "campaign": profile.runs.to_json(),
             "config": _config_dict(args, "profile"),
             "kernel": program.name,
             "geometry": list(program.geometry),

@@ -6,20 +6,27 @@ site per bit of every dynamic instruction that wrote a destination register,
 so user-supplied lists are the only way a site can reference something that
 never executes (those classify as masked with detail ``not-executed``).
 
-Campaigns inject warp-locally.  A flipped bit in thread *t* can change only
-what *t*'s warp does: threads read input buffers and never each other's
-output, a barrier delays a warp without changing its own store stream, and
-the injected budget covers every fault-free thread, so no other warp can
-crash, hang or store anything new.  Each site therefore re-runs only the
-faulted warp.  Its store stream, tagged with barrier phases, is replayed
-with :func:`~warpshield.interp.replay_stores` together with the golden
-stores of the other warps to every location it touches, which puts every
-store to those locations in the order the full faulted run issues them,
-even when the fault moves a store across a barrier.  Locations the warp does
-not touch keep their golden values, so comparing the touched ones
-classifies the site exactly, without a full-kernel run.
+Campaigns inject thread-locally.  A flipped bit in thread *t* can change
+only what *t* does: threads read input buffers and never each other's
+output, a barrier delays a thread without changing its own store stream,
+and the injected budget covers every fault-free thread, so no other thread
+can crash, hang or store anything new.  Each site therefore re-runs only
+the faulted thread, as a one-thread copy of its warp.  Its stores, tagged
+with barrier phases, are replayed with
+:func:`~warpshield.interp.replay_stores` together with the golden stores of
+every other thread to every location it touches, which puts every store to
+those locations in the order the full faulted run issues them, even when
+the fault moves a store across a barrier.  Locations the thread does not
+touch keep their golden values, so comparing the touched ones classifies
+the site exactly, without a full-kernel run.
 
-Nor does a site re-run its warp from launch.  Until the faulted thread
+Phases order the thread's stores against every other store but one kind:
+a warp-mate's store to the same location in the same phase, which only
+lock-step orders (lanes issue in lane order).  A site whose thread, golden
+or faulted, shares a location and a phase with a warp-mate's golden store
+re-runs its whole warp instead, whose stream the replay orders exactly.
+
+Nor does a site re-run its thread from launch.  Until the faulted thread
 first reads the flipped register, the faulted run equals the golden run but
 for that register.  So one fault-free :class:`~warpshield.interp.WarpRun`
 of each warp that hosts sites serves as a golden checkpoint: as it advances
@@ -27,7 +34,8 @@ issue by issue, each site's run forks from it at the issue that first reads
 the flipped value, and a site whose value is overwritten before any read,
 or never read before its thread exits, is masked with no run at all (the
 exact form of def-use pruning: Hari et al., Relyzer, ASPLOS 2012; Nie et
-al., MICRO 2018).
+al., MICRO 2018, whose thread-wise pruning injects one thread at a time
+too).
 """
 
 from __future__ import annotations
@@ -35,8 +43,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import CampaignRefused, ValidationError
 from .interp import (
@@ -86,10 +96,34 @@ class Outcome:
 
 
 @dataclass
+class RunCounts:
+    """How many sites a campaign decided with no run, by a run of the
+    faulted thread alone, and by a run of its whole warp."""
+
+    without_run: int = 0
+    lone_thread: int = 0
+    full_warp: int = 0
+
+    def __iadd__(self, other: "RunCounts") -> "RunCounts":
+        self.without_run += other.without_run
+        self.lone_thread += other.lone_thread
+        self.full_warp += other.full_warp
+        return self
+
+    def to_json(self) -> dict:
+        return {
+            "sites_without_run": self.without_run,
+            "sites_by_lone_thread": self.lone_thread,
+            "sites_by_full_warp": self.full_warp,
+        }
+
+
+@dataclass
 class CampaignResult:
     per_site: dict[FaultSite, Outcome]
     per_thread_counts: dict[int, tuple[int, int, int]]  # tid -> (masked, sdc, other)
     seed: int | None = None
+    runs: RunCounts = field(default_factory=RunCounts)
 
     def counts(self, thread_id: int) -> tuple[int, int, int]:
         return self.per_thread_counts.get(thread_id, (0, 0, 0))
@@ -201,8 +235,8 @@ def run_campaign(
     golden: ExecutionResult | None = None,
     seed: int | None = None,
 ) -> CampaignResult:
-    """Classify every site against the golden run, re-running only its warp
-    from the golden state before the fault's effect first matters.
+    """Classify every site against the golden run, re-running only its
+    thread from the golden state before the fault's effect first matters.
 
     One fault-free :class:`~warpshield.interp.WarpRun` of each warp that
     hosts sites advances issue by issue.  A site enters at the issue whose
@@ -214,9 +248,9 @@ def run_campaign(
       not executed, without a run;
     - a site whose register is overwritten before it is read, or never read
       before the lane exits, is masked without a run;
-    - otherwise the run forks at the issue that first reads it: at the
-      fault's own issue, armed with the fault, when its block reads the
-      value, or at a later issue with the bit already flipped.
+    - otherwise a one-thread copy forks at the issue that first reads it:
+      at the fault's own issue, armed with the fault, when its block reads
+      the value, or at a later issue with the bit already flipped.
 
     A read is a source register, the address register of an ``ld`` or
     ``st``, the value register of an ``st`` or the predicate of a ``bra``;
@@ -226,11 +260,17 @@ def run_campaign(
     branch, an address, a store, a crash or an iCnt.
 
     A forked run that crashes or hangs is ``other``.  Otherwise the
-    locations the warp stores to, in the golden or the faulted run, are
-    decided by replaying the faulted stream together with the golden
-    stores of every other warp to those locations, in full-run order (a
-    location no replayed store writes is 0).  Any difference from the golden
-    output is ``sdc``, none is ``masked``.
+    locations the thread stores to, in the golden or the faulted run, are
+    decided by replaying, in full-run order, the faulted run's stores, the
+    thread's golden stores before the fork (from one fault-free run of the
+    thread alone, made when first needed) and every other thread's golden
+    stores to those locations (a location no replayed store writes is 0).
+    Any difference from the golden output is ``sdc``, none is ``masked``.
+    When a store of the thread, golden or faulted, shares a location and a
+    barrier phase with a warp-mate's golden store, only lock-step orders
+    the two: that site re-runs its whole warp from the same fork and
+    replays the warp's stream instead.  The result's ``runs`` counts the
+    sites decided with no run, by a one-thread run and by a warp run.
 
     The sites of one warp share its fault-free pass, so they are classified
     in the pass's order; each outcome depends on its site alone, so the
@@ -258,11 +298,13 @@ def run_campaign(
             by_warp.setdefault(_warp_key(program, site.thread_id), []).append(site)
         else:
             per_site[site] = _NOT_EXECUTED
+    runs = RunCounts()
     for key, warp_sites in by_warp.items():
         cursor = WarpRun(program, words, key, budget)
-        own = {(buf, addr) for buf, addr, _, _ in golden.store_streams.get(key, ())}
-        for site, run in _warp_forks(cursor, warp_sites, per_site):
-            per_site[site] = _warp_outcome(golden, run, key, own, writers)
+        scorer = _WarpScorer(golden, cursor, {site.thread_id for site in warp_sites}, writers)
+        for site, written in _warp_forks(cursor, warp_sites, per_site):
+            per_site[site] = scorer.outcome(site, written, runs)
+    runs.without_run = len(sites) - runs.lone_thread - runs.full_warp
     tallies: dict[int, list[int]] = {}
     for site, outcome in per_site.items():
         tally = tallies.setdefault(site.thread_id, [0, 0, 0])
@@ -271,6 +313,7 @@ def run_campaign(
         per_site=per_site,
         per_thread_counts={t: tuple(v) for t, v in sorted(tallies.items())},
         seed=seed,
+        runs=runs,
     )
 
 
@@ -280,9 +323,11 @@ _SDC = Outcome(SDC)
 
 
 def _warp_forks(cursor: WarpRun, sites: list[FaultSite], outcomes: dict):
-    """Yield ``(site, finished faulted run)`` for each site of the cursor's
-    warp whose flipped value is read, in the order the fault-free cursor
-    reaches the forks; put every other site's outcome in ``outcomes``.
+    """Yield ``(site, written)`` for each site of the cursor's warp whose
+    flipped value is read, with the cursor at the boundary its run forks
+    from (``written`` as :meth:`~warpshield.interp.WarpRun.fork` takes it),
+    in the order the fault-free cursor reaches the forks; put every other
+    site's outcome in ``outcomes``.
 
     Sites of one thread and dynamic instruction differ only in the bit, so
     they share every decision but their run.
@@ -352,8 +397,7 @@ def _warp_forks(cursor: WarpRun, sites: list[FaultSite], outcomes: dict):
                 watched[li] = kept
             elif not dyns:
                 interest &= ~(1 << li)
-        for site, written in forks:
-            yield site, cursor.fork(site, written).finish()
+        yield from forks
         cursor.advance()
     for li, dyns in todo.items():  # past the end of the thread's path
         for dyn in dyns:
@@ -385,19 +429,110 @@ def _warp_key(program: KernelProgram, thread_id: int) -> tuple[int, int]:
     return (cta, program.launch_order(cta).index(thread_id) // WARP_SIZE)
 
 
-def _warp_outcome(golden: ExecutionResult, run: WarpRun, key, own, writers) -> Outcome:
-    """Outcome of a faulted run of warp ``key`` against the golden run;
-    ``own`` is the set of locations the warp's golden stream stores to.
+class _GoldenThread(NamedTuple):
+    """One thread's golden stores, as its sites are scored against them."""
 
-    Only the touched locations are replayed: the faulted stream and, in
-    stream order, the other warps' golden stores to those locations, which
-    is all :func:`~warpshield.interp.replay_stores` needs to order them as
-    the full faulted run would.
+    stores: list[tuple[tuple, int]]  # (record, the thread's iCnt after it)
+    locations: set[tuple[str, int]]  # where the thread stores
+    mates_at: dict[tuple[str, int], list[tuple]]  # warp-mates' records, per location
+    mate_triples: set[tuple[str, int, int]]  # warp-mates' (buffer, index, phase)
+    collides: bool  # the thread stores to one of mate_triples
+
+
+class _WarpScorer:
+    """Scores the forked sites of one warp, each from a run of its thread
+    alone where that is exact, else from a run of the whole warp.
+
+    Each thread's golden stores, tagged with its iCnt at each, come from
+    one fault-free run of that thread alone, made the first time one of its
+    sites needs them.  A warp-mate's golden store to a location in a phase
+    the thread also stores to, in the golden or the faulted run, is a
+    collision: only lock-step orders the two, so such a site re-runs the
+    whole warp.
     """
-    if run.termination != COMPLETED:
-        return classify_outcome(golden, run)
-    stream = run.stream
-    touched = own.union((buf, addr) for buf, addr, _, _ in stream)
+
+    def __init__(self, golden: ExecutionResult, cursor: WarpRun, threads, writers):
+        self.golden = golden
+        self.cursor = cursor
+        self.key = cursor.warp.key
+        self.writers = writers
+        self.stream = golden.store_streams.get(self.key, ())
+        self.launched = {t: cursor.lone(t) for t in threads}  # fault-free, at launch
+        self.threads: dict[int, _GoldenThread] = {}
+
+    def thread(self, t: int) -> _GoldenThread:
+        info = self.threads.get(t)
+        if info is None:
+            run = self.launched.pop(t)
+            icnt = run.icnt
+            stores = []
+            while run.next_issue() is not None:
+                run.advance()
+                if len(run.stream) > len(stores):  # an st issues alone
+                    stores.append((run.stream[-1], icnt[t]))
+            own = Counter((buf, addr, phase) for (buf, addr, _, phase), _ in stores)
+            everyone = Counter((buf, addr, phase) for buf, addr, _, phase in self.stream)
+            mate_triples = {triple for triple, n in everyone.items() if n > own[triple]}
+            mates_at: dict[tuple[str, int], list[tuple]] = {}
+            for record in self.stream:
+                if (record[0], record[1], record[3]) not in own:
+                    mates_at.setdefault((record[0], record[1]), []).append(record)
+            info = self.threads[t] = _GoldenThread(
+                stores,
+                {(buf, addr) for (buf, addr, _, _), _ in stores},
+                mates_at,
+                mate_triples,
+                not mate_triples.isdisjoint(own),
+            )
+        return info
+
+    def outcome(self, site: FaultSite, written: int | None, runs: RunCounts) -> Outcome:
+        """Outcome of ``site``, whose run forks from the cursor as it is now.
+
+        A completed run of the thread alone is scored by replaying, at the
+        locations the thread stores to in the golden or the faulted run,
+        the other warps' golden stores, the warp-mates' golden stores, the
+        thread's golden stores before the fork and the faulted run's
+        stores.  With no collision, a warp-mate's store and the thread's
+        never share a location and a phase, so phases order them.
+        """
+        cursor, golden = self.cursor, self.golden
+        lone = cursor.fork(site, written).finish()
+        if lone.termination != COMPLETED:
+            runs.lone_thread += 1
+            return classify_outcome(golden, lone)
+        info = self.thread(site.thread_id)
+        faulted = lone.stream
+        mate_triples = info.mate_triples
+        if info.collides or any((buf, addr, phase) in mate_triples for buf, addr, _, phase in faulted):
+            runs.full_warp += 1
+            run = cursor.fork_warp(site, written).finish()
+            if run.termination != COMPLETED:  # as the lone run: never
+                return classify_outcome(golden, run)
+            touched = {(buf, addr) for buf, addr, _, _ in (*self.stream, *run.stream)}
+            return _replayed_outcome(golden, self.key, run.stream, touched, self.writers)
+        runs.lone_thread += 1
+        touched = info.locations.union((buf, addr) for buf, addr, _, _ in faulted)
+        forked_at = cursor.icnt[site.thread_id]
+        mates_at = info.mates_at
+        # Records at different locations never meet, so only each
+        # location's own order matters.
+        stream = [record for loc in touched if loc in mates_at for record in mates_at[loc]]
+        stream += (record for record, icnt in info.stores if icnt <= forked_at)
+        stream += faulted
+        return _replayed_outcome(golden, self.key, stream, touched, self.writers)
+
+
+def _replayed_outcome(golden: ExecutionResult, key, stream, touched, writers) -> Outcome:
+    """Outcome of a completed faulted run whose warp ``key`` stores
+    ``stream`` to the locations of ``touched``, every other location keeping
+    its golden value.
+
+    Only the touched locations are replayed: ``stream`` and, in stream
+    order, the other warps' golden stores to those locations, which is all
+    :func:`~warpshield.interp.replay_stores` needs to order them as the full
+    faulted run would.
+    """
     streams = {}
     for buf, addr in touched:
         for warp in writers[buf][addr]:

@@ -45,20 +45,23 @@ crash with the same iCnts, register writes and outputs as single steps
 would.  An issue falls back to a single step when the warp's issue count
 plus the run length would pass the budget (a lane's iCnt never exceeds its
 warp's issue count).  When the faulted thread is active and its faulted
-dynamic instruction lies inside the run, that lane alone steps through the
-run, loads and branch included, its branch joining the taken mask, and the
-other lanes run it fused.  A single step evaluates each instruction from
-the same table, so opcode semantics are written once.
+dynamic instruction lies inside the run, the issue runs the run's hooked
+form, compiled once per run on first use, which flips the faulted lane's
+bit where that instruction writes it: no ld address is written inside a
+run, so the flip moves no load of the run.  A single step evaluates each
+instruction from the same table, so opcode semantics are written once.
 
 Snapshot and resume: :class:`WarpRun` runs one warp as a warp-filtered
 :func:`execute` does, but holds it between issues.  It names the coming
 issue (pc, block end, lane mask), makes it, or forks a copy at that
-boundary: the warp's registers, iCnts, fragments, waiting fragments,
-barrier phase, issue count, cycles and store stream so far.  A fork is armed
-with a fault, or gets a bit flipped in a register directly, and runs to its
-end.  ``execute`` and every ``WarpRun`` issue through one ``issue`` closure
-built by ``_issuer``; a ``WarpRun`` keys its state by the warp's own
-threads and keeps no output buffers, so it costs O(warp) memory.
+boundary: of one thread (its registers, iCnt and fragment or barrier wait,
+with the warp's barrier phase and issue count), or of the whole warp (its
+registers, iCnts, fragments, waiting fragments, barrier phase, issue count,
+cycles and store stream so far).  A fork is armed with a fault, or gets a
+bit flipped in a register directly, and runs to its end.  ``execute`` and
+every ``WarpRun`` issue through one ``issue`` closure built by
+``_issuer``; a ``WarpRun`` keys its state by its own threads and keeps no
+output buffers, so it costs O(warp) memory.
 """
 
 from __future__ import annotations
@@ -212,6 +215,16 @@ class _WarpCtx:
         twin.issued, twin.cycles, twin.phase = self.issued, self.cycles, self.phase
         return twin
 
+    def lone(self, lane: int) -> "_WarpCtx":
+        """A copy that holds lane ``lane`` alone, as lane 0: its fragment or
+        barrier wait, the warp's issue count and barrier phase, no cycles."""
+        bit = 1 << lane
+        twin = _WarpCtx(self.key, (self.members[lane],))
+        twin.frags = [[pc, 1] for pc, mask in self.frags if mask & bit]
+        twin.waiting = [[pc, 1] for pc, mask in self.waiting if mask & bit]
+        twin.issued, twin.phase = self.issued, self.phase
+        return twin
+
 
 class _State:
     """What issues change besides each warp's own context: registers and
@@ -294,17 +307,24 @@ def _generate(source: str, name: str):
 
 
 def _compile_run(
-    instructions: tuple[Instruction, ...], start: int, end: int, buffers: tuple[str, ...]
+    instructions: tuple[Instruction, ...],
+    start: int,
+    end: int,
+    buffers: tuple[str, ...],
+    hooked: bool = False,
 ):
-    """One function ``f(regs, members, lanes, run, icnt, writes, bufs)`` for
-    the block ``instructions[start:end]``.
+    """One function ``f(regs, members, lanes, icnt, writes, bufs)`` for the
+    block ``instructions[start:end]``; ``hooked`` adds the fault hook's
+    parameters ``lane, at, mask``.
 
     If some lane of ``lanes`` would load out of bounds it returns -1 and
-    changes nothing.  Otherwise it applies the block to each lane of ``run``
-    in turn, counts it, and returns the lanes of ``run`` that take the
-    closing conditional ``bra`` (0 when there is none).  No ld address is
-    written inside the block before its ld, so every address is a register
-    value at block entry and the check can come first.
+    changes nothing.  Otherwise it applies the block to each lane in turn,
+    counts it, and returns the lanes that take the closing conditional
+    ``bra`` (0 when there is none).  No ld address is written inside the
+    block before its ld, so every address is a register value at block
+    entry and the check can come first.  Hooked, it inverts ``mask`` in
+    the value instruction ``at`` writes on lane ``lane``, where the
+    instruction writes it.
 
     Register operands become locals ``x<reg>``, and the input buffer
     ``buffers[k]`` is ``bufs[k]``.  Only validated integers (register
@@ -320,7 +340,8 @@ def _compile_run(
             reads.append(reg)
         return f"x{reg}"
 
-    for ins in instructions[start:end]:
+    for pc in range(start, end):
+        ins = instructions[pc]
         if ins.opcode == "bra":  # only ever the last instruction
             if ins.srcs:
                 taken = read(ins.srcs[0])
@@ -337,11 +358,13 @@ def _compile_run(
             a, b = (*(read(reg) for reg in ins.srcs), None, None)[:2]
             value = _VALUE[ins.opcode].format(a=a, b=b, imm=ins.imm, cmp=_SETP_CMP.get(ins.cond))
         body.append(f"x{ins.dest} = {value}")
+        if hooked:
+            body.append(f"if hook == {pc}: x{ins.dest} ^= mask")
         if ins.dest not in written:
             written.append(ins.dest)
         writing += 1
     length = end - start
-    lines = ["def f(regs, members, lanes, run, icnt, writes, bufs):"]
+    lines = [f"def f(regs, members, lanes, icnt, writes, bufs{', lane, at, mask' if hooked else ''}):"]
     for k in used:
         lines += [f"    b{k} = bufs[{k}]", f"    s{k} = len(b{k})"]
     if checks:
@@ -353,9 +376,10 @@ def _compile_run(
         ]
     lines += [
         "    taken = 0",
-        "    for li in run:",
+        "    for li in lanes:",
         "        t = members[li]",
         "        r = regs[t]",
+        *(["        hook = at if li == lane else -1"] if hooked else []),
         *(f"        x{reg} = r[{reg}]" for reg in reads),
         *(f"        {line}" for line in body),
         *(f"        r[{reg}] = x{reg}" for reg in written),
@@ -367,7 +391,7 @@ def _compile_run(
     if taken is not None:
         lines += [f"        if {taken} != 0:", "            taken |= 1 << li"]
     lines.append("    return taken")
-    return _generate("\n".join(lines) + "\n", f"<run {start}:{end}>")
+    return _generate("\n".join(lines) + "\n", f"<{'hooked ' if hooked else ''}run {start}:{end}>")
 
 
 @lru_cache(maxsize=None)  # one per opcode and setp condition
@@ -392,8 +416,9 @@ class _Runs:
     """The fused runs of one program: ``end[pc]`` is the end of the run
     holding pc (``pc`` itself when pc is in none), ``fused[pc]`` the compiled
     form of the run starting at pc, ``buffers`` the input buffers its loads
-    read, in the order the compiled runs take them, and the prefix sums of
-    op cycles per cost table, made on first use.
+    read, in the order the compiled runs take them, and, made on first use,
+    the prefix sums of op cycles per cost table and ``hooked[pc]``, the run
+    starting at pc compiled with the fault hook (:meth:`hooked_run`).
 
     A run is a basic block: a maximal straight line of register-writing
     instructions (``ld`` included) that no branch enters except at its first
@@ -407,7 +432,7 @@ class _Runs:
     then so would the rest of the run after it.
     """
 
-    __slots__ = ("buffers", "end", "fused", "instructions", "prefixes")
+    __slots__ = ("buffers", "end", "fused", "hooked", "instructions", "prefixes")
 
     def __init__(self, instructions: tuple[Instruction, ...]):
         self.instructions = instructions
@@ -437,6 +462,19 @@ class _Runs:
             end[start:pc] = [pc] * (pc - start)
             self.fused[start] = _compile_run(instructions, start, pc, self.buffers)
         self.prefixes: dict[tuple[int, ...], list[int]] = {}
+        self.hooked: dict[int, object] = {}
+
+    def hooked_run(self, start: int):
+        """The run starting at ``start`` compiled with the fault hook, for
+        an issue that runs the faulted instruction.  One per run, whichever
+        instruction of it is faulted: a form per fault position would cost
+        a compile for nearly every site of a sampled campaign."""
+        f = self.hooked.get(start)
+        if f is None:
+            f = self.hooked[start] = _compile_run(
+                self.instructions, start, self.end[start], self.buffers, hooked=True
+            )
+        return f
 
     def prefix(self, op_cycles: dict[str, int]) -> list[int]:
         key = tuple(op_cycles[op] for op in _DEFAULT_OP_CYCLES)
@@ -767,15 +805,21 @@ def _issuer(
         # its warp's minimum, so it is picked next.
         end = run_end[pc]
         if end > pc and wp.issued + end - pc <= budget:
-            run = lanes
-            stepped = (
-                wp is f_warp
-                and mask & f_bit
-                and icnt[f_thread] < f_dyn <= icnt[f_thread] + end - pc
-            )
-            if stepped:  # lanes are independent: the faulted lane steps alone
-                run = [li for li in lanes if li != f_lane]
-            taken = fused[pc](regs, wp.members, lanes, run, icnt, writes, load_bufs)
+            faulted = -1  # the faulted instruction, when this issue runs it
+            if wp is f_warp and mask & f_bit:
+                at = pc + f_dyn - icnt[f_thread] - 1
+                if pc <= at < end and instructions[at].dest is not None:
+                    faulted = at
+            if faulted < 0:
+                taken = fused[pc](regs, wp.members, lanes, icnt, writes, load_bufs)
+            else:
+                # No ld address is written inside a run, so the flip moves
+                # no load of the run and the bounds check still comes first.
+                taken = runs.hooked_run(pc)(
+                    regs, wp.members, lanes, icnt, writes, load_bufs, f_lane, faulted, f_mask
+                )
+                if taken >= 0:
+                    state.fault_applied = True
             if taken < 0:
                 # A lane would load out of bounds, and nothing has changed:
                 # single steps, instruction-major, reach that crash as the
@@ -785,9 +829,6 @@ def _issuer(
                     wp.cycles += prefix[s + 1] - prefix[s]
                     taken = step(wp, s, lanes)
             else:
-                if stepped:
-                    for s in range(pc, end):
-                        taken |= step(wp, s, (f_lane,))
                 wp.issued += end - pc
                 wp.cycles += prefix[end] - prefix[pc]
         else:
@@ -836,13 +877,14 @@ class WarpRun:
     it, held between issues so that it can be copied and resumed.
 
     A new ``WarpRun`` is the fault-free warp at launch.  :meth:`next_issue`
-    names the coming issue, :meth:`advance` makes it, :meth:`fork` copies the
-    run at that boundary (armed with a fault, or with its bit already
-    flipped) and :meth:`finish` runs a copy to its end.  A copy holds the
-    warp's registers, iCnts, fragments, barrier phase, issue count, cycles
-    and store stream so far, all keyed by the warp's own threads; output
-    buffers are not kept, so a resumed run allocates O(warp) memory whatever
-    the kernel's thread count.  Every issue goes through the same
+    names the coming issue, :meth:`advance` makes it, :meth:`fork` copies
+    one thread of the run at that boundary and :meth:`fork_warp` the whole
+    warp (armed with a fault, or with its bit already flipped), and
+    :meth:`finish` runs a copy to its end.  A one-thread copy runs its
+    thread as the warp would, and its store stream holds that thread's
+    stores from the fork on.  State is keyed by the run's own threads and
+    output buffers are not kept, so a resumed run allocates O(warp) memory
+    whatever the kernel's thread count.  Every issue goes through the same
     :func:`_issuer` as :func:`execute`.
     """
 
@@ -887,7 +929,8 @@ class WarpRun:
 
     @property
     def stream(self) -> list[tuple[str, int, int, int]]:
-        """The warp's stores so far, as ``execute`` records them."""
+        """The run's stores so far, as ``execute`` records them; a
+        one-thread copy's since it was forked."""
         return self._state.streams.get(self.warp.key, [])
 
     def next_issue(self) -> tuple[int, int, int] | None:
@@ -916,40 +959,75 @@ class WarpRun:
         self._issue(self.warp)
 
     def fork(self, fault: "FaultSite", written: int | None = None) -> "WarpRun":
-        """A copy of this run at the boundary before the coming issue.
+        """A one-thread copy of this run at the boundary before the coming
+        issue: the faulted thread's registers, iCnt and fragment or barrier
+        wait, with the warp's barrier phase and issue count.
 
         The copy is armed with ``fault``, whose dynamic instruction has not
         issued yet.  With ``written``, that instruction has issued and wrote
         register ``written``, which nothing has read since: the copy gets
         the fault's bit flipped in that register instead, as the faulted
         run would have it now.
+
+        The thread runs alone as it would in its warp: its path, registers,
+        crash, hang and stores depend on it alone, and each store's phase
+        counts its own barrier waits, since a release happens only when
+        every live thread waits.  The issue count stays the warp's, which is
+        never below the thread's iCnt, so a fragment the budget left inside
+        a run keeps single-stepping.  What the copy cannot tell is the order
+        of its stores against a warp-mate's store to the same location in
+        the same phase; :meth:`fork_warp` copies the whole warp for that.
         """
-        state = self._state
+        return self._copy(fault.thread_id, fault, written)
+
+    def fork_warp(self, fault: "FaultSite", written: int | None = None) -> "WarpRun":
+        """As :meth:`fork`, but a copy of the whole warp: its registers,
+        iCnts, fragments, waiting fragments, barrier phase, issue count,
+        cycles and store stream so far."""
+        return self._copy(None, fault, written)
+
+    def lone(self, thread: int) -> "WarpRun":
+        """A fault-free one-thread copy of this run, as :meth:`fork` makes."""
+        return self._copy(thread, None, None)
+
+    def _copy(self, thread: int | None, fault: "FaultSite | None", written: int | None) -> "WarpRun":
+        wp, state = self.warp, self._state
         twin = object.__new__(WarpRun)
-        twin.warp = self.warp.copy()
+        if thread is None:
+            twin.warp = wp.copy()
+            threads = wp.members
+            streams = {key: stream[:] for key, stream in state.streams.items()}
+            stores = dict(state.stores)
+        else:
+            twin.warp = wp.lone(wp.members.index(thread))
+            threads = twin.warp.members
+            streams, stores = {}, {}
         twin.termination = COMPLETED
         twin._state = _State(
-            icnt=dict(state.icnt),
-            regs={t: r[:] for t, r in state.regs.items()},
+            icnt={t: state.icnt[t] for t in threads},
+            regs={t: state.regs[t][:] for t in threads},
             writes=None,
             outputs=state.outputs,
-            streams={key: stream[:] for key, stream in state.streams.items()},
-            stores=dict(state.stores),
+            streams=streams,
+            stores=stores,
         )
         twin._state.fault_applied = state.fault_applied
         twin._runs, twin._prefix, twin._inputs, twin._budget = (
             self._runs, self._prefix, self._inputs, self._budget
         )
-        if written is None:
-            twin._issue = _issuer(
-                twin._runs, twin._prefix, twin._inputs, twin._budget, twin._state, fault, twin.warp
-            )
-        else:
+        if written is not None:
             twin._state.regs[fault.thread_id][written] ^= 1 << fault.bit
             twin._state.fault_applied = True
-            twin._issue = _issuer(
-                twin._runs, twin._prefix, twin._inputs, twin._budget, twin._state, None, None
-            )
+            fault = None
+        twin._issue = _issuer(
+            twin._runs,
+            twin._prefix,
+            twin._inputs,
+            twin._budget,
+            twin._state,
+            fault,
+            twin.warp if fault is not None else None,
+        )
         return twin
 
     def finish(self) -> "WarpRun":

@@ -32,6 +32,7 @@ from .errors import ArtifactError, ValidationError
 from .ir import DEFAULT_BUDGET, KernelProgram
 
 if TYPE_CHECKING:
+    from .faults import RunCounts
     from .interp import ExecutionResult
 
 TAU_DEFAULT = Fraction(1, 20)  # reliable iff sdc fraction <= 5%
@@ -130,6 +131,8 @@ class KernelProfile:
     threads: tuple[ThreadProfile, ...]
     # Downstream classification default; not persisted, excluded from equality.
     tau: Fraction = field(default=TAU_DEFAULT, compare=False)
+    # How profile_kernel's campaigns decided their sites; None when loaded.
+    runs: RunCounts | None = field(default=None, compare=False)
 
     def __post_init__(self):
         # Thousands of threads share a handful of outcome rows, and the rows
@@ -214,11 +217,12 @@ def profile_kernel(
     Each injected thread's sites are sampled on their own, salted by its
     group (pruned) or thread id (exhaustive), and one campaign per warp
     classifies the sites of all its injected threads, sharing the warp's
-    fault-free pass.
+    fault-free pass.  The profile's ``runs`` adds up how the campaigns
+    decided their sites.
     """
     if mode not in ("pruned", "exhaustive"):
         raise ValidationError(f"unknown profiling mode {mode!r}")
-    from .faults import FaultSpace, default_budget, golden_run, run_campaign, sample_sites
+    from .faults import FaultSpace, RunCounts, default_budget, golden_run, run_campaign, sample_sites
 
     golden = golden_run(program, inputs, budget)
     groups = group_by_icnt(golden)
@@ -234,6 +238,7 @@ def profile_kernel(
     else:
         salts = {t: t for t in range(program.total_threads)}
     counts: dict[int, tuple[int, int, int]] = {}
+    runs = RunCounts()
     for w in program.warps():
         injected = [t for t in w.members if t in salts]
         if not injected:
@@ -245,6 +250,7 @@ def profile_kernel(
         ]
         campaign = run_campaign(program, inputs, sites, budget=run_budget, golden=golden)
         counts.update((t, campaign.counts(t)) for t in injected)
+        runs += campaign.runs
 
     fractions: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
     provenance: dict[int, str] = {}
@@ -273,7 +279,7 @@ def profile_kernel(
         )
         for t in range(program.total_threads)
     )
-    return KernelProfile(kernel=program.name, threads=threads, tau=tau)
+    return KernelProfile(kernel=program.name, threads=threads, tau=tau, runs=runs)
 
 
 def hash_seed(seed: int, salt) -> int:

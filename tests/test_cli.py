@@ -11,9 +11,10 @@ import warpshield
 from warpshield.cli import main
 from warpshield.fixtures import generate_fixture
 from warpshield.interp import CostTable
-from warpshield.profiling import load_profile, save_profile
+from warpshield.ir import parse_kernel
+from warpshield.profiling import load_profile, profile_kernel, save_profile
 
-from support import ADD_ONE_SOURCE
+from support import ADD_ONE_SOURCE, add_one_inputs
 
 
 def test_exhaustive_profile_writes_a_profile_that_loads(tmp_path):
@@ -26,6 +27,20 @@ def test_exhaustive_profile_writes_a_profile_that_loads(tmp_path):
     for t in profile.threads:
         groups.setdefault(t.group_id, set()).add((t.masked_pct, t.sdc_pct, t.other_pct))
     assert any(len(fractions) > 1 for fractions in groups.values())
+
+
+def test_profile_meta_records_how_the_campaigns_decided_their_sites(tmp_path):
+    kernel, inputs = tmp_path / "add_one.wir", tmp_path / "inputs.json"
+    kernel.write_text(ADD_ONE_SOURCE)
+    program = parse_kernel(ADD_ONE_SOURCE)
+    inputs.write_text(json.dumps(add_one_inputs(program)))
+    argv = ["profile", "--kernel", str(kernel), "--inputs", str(inputs), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "out" / "profile_meta.json").read_text())
+    runs = profile_kernel(program, add_one_inputs(program)).runs
+    assert meta["campaign"] == runs.to_json()
+    # One iCnt group: the 96 sites of its representative, each read by the store.
+    assert meta["campaign"] == {"sites_without_run": 0, "sites_by_lone_thread": 96, "sites_by_full_warp": 0}
 
 
 def test_corrupt_plan_exits_3(tmp_path, capsys):

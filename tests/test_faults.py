@@ -5,6 +5,7 @@ from warpshield.faults import (
     FaultSite,
     FaultSpace,
     Outcome,
+    RunCounts,
     classify_outcome,
     default_budget,
     enumerate_fault_space,
@@ -13,8 +14,9 @@ from warpshield.faults import (
     sample_sites,
 )
 from warpshield.fixtures import generate_fixture
-from warpshield.interp import WarpRun, execute
-from warpshield.ir import parse_kernel
+from warpshield.interp import WarpRun, execute, word_inputs
+from warpshield.ir import DEFAULT_BUDGET, parse_kernel
+from warpshield.profiling import profile_kernel
 from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
 
 from support import (
@@ -207,9 +209,10 @@ def test_classify_outcome_rules(add_one):
 # differential oracle: warp-local campaigns against whole-kernel re-execution
 
 
-def _full_run_outcomes(program, inputs, sites):
+def _full_run_outcomes(program, inputs, sites, budget=None):
     golden = golden_run(program, inputs)
-    budget = default_budget(golden)
+    if budget is None:
+        budget = default_budget(golden)
     return {
         site: classify_outcome(golden, execute(program, inputs, fault=site, budget=budget))
         for site in sites
@@ -296,6 +299,10 @@ def test_warp_local_campaign_equals_full_runs_with_barrier_and_shared_locations(
     assert campaign.per_site == {site: outcome for site, (outcome, _) in full.items()}
     kinds = {o.detail or o.kind for o in campaign.per_site.values()}
     assert kinds == {"masked", "sdc", "crashed"}
+    # Faults in dst move stores onto warp-mates' locations in their phase.
+    runs = campaign.runs
+    assert runs.without_run + runs.lone_thread + runs.full_warp == len(full)
+    assert runs.full_warp > 0 and runs.lone_thread > runs.full_warp
 
 
 def test_unprotected_replay_equals_execute_on_phase_probe(phase_probe):
@@ -436,7 +443,9 @@ def test_resumed_campaign_equals_from_launch_on_every_site(add_one):
     full-run tests above) and ``phase_probe``, barrier and shared
     locations included."""
     program, inputs = add_one
-    _assert_equals_from_launch(program, inputs, enumerate_fault_space(program, inputs))
+    sites = enumerate_fault_space(program, inputs)
+    campaign = _assert_equals_from_launch(program, inputs, sites)
+    assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
 
 
 @pytest.mark.parametrize("tight", [False, True], ids=["default-budget", "tight-budget"])
@@ -448,8 +457,11 @@ def test_resumed_campaign_equals_from_launch_on_sampled_loop_sites(tight):
     budget = golden.max_icnt() if tight else None
     sites = sample_sites(enumerate_fault_space(program, inputs, golden=golden), 0.01, seed=7)
     campaign = _assert_equals_from_launch(program, inputs, sites, golden=golden, budget=budget)
+    assert campaign.per_site == _full_run_outcomes(program, inputs, sites, budget)
     kinds = {o.detail or o.kind for o in campaign.per_site.values()}
     assert {"crashed", "hung", "sdc", "masked"} <= kinds
+    # Each thread stores only to out[tid]: no site needs its whole warp.
+    assert campaign.runs.full_warp == 0 and campaign.runs.lone_thread > 0
 
 
 def test_resumed_campaign_equals_from_launch_on_user_supplied_sites():
@@ -648,3 +660,93 @@ def test_site_in_a_block_the_budget_splits_into_single_steps():
     sites = [FaultSite(3, 10, bit) for bit in range(32)]
     campaign = _assert_equals_from_launch(program, inputs, sites, budget=golden.max_icnt())
     assert {o.detail or o.kind for o in campaign.per_site.values()} == {"sdc", "crashed"}
+
+
+# ---------------------------------------------------------------------------
+# one-thread runs: a site re-runs its thread alone unless one of its stores
+# shares a location and a phase with a warp-mate's
+
+
+COLLIDE_SOURCE = """\
+.kernel collide
+.ctas 1
+.ctasize 32
+.in dst 32
+.in val 32
+.out out 64
+    ld r1, dst[tid]
+    ld r2, val[tid]
+    st out[r1], r2
+    exit
+"""
+# Flipping bit 5 of thread 0's dst (33) moves its store of 0 onto out[1],
+# where lane 1 stores 7 in the same issue, after lane 0: the site is masked
+# only because of that order.
+COLLIDING_SITE = FaultSite(0, 1, 5)
+
+
+def test_store_colliding_with_a_warp_mate_reruns_the_whole_warp():
+    program = parse_kernel(COLLIDE_SOURCE)
+    inputs = {"dst": [33, *range(1, 32)], "val": [0] + [7] * 31}
+    sites = enumerate_fault_space(program, inputs)
+    campaign = _assert_equals_from_launch(program, inputs, sites)
+    assert campaign.per_site == _full_run_outcomes(program, inputs, sites)
+    assert campaign.per_site[COLLIDING_SITE] == Outcome("masked")
+    assert {o.detail or o.kind for o in campaign.per_site.values()} == {"masked", "sdc", "crashed"}
+    assert run_campaign(program, inputs, [COLLIDING_SITE]).runs == RunCounts(0, 0, 1)
+
+
+@pytest.mark.parametrize("name", ["chase", "jmeint_k1"])
+def test_sampled_profiles_of_kernels_storing_to_their_own_slot_need_no_warp_run(name):
+    if name == "chase":
+        program, inputs = chase_kernel()
+    else:
+        fixture = generate_fixture(name)
+        program, inputs = fixture.program, fixture.inputs
+    runs = profile_kernel(program, inputs, "pruned", 0.005, seed=0).runs
+    assert runs.full_warp == 0 and runs.lone_thread > 0
+
+
+# Odd lanes branch to LATE, even lanes wait at the first bar meanwhile; r5,
+# written at dynamic instruction 2, is read by even lanes after the bar.
+WAIT_FORK_SOURCE = """\
+.kernel wait_fork
+.ctas 1
+.ctasize 32
+.in late 32
+.out out 32
+    ld r1, late[tid]
+    movi r5, 5
+    movi r2, 0
+    setp.ne r3, r1, r2
+    bra r3, LATE
+    bar
+    iadd r6, r5, r1
+    st out[tid], r6
+    exit
+LATE: iadd r4, r1, r1
+    bar
+    st out[tid], r4
+    exit
+"""
+LATE_PC = 9
+
+
+def test_lone_copy_of_a_thread_waiting_at_a_bar():
+    """A one-thread copy made while its thread waits at a bar keeps the
+    wait and the warp's phase: it resumes at the release and stores what
+    the thread stores in the faulted run of its warp."""
+    program = parse_kernel(WAIT_FORK_SOURCE)
+    inputs = {"late": [t % 2 for t in range(32)]}
+    cursor = WarpRun(program, word_inputs(program, inputs), (0, 0), DEFAULT_BUDGET)
+    while cursor.next_issue()[0] != LATE_PC:
+        cursor.advance()
+    site = FaultSite(2, 2, 4)
+    full = execute(program, inputs, fault=site, warp_filter=(0, 0), record_stores=True)
+    lone = cursor.fork(site, written=5)
+    assert lone.warp.members == (2,) and lone.warp.waiting and not lone.warp.frags
+    lone.finish()
+    assert lone.stream == [record for record in full.store_streams[(0, 0)] if record[1] == 2]
+    assert lone.stream == [("out", 2, 5 ^ 16, 1)]
+    assert lone.icnt == {2: full.per_thread_icnt[2]}
+    assert cursor.fork_warp(site, written=5).finish().stream == list(full.store_streams[(0, 0)])

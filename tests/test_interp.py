@@ -6,7 +6,7 @@ import pytest
 from warpshield.errors import ValidationError
 from warpshield.faults import FaultSite, default_budget
 from warpshield.fixtures import fixture_names, generate_fixture
-from warpshield.interp import CostTable, execute, seeded_inputs, word_inputs
+from warpshield.interp import CostTable, _runs_of, execute, seeded_inputs, word_inputs
 from warpshield.ir import parse_kernel
 
 from support import add_one_inputs, add_one_kernel, address_probe_kernel, single_step_execute
@@ -465,3 +465,26 @@ def test_budget_runs_out_inside_a_block_that_ends_in_a_branch():
             if result.termination == "hung":
                 hung_at.add(budget)
     assert set(range(5, 10)) <= hung_at  # inside pcs 4-8
+
+
+# jmeint_k1's longest block, pcs 295-369: 75 register writes, no branch.
+# Thread 1 enters it at iCnt 17, so dynamic instructions 18, 55 and 92 are
+# its first, a middle and its last instruction.
+LONG_BLOCK = (295, 370)
+LONG_BLOCK_ENTRY = 17
+
+
+@pytest.mark.parametrize("dyn", [18, 55, 92], ids=["first", "middle", "last"])
+def test_faulted_long_block_runs_in_its_hooked_form(dyn):
+    """A faulted lane runs its block in the block's compiled hooked form,
+    its bit flipped where the faulted instruction writes it, and equals the
+    single-step reference."""
+    fixture = generate_fixture("jmeint_k1")
+    program, inputs = fixture.program, word_inputs(fixture.program, fixture.inputs)
+    start, end = LONG_BLOCK
+    runs = _runs_of(program.instructions)
+    assert runs.end[start] == end and start not in runs.hooked
+    for bit in (0, 31):
+        result = _same_recorded(program, inputs, fault=FaultSite(1, dyn, bit), warp_filter=(0, 0))
+        assert result.fault_applied
+    assert start in runs.hooked

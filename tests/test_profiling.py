@@ -361,3 +361,5 @@ def test_one_campaign_per_warp_equals_a_campaign_per_group_or_thread(monkeypatch
     assert len(calls) == len(hosts)
     for sites, w in zip(calls, hosts):
         assert {s.thread_id for s in sites} <= set(w.members)
+    runs = profile.runs
+    assert runs.without_run + runs.lone_thread + runs.full_warp == sum(map(len, calls))
