@@ -98,16 +98,21 @@ class Outcome:
 @dataclass
 class RunCounts:
     """How many sites a campaign decided with no run, by a run of the
-    faulted thread alone, and by a run of its whole warp."""
+    faulted thread alone, and by a run of its whole warp; and how many of
+    its ``other`` sites crashed and how many hung."""
 
     without_run: int = 0
     lone_thread: int = 0
     full_warp: int = 0
+    crashed: int = 0
+    hung: int = 0
 
     def __iadd__(self, other: "RunCounts") -> "RunCounts":
         self.without_run += other.without_run
         self.lone_thread += other.lone_thread
         self.full_warp += other.full_warp
+        self.crashed += other.crashed
+        self.hung += other.hung
         return self
 
     def to_json(self) -> dict:
@@ -115,6 +120,8 @@ class RunCounts:
             "sites_without_run": self.without_run,
             "sites_by_lone_thread": self.lone_thread,
             "sites_by_full_warp": self.full_warp,
+            "sites_crashed": self.crashed,
+            "sites_hung": self.hung,
         }
 
 
@@ -292,12 +299,14 @@ def run_campaign(
         raise ValidationError("site list repeats a site")
     words = word_inputs(program, inputs)
     writers = _location_writers(program, golden.store_streams)
+    warp_of = _warps_of(program, {s.thread_id for s in sites if s.thread_id < program.total_threads})
     by_warp: dict[tuple[int, int], list[FaultSite]] = {}
     for site in sites:
-        if site.thread_id < program.total_threads:
-            by_warp.setdefault(_warp_key(program, site.thread_id), []).append(site)
-        else:
+        key = warp_of.get(site.thread_id)
+        if key is None:  # a thread never launched
             per_site[site] = _NOT_EXECUTED
+        else:
+            by_warp.setdefault(key, []).append(site)
     runs = RunCounts()
     for key, warp_sites in by_warp.items():
         cursor = WarpRun(program, words, key, budget)
@@ -309,6 +318,10 @@ def run_campaign(
     for site, outcome in per_site.items():
         tally = tallies.setdefault(site.thread_id, [0, 0, 0])
         tally[_OUTCOME_KINDS.index(outcome.kind)] += 1
+        if outcome.detail == "crashed":
+            runs.crashed += 1
+        elif outcome.detail == "hung":
+            runs.hung += 1
     return CampaignResult(
         per_site=per_site,
         per_thread_counts={t: tuple(v) for t, v in sorted(tallies.items())},
@@ -424,9 +437,18 @@ def _location_writers(program: KernelProgram, streams) -> dict[str, list[tuple]]
     return writers
 
 
-def _warp_key(program: KernelProgram, thread_id: int) -> tuple[int, int]:
-    cta = program.cta_of(thread_id)
-    return (cta, program.launch_order(cta).index(thread_id) // WARP_SIZE)
+def _warps_of(program: KernelProgram, threads) -> dict[int, tuple[int, int]]:
+    """``{thread: (cta, warp)}`` for ``threads``, building each CTA's launch
+    order once and searching it once per thread, not once per site."""
+    orders: dict[int, tuple[int, ...]] = {}
+    warp_of = {}
+    for t in threads:
+        cta = program.cta_of(t)
+        order = orders.get(cta)
+        if order is None:
+            order = orders[cta] = program.launch_order(cta)
+        warp_of[t] = (cta, order.index(t) // WARP_SIZE)
+    return warp_of
 
 
 class _GoldenThread(NamedTuple):
@@ -463,13 +485,8 @@ class _WarpScorer:
     def thread(self, t: int) -> _GoldenThread:
         info = self.threads.get(t)
         if info is None:
-            run = self.launched.pop(t)
-            icnt = run.icnt
-            stores = []
-            while run.next_issue() is not None:
-                run.advance()
-                if len(run.stream) > len(stores):  # an st issues alone
-                    stores.append((run.stream[-1], icnt[t]))
+            run = self.launched.pop(t).finish()
+            stores = list(zip(run.stream, run.store_icnts))
             own = Counter((buf, addr, phase) for (buf, addr, _, phase), _ in stores)
             everyone = Counter((buf, addr, phase) for buf, addr, _, phase in self.stream)
             mate_triples = {triple for triple, n in everyone.items() if n > own[triple]}

@@ -62,6 +62,17 @@ bit flipped in a register directly, and runs to its end.  ``execute`` and
 every ``WarpRun`` issue through one ``issue`` closure built by
 ``_issuer``; a ``WarpRun`` keys its state by its own threads and keeps no
 output buffers, so it costs O(warp) memory.
+
+Lone form: a one-thread copy finishes in the program's ``lone`` form, one
+generated function (:mod:`warpshield.lone`) that keeps the thread's
+registers in locals and runs its whole control-flow graph in one ``while``
+loop, a block per turn, built from the same opcode table.  It decides
+nothing itself: wherever the thread might crash or hang, and wherever it
+stands inside a block, it hands its state back to ``issue``, which holds
+the one definition of both.  Alone, a thread hangs exactly when it is
+about to issue an instruction other than ``exit`` with its iCnt at the
+budget, and the warp's issue count decides nothing for it, so switching
+between the two forms anywhere changes nothing.
 """
 
 from __future__ import annotations
@@ -229,18 +240,20 @@ class _WarpCtx:
 class _State:
     """What issues change besides each warp's own context: registers and
     iCnts keyed by thread id, recorded register writes, output buffers,
-    store streams and store counts keyed by warp, and whether the fault has
-    been applied."""
+    store streams and store counts keyed by warp, for a run of one thread
+    the thread's iCnt after each store (``marks``, else None), and whether
+    the fault has been applied."""
 
-    __slots__ = ("icnt", "regs", "writes", "outputs", "streams", "stores", "fault_applied")
+    __slots__ = ("icnt", "regs", "writes", "outputs", "streams", "stores", "marks", "fault_applied")
 
-    def __init__(self, icnt, regs, writes, outputs, streams, stores):
+    def __init__(self, icnt, regs, writes, outputs, streams, stores, marks=None):
         self.icnt = icnt
         self.regs = regs
         self.writes = writes
         self.outputs = outputs
         self.streams = streams
         self.stores = stores
+        self.marks = marks
         self.fault_applied = False
 
 
@@ -430,9 +443,21 @@ class _Runs:
     A fused issue always starts at the first instruction of a run: a single
     step inside a run happens only when the run would pass the budget, and
     then so would the rest of the run after it.
+
+    ``lone``, made on first use by :meth:`lone_run`, is the whole program
+    compiled to run one thread alone: registers in locals, a ``while``
+    loop that dispatches on the pc of each block start and of each
+    instruction in no block, block bodies from the same expression
+    tables, iCnt counted per block, ``st`` appended to the stream, ``bar``
+    counted as a release (the thread is the only one live), ``exit``
+    returning.  It hands the thread back, unchanged since its last block,
+    when a block would take its iCnt past the budget, when a ``st``,
+    ``bar`` or ``bra`` would issue at the budget, when a load or store
+    would be out of bounds, and when its pc lies inside a block; ``issue``
+    then decides the crash or the hang as it does for any warp.
     """
 
-    __slots__ = ("buffers", "end", "fused", "hooked", "instructions", "prefixes")
+    __slots__ = ("buffers", "end", "fused", "hooked", "instructions", "lone", "prefixes")
 
     def __init__(self, instructions: tuple[Instruction, ...]):
         self.instructions = instructions
@@ -463,6 +488,7 @@ class _Runs:
             self.fused[start] = _compile_run(instructions, start, pc, self.buffers)
         self.prefixes: dict[tuple[int, ...], list[int]] = {}
         self.hooked: dict[int, object] = {}
+        self.lone = None
 
     def hooked_run(self, start: int):
         """The run starting at ``start`` compiled with the fault hook, for
@@ -475,6 +501,17 @@ class _Runs:
                 self.instructions, start, self.end[start], self.buffers, hooked=True
             )
         return f
+
+    def lone_run(self):
+        """``(f, stored)``: the program compiled to run one thread alone
+        (:func:`~warpshield.lone.compile_lone`) and the output buffers it
+        stores to, in the order ``f`` takes them.  Compiled on first use,
+        so a command that never finishes a one-thread copy never pays."""
+        if self.lone is None:
+            from .lone import compile_lone
+
+            self.lone = compile_lone(self.instructions, self.end, self.buffers)
+        return self.lone
 
     def prefix(self, op_cycles: dict[str, int]) -> list[int]:
         key = tuple(op_cycles[op] for op in _DEFAULT_OP_CYCLES)
@@ -701,7 +738,7 @@ def _issuer(
     run_end = runs.end
     fused = runs.fused
     load_bufs = [in_bufs[name] for name in runs.buffers]
-    icnt, regs, writes = state.icnt, state.regs, state.writes
+    icnt, regs, writes, marks = state.icnt, state.regs, state.writes, state.marks
     out_bufs, streams, per_warp_stores = state.outputs, state.streams, state.stores
     if fault is not None:
         f_thread, f_dyn, f_mask = fault.thread_id, fault.dyn_instr, 1 << fault.bit
@@ -766,6 +803,8 @@ def _issuer(
                 buf[addr] = v
                 if stream is not None:
                     stream.append((ins.buffer, addr, v, phase))
+                if marks is not None:
+                    marks.append(icnt[t])
         else:  # bra, bar, exit
             for li in lanes:
                 icnt[members[li]] += 1
@@ -881,14 +920,16 @@ class WarpRun:
     one thread of the run at that boundary and :meth:`fork_warp` the whole
     warp (armed with a fault, or with its bit already flipped), and
     :meth:`finish` runs a copy to its end.  A one-thread copy runs its
-    thread as the warp would, and its store stream holds that thread's
-    stores from the fork on.  State is keyed by the run's own threads and
+    thread as the warp would, in the program's lone form, and its store
+    stream holds that thread's stores from the fork on.  State is keyed by the run's own threads and
     output buffers are not kept, so a resumed run allocates O(warp) memory
     whatever the kernel's thread count.  Every issue goes through the same
     :func:`_issuer` as :func:`execute`.
     """
 
-    __slots__ = ("warp", "termination", "_state", "_runs", "_prefix", "_inputs", "_budget", "_issue")
+    __slots__ = (
+        "warp", "termination", "_state", "_runs", "_prefix", "_inputs", "_budget", "_issue", "_armed"
+    )
 
     def __init__(self, program: KernelProgram, inputs: WordInputs, key: tuple[int, int], budget: int):
         if budget < 1:
@@ -917,6 +958,7 @@ class WarpRun:
         self._inputs = inputs
         self._budget = budget
         self._issue = _issuer(self._runs, self._prefix, inputs, budget, self._state, None, None)
+        self._armed = False
 
     @property
     def instructions(self) -> tuple[Instruction, ...]:
@@ -932,6 +974,12 @@ class WarpRun:
         """The run's stores so far, as ``execute`` records them; a
         one-thread copy's since it was forked."""
         return self._state.streams.get(self.warp.key, [])
+
+    @property
+    def store_icnts(self) -> list[int] | None:
+        """A one-thread copy's iCnt after each store of :attr:`stream`;
+        None for a run of the whole warp."""
+        return self._state.marks
 
     def next_issue(self) -> tuple[int, int, int] | None:
         """``(pc, end, mask)`` of the coming issue: it runs instructions
@@ -1001,7 +1049,7 @@ class WarpRun:
         else:
             twin.warp = wp.lone(wp.members.index(thread))
             threads = twin.warp.members
-            streams, stores = {}, {}
+            streams, stores = {twin.warp.key: []}, {}
         twin.termination = COMPLETED
         twin._state = _State(
             icnt={t: state.icnt[t] for t in threads},
@@ -1010,6 +1058,7 @@ class WarpRun:
             outputs=state.outputs,
             streams=streams,
             stores=stores,
+            marks=[] if thread is not None else None,
         )
         twin._state.fault_applied = state.fault_applied
         twin._runs, twin._prefix, twin._inputs, twin._budget = (
@@ -1019,6 +1068,7 @@ class WarpRun:
             twin._state.regs[fault.thread_id][written] ^= 1 << fault.bit
             twin._state.fault_applied = True
             fault = None
+        twin._armed = fault is not None
         twin._issue = _issuer(
             twin._runs,
             twin._prefix,
@@ -1031,9 +1081,28 @@ class WarpRun:
         return twin
 
     def finish(self) -> "WarpRun":
-        """Run to the end: completion, a crash or a hang."""
+        """Run to the end: completion, a crash or a hang.
+
+        A one-thread copy first makes, through ``issue``, any issue still
+        due before its thread runs on its own: a pending barrier release,
+        and the issues up to and including an armed fault's (its hooked
+        block).  Then it runs the program's ``lone`` form (see
+        :class:`_Runs`), which hands back to ``issue`` for each instruction
+        the thread might crash or hang on, or that lies inside a block, and
+        resumes after it.  This is exact because a lone thread's crash,
+        hang, path and stores depend on its own iCnt alone, never on the
+        issue count, so fused and single-stepped issues give the same
+        result wherever the switch happens: it hangs exactly when it is
+        about to issue an instruction other than ``exit`` with its iCnt at
+        the budget.  A copy of the whole warp runs issue by issue.
+        """
         try:
-            _run_cta([self.warp], self._issue)
+            if self._state.marks is None:  # a run of the whole warp
+                _run_cta([self.warp], self._issue)
+            else:
+                from .lone import finish_alone
+
+                finish_alone(self)
         except _Abort as abort:
             self.termination = abort.kind
         return self

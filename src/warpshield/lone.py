@@ -1,0 +1,151 @@
+"""A thread run alone, compiled: the program's whole control-flow graph as
+one Python function with the thread's registers in locals, and the loop
+by which :meth:`warpshield.interp.WarpRun.finish` runs a one-thread copy
+through it.  It lives apart from :mod:`warpshield.interp` so that only a
+command that finishes such a copy loads it.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .interp import _OUT_OF_BOUNDS, _SETP_CMP, _VALUE, _generate, _release
+from .ir import Instruction
+
+if TYPE_CHECKING:
+    from .interp import WarpRun
+
+
+def finish_alone(run: "WarpRun") -> None:
+    """Finish the one-thread copy ``run`` as :meth:`WarpRun.finish` says:
+    the issues still due through ``issue``, then the lone form, and
+    ``issue`` again for each instruction it hands back.  A crash or a hang
+    raises from ``issue``."""
+    wp, state, issue, runs = run.warp, run._state, run._issue, run._runs
+    frags = wp.frags
+    (t,) = wp.members
+    regs, icnt, marks = state.regs[t], state.icnt, state.marks
+    stream = state.streams[wp.key]
+    lone, stored = runs.lone_run()
+    bufs = [run._inputs[name] for name in runs.buffers]
+    outs = tuple((name, len(state.outputs[name])) for name in stored)
+    while frags or _release((wp,)):  # a lone thread at a bar is released at once
+        if run._armed and not state.fault_applied:
+            issue(wp)  # the fault is due, by the hooked block or a single step
+            continue
+        n = icnt[t]
+        pc, icnt[t], wp.phase = lone(regs, n, wp.phase, frags[0][0], run._budget, stream, marks, bufs, outs)
+        wp.issued += icnt[t] - n
+        if pc < 0:  # exited
+            frags.clear()
+            return
+        frags[0][0] = pc
+        issue(wp)  # handed back: the thread may crash or hang here
+
+
+def compile_lone(instructions: tuple[Instruction, ...], end: list[int], buffers: tuple[str, ...]):
+    """One function ``f(r, n, phase, pc, budget, stream, marks, bufs, outs)``
+    that runs a thread alone from ``pc`` over the whole program, with
+    registers ``r``, iCnt ``n`` and barrier phase ``phase``, and returns
+    ``(pc, n, phase)``: pc -1 once the thread exits, else the pc where it
+    hands back, with ``r`` holding the registers there.
+
+    A ``while`` loop dispatches on the pc of each block start and each
+    instruction in no block (``end`` as in
+    :class:`~warpshield.interp._Runs`).  A block runs as in
+    :func:`~warpshield.interp._compile_run`, for one lane; ``st`` appends
+    ``(buffer, index, value, phase)`` to ``stream`` and the iCnt after it
+    to ``marks``; ``bar`` adds 1 to the phase, as a release does when
+    every live thread is this one; ``exit`` returns.
+    The thread hands back, having changed nothing of what it was about to
+    issue, when a block would take its iCnt past ``budget``, when a
+    ``st``, ``bar`` or ``bra`` would issue with iCnt at least ``budget``,
+    when a load or store address is out of bounds, and when pc lies
+    inside a block.  ``outs`` holds ``(name, size)`` of each output buffer
+    in the order the program first stores to them.
+
+    Register operands become locals ``x<reg>``; only validated integers
+    and the fixed strings above enter the source.
+    """
+    stored = tuple(dict.fromkeys(i.buffer for i in instructions if i.opcode == "st"))
+    used = sorted(
+        {reg for i in instructions for reg in (*i.srcs, i.dest, i.addr_reg) if reg is not None}
+    )
+    written = sorted({i.dest for i in instructions if i.dest is not None})
+
+    def jump(ins: Instruction, after: int) -> str:
+        if ins.opcode != "bra":
+            return f"pc = {after}"
+        if not ins.srcs:
+            return f"pc = {ins.target}"
+        return f"pc = {ins.target} if x{ins.srcs[0]} != 0 else {after}"
+
+    def case(pc: int) -> list[str]:
+        """The body of ``if pc == <pc>:``, ending in continue or break."""
+        ins = instructions[pc]
+        op = ins.opcode
+        if end[pc] > pc:  # a block
+            stop, checks, body = end[pc], [], []
+            for at in range(pc, stop):
+                ins = instructions[at]
+                if ins.opcode == "bra":  # only ever the last instruction
+                    break
+                if ins.opcode == "ld":
+                    k = buffers.index(ins.buffer)
+                    check = _OUT_OF_BOUNDS.format(a=f"x{ins.addr_reg}", size=f"s{k}")
+                    if check not in checks:
+                        checks.append(check)
+                    value = _VALUE["ld"].format(buf=f"b{k}", a=f"x{ins.addr_reg}")
+                else:
+                    a, b = (*(f"x{reg}" for reg in ins.srcs), None, None)[:2]
+                    value = _VALUE[ins.opcode].format(a=a, b=b, imm=ins.imm, cmp=_SETP_CMP.get(ins.cond))
+                body.append(f"x{ins.dest} = {value}")
+            return [
+                f"if n > budget - {stop - pc}: break",
+                *([f"if {' or '.join(checks)}: break"] if checks else []),
+                *body,
+                f"n += {stop - pc}",
+                jump(instructions[stop - 1], stop),
+                "continue",
+            ]
+        if op == "exit":
+            return ["n += 1", "pc = -1", "break"]
+        if op == "st":
+            k = stored.index(ins.buffer)
+            return [
+                f"if n >= budget or {_OUT_OF_BOUNDS.format(a=f'x{ins.addr_reg}', size=f'z{k}')}: break",
+                "n += 1",
+                f"stream.append((u{k}, x{ins.addr_reg}, x{ins.srcs[0]}, phase))",
+                "marks.append(n)",
+                f"pc = {pc + 1}",
+                "continue",
+            ]
+        lines = ["if n >= budget: break", "n += 1"]
+        if op == "bar":
+            return [*lines, "phase += 1", f"pc = {pc + 1}", "continue"]
+        return [*lines, jump(ins, pc + 1), "continue"]  # a bra of its own
+
+    def dispatch(keys: list[int], indent: str) -> list[str]:
+        if len(keys) > 4:  # bisect
+            half = len(keys) // 2
+            return [
+                f"{indent}if pc < {keys[half]}:",
+                *dispatch(keys[:half], indent + "    "),
+                *dispatch(keys[half:], indent),
+            ]
+        lines = []
+        for pc in keys:
+            lines.append(f"{indent}if pc == {pc}:")
+            lines += (f"{indent}    {line}" for line in case(pc))
+        return [*lines, f"{indent}break  # inside a block"]
+
+    # Every pc that starts a block or lies in none: no block runs across it.
+    keys = [pc for pc in range(len(instructions)) if pc == 0 or end[pc - 1] <= pc]
+    lines = ["def f(r, n, phase, pc, budget, stream, marks, bufs, outs):"]
+    lines += (f"    b{k} = bufs[{k}]; s{k} = len(b{k})" for k in range(len(buffers)))
+    lines += (f"    u{k}, z{k} = outs[{k}]" for k in range(len(stored)))
+    lines += (f"    x{reg} = r[{reg}]" for reg in used)
+    lines += ["    while True:", *dispatch(keys, "        ")]
+    lines += (f"    r[{reg}] = x{reg}" for reg in written)
+    lines.append("    return pc, n, phase")
+    return _generate("\n".join(lines) + "\n", "<lone>"), stored

@@ -6,6 +6,7 @@ import struct
 from collections import Counter
 from fractions import Fraction
 
+from warpshield import interp
 from warpshield.errors import ProtectionError, ValidationError
 from warpshield.faults import (
     MASKED,
@@ -357,6 +358,22 @@ def _warp_outcome(golden, run, key, writers):
     if all(replayed[buf][addr] == outputs[buf][addr] for buf, addr in touched):
         return Outcome(MASKED, None if run.fault_applied else "not-executed")
     return Outcome(SDC)
+
+
+def finish_issue_by_issue(run):
+    """Finish a ``WarpRun`` copy one ``issue`` at a time, as a copy of its
+    whole warp finishes, instead of through the lone form.  Returns the
+    run, the ``(pc, end)`` of its last issue and the message a crash or a
+    hang stopped it with (None when it completed)."""
+    last = error = None
+    try:
+        while (coming := run.next_issue()) is not None:
+            last = coming[:2]
+            run.advance()
+    except interp._Abort as abort:
+        run.termination = abort.kind
+        error = abort.message
+    return run, last, error
 
 
 def profile_per_campaign(program, inputs, mode, sample_fraction, seed, campaign):

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,14 @@ from warpshield.interp import CostTable
 from warpshield.ir import parse_kernel
 from warpshield.profiling import load_profile, profile_kernel, save_profile
 
-from support import ADD_ONE_SOURCE, add_one_inputs
+from support import (
+    ADD_ONE_SOURCE,
+    CHASE_SOURCE,
+    add_one_inputs,
+    chase_kernel,
+    from_launch_campaign,
+    profile_per_campaign,
+)
 
 
 def test_exhaustive_profile_writes_a_profile_that_loads(tmp_path):
@@ -40,7 +48,35 @@ def test_profile_meta_records_how_the_campaigns_decided_their_sites(tmp_path):
     runs = profile_kernel(program, add_one_inputs(program)).runs
     assert meta["campaign"] == runs.to_json()
     # One iCnt group: the 96 sites of its representative, each read by the store.
-    assert meta["campaign"] == {"sites_without_run": 0, "sites_by_lone_thread": 96, "sites_by_full_warp": 0}
+    assert meta["campaign"] == {
+        "sites_without_run": 0,
+        "sites_by_lone_thread": 96,
+        "sites_by_full_warp": 0,
+        "sites_crashed": 0,
+        "sites_hung": 0,
+    }
+
+
+def test_profile_meta_splits_other_into_crashed_and_hung(tmp_path):
+    """The counts equal those of the from-launch campaign, run once per
+    iCnt group on the same sampled sites."""
+    program, inputs = chase_kernel()
+    kernel, inputs_file = tmp_path / "chase.wir", tmp_path / "inputs.json"
+    kernel.write_text(CHASE_SOURCE)
+    inputs_file.write_text(json.dumps(inputs))
+    argv = ["profile", "--kernel", str(kernel), "--inputs", str(inputs_file), "--sample", "0.05"]
+    assert main([*argv, "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "profile_meta.json").read_text())
+    details = Counter()
+
+    def counted(*args, **kwargs):
+        campaign = from_launch_campaign(*args, **kwargs)
+        details.update(outcome.detail for outcome in campaign.per_site.values())
+        return campaign
+
+    profile_per_campaign(program, inputs, "pruned", 0.05, 0, counted)
+    assert meta["campaign"]["sites_crashed"] == details["crashed"] > 0
+    assert meta["campaign"]["sites_hung"] == details["hung"] > 0
 
 
 def test_corrupt_plan_exits_3(tmp_path, capsys):
@@ -244,11 +280,16 @@ COMMANDS = ["profile", "classify", "remap", "protect", "report", "sweep", "suite
 
 # Modules a command must not load: classify and remap never run the
 # interpreter, and a --kernel run never builds the fixture table.
+# Only profile finishes one-thread copies, so only it loads ``lone``.
 NOT_LOADED = {
-    "classify": {"interp", "faults", "fixtures", "protect", "costs"},
-    "remap": {"interp", "faults", "fixtures", "protect", "costs"},
-    "protect": {"fixtures"},
-    "report": {"fixtures"},
+    "emit": {"lone"},
+    "classify": {"interp", "faults", "fixtures", "protect", "costs", "lone"},
+    "remap": {"interp", "faults", "fixtures", "protect", "costs", "lone"},
+    "protect": {"fixtures", "lone"},
+    "report": {"fixtures", "lone"},
+    "sweep": {"lone"},
+    "suite": {"lone"},
+    "fixtures": {"lone"},
 }
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from warpshield.errors import CampaignRefused, ValidationError
@@ -25,6 +28,7 @@ from support import (
     address_probe_kernel,
     chase_kernel,
     dead_write_kernel,
+    finish_issue_by_issue,
     from_launch_campaign,
     run_protected_every_replica,
     single_step_execute,
@@ -566,6 +570,53 @@ def _counted_forks(monkeypatch) -> list:
     return forks
 
 
+def _counted_fork_issues(monkeypatch) -> list[int]:
+    """Per fork, the number of ``issue`` calls its copy makes."""
+    issues = []
+    fork = WarpRun.fork
+
+    def counted(self, *args, **kwargs):
+        twin = fork(self, *args, **kwargs)
+        issue, k = twin._issue, len(issues)
+        issues.append(0)
+
+        def counting(wp):
+            issues[k] += 1
+            issue(wp)
+
+        twin._issue = counting
+        return twin
+
+    monkeypatch.setattr(WarpRun, "fork", counted)
+    return issues
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _loop_barrier_seed_0():
+    spec = importlib.util.spec_from_file_location("loop_inputs", PERFBENCH / "loop_inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    program = parse_kernel((PERFBENCH / "loop_barrier.wir").read_text())
+    return program, module.loop_inputs(program, 0)
+
+
+# Bit 20 of a trip count (thread 5's first loop, thread 200's second) asks
+# for about a million iterations: the lone thread runs to the budget.
+@pytest.mark.parametrize("site", [FaultSite(5, 1, 20), FaultSite(200, 2, 20)], ids=str)
+def test_hung_loop_site_finishes_in_a_handful_of_issues(monkeypatch, site):
+    """The lone form runs the thread up to the block that would pass the
+    budget; ``issue`` only makes what is left of that block, where the
+    thread hangs.  Driven one block per issue, it took thousands."""
+    program, inputs = _loop_barrier_seed_0()
+    issues = _counted_fork_issues(monkeypatch)
+    campaign = run_campaign(program, inputs, [site])
+    assert campaign.per_site[site] == Outcome("other", "hung")
+    assert campaign.runs == RunCounts(without_run=0, lone_thread=1, full_warp=0, crashed=0, hung=1)
+    assert len(issues) == 1 and 1 <= issues[0] <= 8  # its longest block has 7 instructions
+
+
 @pytest.mark.parametrize("case", sorted(_READ_CASES))
 def test_dead_write_rule_on_hand_kernels(monkeypatch, case):
     """A write read only by the named access runs and is scored as the
@@ -750,3 +801,39 @@ def test_lone_copy_of_a_thread_waiting_at_a_bar():
     assert lone.stream == [("out", 2, 5 ^ 16, 1)]
     assert lone.icnt == {2: full.per_thread_icnt[2]}
     assert cursor.fork_warp(site, written=5).finish().stream == list(full.store_streams[(0, 0)])
+
+
+# The second block loads through r1 and then r2; neither is written in it.
+TWO_LOADS_SOURCE = """\
+.kernel two_loads
+.ctas 1
+.ctasize 32
+.in a 32
+.in b 32
+.out out 32
+    mov r1, tid
+    mov r2, tid
+    ld r3, a[r1]
+    ld r4, b[r2]
+    iadd r5, r3, r4
+    st out[tid], r5
+    exit
+"""
+
+
+@pytest.mark.parametrize("reg", [1, 2])
+def test_lone_copy_crashing_on_either_load_of_its_block(reg):
+    """The lone form checks every load of a block before it runs it, and
+    hands a crash on the second back to ``issue``, which writes the first
+    load's register as single steps do."""
+    program = parse_kernel(TWO_LOADS_SOURCE)
+    inputs = {"a": list(range(32)), "b": list(range(32))}
+    cursor = WarpRun(program, word_inputs(program, inputs), (0, 0), DEFAULT_BUDGET)
+    cursor.advance()  # the movs
+    site = FaultSite(3, reg, 9)
+    lone = cursor.fork(site, written=reg).finish()
+    stepped, _, error = finish_issue_by_issue(cursor.fork(site, written=reg))
+    assert lone.termination == stepped.termination == "crashed"
+    assert f"[{3 ^ 512}]" in error
+    assert lone.icnt == stepped.icnt == {3: 2 + reg}
+    assert lone._state.regs == stepped._state.regs
