@@ -46,21 +46,16 @@ class KernelReliabilityStats:
 
 
 def classify_threads(profile: KernelProfile, tau=None) -> list[bool]:
-    """Per-thread reliable flag, indexed by thread id."""
+    """Per-thread reliable flag, indexed by thread id.
+
+    Each row of the profile's outcome table is compared with ``tau`` once,
+    and each thread takes the verdict of its row.
+    """
     tau = profile.tau if tau is None else to_fraction(tau)
     if not 0 <= tau <= 1:
         raise ValidationError(f"threshold {float(tau)} outside [0, 1]")
-    # Threads share a handful of sdc_pct objects: compare each one with tau
-    # once, keyed by identity, since hashing a Fraction costs a pow().
-    verdict: dict[int, bool] = {}
-    flags = []
-    for t in profile.threads:
-        sdc = t.sdc_pct
-        flag = verdict.get(id(sdc))
-        if flag is None:
-            flag = verdict[id(sdc)] = sdc <= tau
-        flags.append(flag)
-    return flags
+    verdict = [sdc <= tau for _, sdc, _ in profile.outcomes]
+    return [verdict[r] for r in profile.outcome_of]
 
 
 def classify_warps(flags: list[bool], warps: tuple[Warp, ...]) -> list[WarpClassification]:
@@ -120,6 +115,8 @@ def scatter_rows(
 ) -> list[tuple[int, float, int, int, int]]:
     """Plot-ready rows in launch order: per-slot SDC fraction plus warp/CTA
     boundary markers (mirrors the per-thread resilience scatter layout)."""
+    sdc = [float(s) for _, s, _ in profile.outcomes]
+    outcome_of = profile.outcome_of
     rows = []
     index = 0
     prev_cta = None
@@ -128,7 +125,7 @@ def scatter_rows(
             rows.append(
                 (
                     index,
-                    float(profile.threads[t].sdc_pct),
+                    sdc[outcome_of[t]],
                     1 if slot == 0 else 0,
                     1 if (slot == 0 and w.cta_id != prev_cta) else 0,
                     1 if flags[t] else 0,

@@ -3,8 +3,8 @@
 Every command consumes the previous command's files from the output directory
 and writes plain CSV/JSON artifacts there; the run configuration is embedded
 in each artifact so results are reproducible byte-for-byte from the same
-flags.  Exit codes: 0 success, 2 configuration error, 3 artifact error,
-4 execution error.
+flags.  Exit codes: 0 success, 2 configuration error, 3 artifact error
+(including a file that cannot be read or written), 4 execution error.
 
 Commands import what they use: this module loads only what the parser needs,
 and each handler imports its own modules, so ``classify`` never loads the
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ArtifactError, ExecutionError, ValidationError, WarpshieldError
+from .errors import ArtifactError, ValidationError, WarpshieldError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -83,7 +83,10 @@ def _read_inputs(path: Path) -> dict[str, list[int]]:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file, or under one
+        raise _ConfigError(f"--out {out} is not a directory: {e}") from None
     return out
 
 
@@ -182,7 +185,6 @@ def cmd_profile(args) -> int:
         sample_fraction=args.sample if args.sample is not None else 1.0,
         seed=args.seed,
         budget=args.budget,
-        tau=_tau(args),
     )
     digest = text_digest(save_profile(profile, out / "profile.csv"))
     _write_json(
@@ -386,7 +388,7 @@ def cmd_suite(args) -> int:
     from . import fixtures as fx
     from .classify import classify_warps, format_pct, kernel_stats
     from .costs import REFERENCE_FIGURES, account
-    from .profiling import profile_digest, to_fraction
+    from .profiling import to_fraction
     from .remap import build_plan, remapped_stats
 
     out = _out_dir(args)
@@ -397,13 +399,7 @@ def cmd_suite(args) -> int:
         profile = fixture.profile
         warps = fixture.program.warps()
         before = kernel_stats(classify_warps(flags, warps), flags, profile.tau)
-        plan = build_plan(
-            flags,
-            fixture.program.geometry,
-            tau=profile.tau,
-            kernel=fixture.name,
-            profile_sha256=profile_digest(profile),
-        )
+        plan = build_plan(flags, fixture.program.geometry, tau=profile.tau, kernel=fixture.name)
         after = remapped_stats(plan, flags)
         cost = account(
             fixture.program,
@@ -515,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cost-table", dest="cost_table", help="JSON cost table")
 
     p = sub.add_parser("profile", help="run the fault-injection profiler")
-    common(p, kernel_source=True)
+    common(p, kernel_source=True, tau=False)
     p.add_argument("--profile-mode", dest="profile_mode", choices=["pruned", "exhaustive"], default="pruned")
     p.add_argument("--sample", type=float, default=None, help="site sample fraction in (0, 1]")
 
@@ -555,14 +551,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except WarpshieldError as err:
+    except (WarpshieldError, OSError) as err:  # OSError: an artifact path that cannot be read or written
         code = _EXIT_EXECUTION
         if isinstance(err, (_ConfigError, ValidationError)):
             code = _EXIT_CONFIG
-        elif isinstance(err, ArtifactError):
+        elif isinstance(err, (ArtifactError, OSError)):
             code = _EXIT_ARTIFACT
-        elif isinstance(err, ExecutionError):
-            code = _EXIT_EXECUTION
         if args.error_json:
             print(
                 json.dumps({"error": {"type": type(err).__name__, "message": str(err), "exit_code": code}}),

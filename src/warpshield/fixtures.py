@@ -27,7 +27,7 @@ from fractions import Fraction
 from .classify import classify_warps, format_pct, kernel_stats
 from .errors import FixtureError
 from .ir import KernelProgram, WARP_SIZE, parse_kernel, warps_for
-from .profiling import EXTRAPOLATED, MEASURED, KernelProfile, TAU_DEFAULT, ThreadProfile
+from .profiling import EXTRAPOLATED, MEASURED, KernelProfile, TAU_DEFAULT, outcome_table
 
 
 @dataclass(frozen=True)
@@ -270,33 +270,27 @@ def _pool(counts: dict[int, int]) -> list[int]:
 # profile synthesis
 
 
-def _declared_profile(
-    spec: FixtureSpec, program: KernelProgram, level_of: list[int], icnt_of_level: list[int]
-) -> KernelProfile:
+def _declared_profile(spec: FixtureSpec, level_of: list[int], icnt_of_level: list[int]) -> KernelProfile:
     order = sorted(range(len(spec.levels)), key=lambda j: (icnt_of_level[j], j))
     group_of_level = {level: gid for gid, level in enumerate(order)}
-    zero = Fraction(0)
-    triple_of_level = [(1 - sdc, sdc, zero) for sdc in spec.levels]
+    group_id = tuple(group_of_level[level] for level in level_of)
     seen_groups: set[int] = set()
-    threads = []
-    for tid, level in enumerate(level_of):
-        gid = group_of_level[level]
-        provenance = EXTRAPOLATED if gid in seen_groups else MEASURED
+    provenance = []
+    for gid in group_id:
+        provenance.append(EXTRAPOLATED if gid in seen_groups else MEASURED)
         seen_groups.add(gid)
-        masked, sdc, other = triple_of_level[level]
-        threads.append(
-            ThreadProfile(
-                thread_id=tid,
-                cta_id=tid // spec.cta_size,
-                icnt=icnt_of_level[level],
-                group_id=gid,
-                masked_pct=masked,
-                sdc_pct=sdc,
-                other_pct=other,
-                provenance=provenance,
-            )
-        )
-    return KernelProfile(kernel=spec.name, threads=tuple(threads), tau=TAU_DEFAULT)
+    outcome_of, outcomes = outcome_table(
+        level_of, lambda level: (1 - spec.levels[level], spec.levels[level], Fraction(0))
+    )
+    return KernelProfile(
+        kernel=spec.name,
+        geometry=(spec.num_ctas, spec.cta_size),
+        icnt=tuple(icnt_of_level[level] for level in level_of),
+        group_id=group_id,
+        provenance=tuple(provenance),
+        outcome_of=outcome_of,
+        outcomes=outcomes,
+    )
 
 
 def _build(spec: FixtureSpec, flags: list[bool], level_of: list[int], seed: int) -> Fixture:
@@ -317,7 +311,7 @@ def _build(spec: FixtureSpec, flags: list[bool], level_of: list[int], seed: int)
         )
         icnt_of_level = [class_path_icnt(j) for j in range(len(spec.levels))]
 
-    profile = _declared_profile(spec, program, level_of, icnt_of_level)
+    profile = _declared_profile(spec, level_of, icnt_of_level)
     if spec.expected is not None:
         stats = kernel_stats(classify_warps(flags, program.warps()), flags, TAU_DEFAULT)
         got = (format_pct(stats.pct_reliable_warps), format_pct(stats.pct_reliable_threads))

@@ -10,11 +10,12 @@ Fractions are exact rationals derived from outcome counts, so downstream
 threshold comparisons are reproducible; files render them as shortest-decimal
 strings, which round-trips every terminating decimal exactly.
 
-Thousands of threads share a handful of outcome rows (masked, SDC and other
-fractions plus provenance).  Rows are checked once per distinct outcome row
-when a :class:`KernelProfile` is built, and loading, rendering and
-classification each handle a distinct row once, keyed by the identity of its
-objects.
+A profile is a table of distinct (masked, SDC, other) outcome rows under
+per-thread columns of iCnt, group, provenance and an index into the table.
+Pruning copies one representative's row to its whole group, so thousands of
+threads share a handful of rows.  Each row is checked, rendered to text and
+compared with a threshold once, and every thread reaches the result by
+indexing.
 """
 
 from __future__ import annotations
@@ -26,12 +27,15 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ArtifactError, ValidationError
 from .ir import DEFAULT_BUDGET, KernelProgram
 
 if TYPE_CHECKING:
+    from collections.abc import Callable, Hashable, Iterable
+
     from .faults import RunCounts
     from .interp import ExecutionResult
 
@@ -101,7 +105,7 @@ def to_fraction(value) -> Fraction:
 
 
 class ThreadProfile(NamedTuple):
-    """One thread's row; :class:`KernelProfile` checks it when it is built."""
+    """One thread's row of a :class:`KernelProfile`, as ``threads`` shows it."""
 
     thread_id: int
     cta_id: int
@@ -113,70 +117,97 @@ class ThreadProfile(NamedTuple):
     provenance: str  # measured | extrapolated
 
 
-def _check_outcome_row(t: ThreadProfile) -> None:
-    fractions = (("masked_pct", t.masked_pct), ("sdc_pct", t.sdc_pct), ("other_pct", t.other_pct))
-    for name, v in fractions:
-        if not 0 <= v <= 1:
-            raise ValidationError(f"thread {t.thread_id}: {name}={float(v)} outside [0, 1]")
-    total = t.masked_pct + t.sdc_pct + t.other_pct
-    if abs(total - 1) > _SUM_TOLERANCE:
-        raise ValidationError(f"thread {t.thread_id}: outcome fractions sum to {float(total):.12f}")
-    if t.provenance not in (MEASURED, EXTRAPOLATED):
-        raise ValidationError(f"bad provenance {t.provenance!r}")
+OutcomeRow = tuple[Fraction, Fraction, Fraction]  # (masked, sdc, other) fractions
 
 
 @dataclass(frozen=True)
 class KernelProfile:
+    """Every thread's outcome fractions, as per-thread columns over a table
+    of distinct outcome rows.
+
+    The columns are indexed by thread id, and thread ``t`` lies in CTA
+    ``t // cta_size``.  ``outcome_of[t]`` indexes ``outcomes``, whose rows
+    are distinct by value and in order of first use (see
+    :func:`outcome_table`), so two profiles are equal exactly when every
+    thread has the same row.  ``threads`` shows one :class:`ThreadProfile`
+    per thread, for readers outside the package.
+    """
+
     kernel: str
-    threads: tuple[ThreadProfile, ...]
+    geometry: tuple[int, int]  # (num_ctas, cta_size)
+    icnt: tuple[int, ...]
+    group_id: tuple[int, ...]
+    provenance: tuple[str, ...]  # measured | extrapolated
+    outcome_of: tuple[int, ...]
+    outcomes: tuple[OutcomeRow, ...]
     # Downstream classification default; not persisted, excluded from equality.
     tau: Fraction = field(default=TAU_DEFAULT, compare=False)
     # How profile_kernel's campaigns decided their sites; None when loaded.
     runs: RunCounts | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        # Thousands of threads share a handful of outcome rows, and the rows
-        # of one file or one campaign share their Fraction objects.  So each
-        # distinct (group, outcome row) is checked once, at its first thread,
-        # and found by identity: hashing a Fraction costs a pow().
-        distinct: dict[tuple, ThreadProfile] = {}
-        for t in self.threads:
-            key = (t.group_id, id(t.masked_pct), id(t.sdc_pct), id(t.other_pct), t.provenance)
-            if key not in distinct:
-                distinct[key] = t
-        for t in distinct.values():
-            _check_outcome_row(t)
-        ids = [t.thread_id for t in self.threads]
-        if ids != list(range(len(ids))):
-            raise ValidationError("profile must cover thread ids 0..N-1 exactly once, in order")
+        num_ctas, cta_size = self.geometry
+        n = num_ctas * cta_size
+        if num_ctas < 1 or cta_size < 1:
+            raise ValidationError(f"geometry {self.geometry} holds no thread")
+        if any(len(c) != n for c in (self.icnt, self.group_id, self.provenance, self.outcome_of)):
+            raise ValidationError(f"profile columns must hold {n} threads ({num_ctas} CTAs of {cta_size})")
+        rows = range(len(self.outcomes))
+        if list(dict.fromkeys(self.outcome_of)) != list(rows) or len(set(self.outcomes)) != len(rows):
+            raise ValidationError("outcome table rows must be distinct and indexed in order of first use")
+        for r, fractions in zip(rows, self.outcomes):  # named by the first thread with the row
+            for name, v in zip(("masked_pct", "sdc_pct", "other_pct"), fractions):
+                if not 0 <= v <= 1:
+                    tid = self.outcome_of.index(r)
+                    raise ValidationError(f"thread {tid}: {name}={float(v)} outside [0, 1]")
+            total = sum(fractions)
+            if abs(total - 1) > _SUM_TOLERANCE:
+                tid = self.outcome_of.index(r)
+                raise ValidationError(f"thread {tid}: outcome fractions sum to {float(total):.12f}")
+        for p in dict.fromkeys(self.provenance):
+            if p not in (MEASURED, EXTRAPOLATED):
+                raise ValidationError(f"bad provenance {p!r}")
         # An extrapolated row copies its group's measured representative (the
         # group's lowest-id measured row); measured rows may differ freely.
-        measured: dict[int, tuple] = {}
-        for t in distinct.values():
-            if t.provenance == MEASURED:
-                measured.setdefault(t.group_id, (t.masked_pct, t.sdc_pct, t.other_pct))
-        for t in distinct.values():
-            if t.provenance == EXTRAPOLATED:
-                rep = measured.get(t.group_id)
+        distinct = dict.fromkeys(zip(self.group_id, self.provenance, self.outcome_of))
+        measured: dict[int, int] = {}
+        for gid, p, r in distinct:
+            if p == MEASURED:
+                measured.setdefault(gid, r)
+        for gid, p, r in distinct:
+            if p == EXTRAPOLATED:
+                rep = measured.get(gid)
                 if rep is None:
-                    raise ValidationError(
-                        f"group {t.group_id} has extrapolated rows but no measured row"
-                    )
-                if rep != (t.masked_pct, t.sdc_pct, t.other_pct):
-                    raise ValidationError(
-                        f"group {t.group_id} carries conflicting outcome fractions"
-                    )
+                    raise ValidationError(f"group {gid} has extrapolated rows but no measured row")
+                if rep != r:
+                    raise ValidationError(f"group {gid} carries conflicting outcome fractions")
 
-    @property
-    def geometry(self) -> tuple[int, int]:
-        num_ctas = self.threads[-1].cta_id + 1
-        if len(self.threads) % num_ctas:
-            raise ValidationError("thread count is not a multiple of the CTA count")
-        cta_size = len(self.threads) // num_ctas
-        for t in self.threads:
-            if t.cta_id != t.thread_id // cta_size:
-                raise ValidationError("cta ids are not contiguous equal-size blocks")
-        return (num_ctas, cta_size)
+    @cached_property
+    def threads(self) -> tuple[ThreadProfile, ...]:
+        cta_size = self.geometry[1]
+        columns = zip(self.icnt, self.group_id, self.outcome_of, self.provenance)
+        return tuple(
+            ThreadProfile(t, t // cta_size, icnt, gid, *self.outcomes[r], p)
+            for t, (icnt, gid, r, p) in enumerate(columns)
+        )
+
+
+def outcome_table(
+    keys: Iterable[Hashable], row_of: Callable[[Hashable], OutcomeRow]
+) -> tuple[tuple[int, ...], tuple[OutcomeRow, ...]]:
+    """``(outcome_of, outcomes)`` for threads described by ``keys``, one per
+    thread in id order: ``row_of`` is called once per distinct key, rows
+    equal by value share one table entry, and entries are in order of first
+    use, as :class:`KernelProfile` requires."""
+    index_of_key: dict[Hashable, int] = {}
+    index_of_row: dict[OutcomeRow, int] = {}
+    outcome_of = []
+    for key in keys:
+        r = index_of_key.get(key)
+        if r is None:
+            r = index_of_key[key] = index_of_row.setdefault(row_of(key), len(index_of_row))
+        outcome_of.append(r)
+    return tuple(outcome_of), tuple(index_of_row)
 
 
 def group_by_icnt(golden: ExecutionResult) -> dict[int, list[int]]:
@@ -208,7 +239,6 @@ def profile_kernel(
     seed: int = 0,
     *,
     budget: int = DEFAULT_BUDGET,
-    tau: Fraction = TAU_DEFAULT,
 ) -> KernelProfile:
     """Measure (or extrapolate) every thread's outcome fractions.
 
@@ -228,15 +258,18 @@ def profile_kernel(
     groups = group_by_icnt(golden)
     run_budget = default_budget(golden)
 
-    group_of = {}
+    n = program.total_threads
+    group_id = [0] * n
     for gid, members in groups.items():
         for t in members:
-            group_of[t] = gid
-
+            group_id[t] = gid
+    # source[t]: the injected thread whose fractions thread t takes
     if mode == "pruned":
         salts = {members[0]: gid for gid, members in groups.items()}
+        source = [groups[gid][0] for gid in group_id]
     else:
-        salts = {t: t for t in range(program.total_threads)}
+        salts = {t: t for t in range(n)}
+        source = range(n)
     counts: dict[int, tuple[int, int, int]] = {}
     runs = RunCounts()
     for w in program.warps():
@@ -252,34 +285,17 @@ def profile_kernel(
         counts.update((t, campaign.counts(t)) for t in injected)
         runs += campaign.runs
 
-    fractions: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
-    provenance: dict[int, str] = {}
-    if mode == "pruned":
-        for members in groups.values():
-            rep = members[0]
-            shared = _fractions(counts[rep])
-            for t in members:
-                fractions[t] = shared
-                provenance[t] = MEASURED if t == rep else EXTRAPOLATED
-    else:
-        for t in range(program.total_threads):
-            fractions[t] = _fractions(counts[t])
-            provenance[t] = MEASURED
-
-    threads = tuple(
-        ThreadProfile(
-            thread_id=t,
-            cta_id=program.cta_of(t),
-            icnt=golden.per_thread_icnt[t],
-            group_id=group_of[t],
-            masked_pct=fractions[t][0],
-            sdc_pct=fractions[t][1],
-            other_pct=fractions[t][2],
-            provenance=provenance[t],
-        )
-        for t in range(program.total_threads)
+    outcome_of, outcomes = outcome_table((counts[s] for s in source), _fractions)
+    return KernelProfile(
+        kernel=program.name,
+        geometry=program.geometry,
+        icnt=tuple(golden.per_thread_icnt),
+        group_id=tuple(group_id),
+        provenance=tuple(MEASURED if s == t else EXTRAPOLATED for t, s in enumerate(source)),
+        outcome_of=outcome_of,
+        outcomes=outcomes,
+        runs=runs,
     )
-    return KernelProfile(kernel=program.name, threads=threads, tau=tau, runs=runs)
 
 
 def hash_seed(seed: int, salt) -> int:
@@ -304,23 +320,17 @@ PROFILE_HEADER = [
 
 
 def profile_to_csv_text(profile: KernelProfile) -> str:
-    # Thousands of rows share a handful of outcome rows: render the tail of
-    # each distinct one once, found by the identity of its objects.  The
-    # kernel name is the only field the csv module could quote; render it
-    # once, in a two-field row as in the file.
+    # The kernel name is the only field the csv module could quote; render
+    # it once, in a two-field row as in the file.
     field_text = io.StringIO()
     csv.writer(field_text, lineterminator="\n").writerow([profile.kernel, 0])
     kernel = field_text.getvalue()[: -len(",0\n")]
-    tails: dict[tuple, str] = {}
+    fractions = [f"{float(m)!r},{float(s)!r},{float(o)!r}" for m, s, o in profile.outcomes]
+    cta_size = profile.geometry[1]
     lines = [",".join(PROFILE_HEADER) + "\n"]
-    for t in profile.threads:
-        key = (id(t.masked_pct), id(t.sdc_pct), id(t.other_pct), t.provenance)
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = (
-                f"{float(t.masked_pct)!r},{float(t.sdc_pct)!r},{float(t.other_pct)!r},{t.provenance}"
-            )
-        lines.append(f"{kernel},{t.cta_id},{t.thread_id},{t.icnt},{t.group_id},{tail}\n")
+    columns = zip(profile.icnt, profile.group_id, profile.outcome_of, profile.provenance)
+    for t, (icnt, gid, r, p) in enumerate(columns):
+        lines.append(f"{kernel},{t // cta_size},{t},{icnt},{gid},{fractions[r]},{p}\n")
     return "".join(lines)
 
 
@@ -344,6 +354,7 @@ def load_profile(path) -> KernelProfile:
 
 
 def profile_from_csv_text(text: str) -> KernelProfile:
+    """The profile a ``profile.csv`` holds; its rows may come in any order."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -351,10 +362,8 @@ def profile_from_csv_text(text: str) -> KernelProfile:
         raise ValidationError("empty profile file") from None
     if header != PROFILE_HEADER:
         raise ValidationError(f"unexpected profile header {header}")
-    # Thousands of rows share a handful of tails (iCnt, group and outcome
-    # row): parse each distinct one once, and each fraction string once.  Rows
-    # that share a tail then share its objects, which KernelProfile's checks
-    # and every later pass over the profile key on.
+    # Thousands of rows share a handful of tails (iCnt, group, outcome row and
+    # provenance): parse each distinct one once, and each fraction string once.
     parsed: dict[str, Fraction] = {}
 
     def fraction(text: str) -> Fraction:
@@ -363,9 +372,10 @@ def profile_from_csv_text(text: str) -> KernelProfile:
             value = parsed[text] = parse_fraction(text)
         return value
 
-    tails: dict[tuple[str, ...], tuple] = {}
+    tail_index: dict[tuple[str, ...], int] = {}
+    tails: list[tuple] = []
     kernel = None
-    rows: dict[int, ThreadProfile] = {}
+    rows: dict[int, tuple[int, int]] = {}  # thread id -> (cta id, index into tails)
     for lineno, row in enumerate(reader, 2):
         if not row:
             continue
@@ -374,17 +384,13 @@ def profile_from_csv_text(text: str) -> KernelProfile:
         try:
             tid = int(row[2])
             tail_text = (row[3], row[4], row[5], row[6], row[7], row[8])
-            tail = tails.get(tail_text)
+            tail = tail_index.get(tail_text)
             if tail is None:
-                tail = tails[tail_text] = (
-                    int(row[3]),
-                    int(row[4]),
-                    fraction(row[5]),
-                    fraction(row[6]),
-                    fraction(row[7]),
-                    row[8],
-                )
-            profile_row = ThreadProfile(tid, int(row[1]), *tail)
+                icnt, gid = int(row[3]), int(row[4])
+                outcome = (fraction(row[5]), fraction(row[6]), fraction(row[7]))
+                tail = tail_index[tail_text] = len(tails)
+                tails.append((icnt, gid, row[8], outcome))
+            cta = int(row[1])
         except (ValueError, ZeroDivisionError) as e:
             raise ValidationError(f"profile row {lineno}: {e}") from None
         if kernel is None:
@@ -393,16 +399,23 @@ def profile_from_csv_text(text: str) -> KernelProfile:
             raise ValidationError(f"profile row {lineno}: mixed kernel names")
         if tid in rows:
             raise ValidationError(f"profile row {lineno}: duplicate thread id {tid}")
-        rows[tid] = profile_row
+        rows[tid] = (cta, tail)
     if kernel is None:
         raise ValidationError("profile has no rows")
-    order = sorted(rows)
-    if order != list(range(len(rows))):
-        missing = sorted(set(range(len(rows))) - set(rows))[:5]
+    n = len(rows)
+    if sorted(rows) != list(range(n)):
+        missing = sorted(set(range(n)) - set(rows))[:5]
         raise ValidationError(f"profile is missing thread ids (first few: {missing})")
-    profile = KernelProfile(kernel=kernel, threads=tuple(rows[t] for t in order))
-    profile.geometry  # validates the CTA blocking
-    return profile
+    ctas, tail_of = zip(*(rows[t] for t in range(n)))
+    num_ctas = max(ctas[-1] + 1, 1)
+    if n % num_ctas:
+        raise ValidationError("thread count is not a multiple of the CTA count")
+    cta_size = n // num_ctas
+    if ctas != tuple(t // cta_size for t in range(n)):
+        raise ValidationError("cta ids are not contiguous equal-size blocks")
+    icnt, group_id, provenance, _ = zip(*(tails[i] for i in tail_of))
+    outcome_of, outcomes = outcome_table(tail_of, lambda i: tails[i][3])
+    return KernelProfile(kernel, (num_ctas, cta_size), icnt, group_id, provenance, outcome_of, outcomes)
 
 
 def profile_digest(profile: KernelProfile) -> str:

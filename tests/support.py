@@ -49,6 +49,7 @@ from warpshield.profiling import (
     ThreadProfile,
     group_by_icnt,
     hash_seed,
+    outcome_table,
     to_fraction,
 )
 from warpshield.protect import DETECT, ProtectedRunResult, WarpIncident
@@ -404,7 +405,27 @@ def profile_per_campaign(program, inputs, mode, sample_fraction, seed, campaign)
                     *fractions,
                     MEASURED if m == t else EXTRAPOLATED,
                 )
-    return KernelProfile(program.name, tuple(rows[t] for t in range(program.total_threads)))
+    return profile_of_rows(program.name, (rows[t] for t in range(program.total_threads)))
+
+
+def profile_of_rows(kernel, rows):
+    """The ``KernelProfile`` whose ``threads`` are ``rows``: ``ThreadProfile``
+    rows in thread-id order, laying CTAs out in equal contiguous blocks."""
+    rows = tuple(rows)
+    assert [t.thread_id for t in rows] == list(range(len(rows)))
+    num_ctas = rows[-1].cta_id + 1
+    cta_size = len(rows) // num_ctas
+    assert [t.cta_id for t in rows] == [t // cta_size for t in range(len(rows))]
+    outcome_of, outcomes = outcome_table(((t.masked_pct, t.sdc_pct, t.other_pct) for t in rows), lambda row: row)
+    return KernelProfile(
+        kernel,
+        (num_ctas, cta_size),
+        tuple(t.icnt for t in rows),
+        tuple(t.group_id for t in rows),
+        tuple(t.provenance for t in rows),
+        outcome_of,
+        outcomes,
+    )
 
 
 # ---------------------------------------------------------------------------

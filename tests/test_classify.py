@@ -17,13 +17,15 @@ from warpshield.classify import (
 from warpshield.errors import ValidationError
 from warpshield.fixtures import REMAPPABLE_BEFORE_PCTS, generate_fixture, suite_specs
 from warpshield.ir import warps_for
-from warpshield.profiling import KernelProfile, ThreadProfile
+from warpshield.profiling import ThreadProfile
+
+from support import profile_of_rows
 
 
 def _profile(sdc_values, cta_size=None):
     n = len(sdc_values)
     cta_size = cta_size or n
-    threads = tuple(
+    threads = (
         ThreadProfile(
             thread_id=i,
             cta_id=i // cta_size,
@@ -37,7 +39,7 @@ def _profile(sdc_values, cta_size=None):
         for i, sdc in enumerate(sdc_values)
         for gid in [sorted(set(sdc_values)).index(sdc)]
     )
-    return KernelProfile(kernel="synthetic", threads=threads)
+    return profile_of_rows("synthetic", threads)
 
 
 def test_threshold_boundary_is_inclusive():
@@ -48,9 +50,9 @@ def test_threshold_boundary_is_inclusive():
 
 
 def test_equal_values_in_distinct_fraction_objects_classify_alike():
-    """classify_threads compares each distinct sdc_pct object once; equal
-    values held in distinct objects, or one object shared, agree with a
-    per-thread comparison."""
+    """Equal values held in distinct Fraction objects, or one object shared,
+    land on one outcome-table row; classify_threads compares each row once,
+    and agrees with a per-thread comparison."""
     shared = Fraction(1, 20)
     sdc = [shared, Fraction(1, 20), Fraction(5, 100), shared, Fraction(3, 50), Fraction(6, 100), Fraction(0)]
     profile = _profile(sdc)

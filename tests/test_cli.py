@@ -47,6 +47,7 @@ def test_profile_meta_records_how_the_campaigns_decided_their_sites(tmp_path):
     meta = json.loads((tmp_path / "out" / "profile_meta.json").read_text())
     runs = profile_kernel(program, add_one_inputs(program)).runs
     assert meta["campaign"] == runs.to_json()
+    assert "tau" not in meta["config"]  # profile takes no threshold
     # One iCnt group: the 96 sites of its representative, each read by the store.
     assert meta["campaign"] == {
         "sites_without_run": 0,
@@ -92,8 +93,14 @@ def test_missing_profile_exits_3(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [b"kernel,cta_id\n", b"kernel,\xff\n", b"x" * 200_000],
-    ids=["short-header", "not-utf8", "overlong-field"],
+    [
+        b"kernel,cta_id\n",
+        b"kernel,\xff\n",
+        b"x" * 200_000,
+        b"kernel,cta_id,thread_id,icnt,group_id,masked_pct,sdc_pct,other_pct,provenance\n"
+        b"k,-1,0,5,0,0.5,0.5,0.0,measured\n",
+    ],
+    ids=["short-header", "not-utf8", "overlong-field", "cta-minus-one"],
 )
 def test_malformed_profile_exits_3(tmp_path, content, capsys):
     (tmp_path / "profile.csv").write_bytes(content)
@@ -274,6 +281,46 @@ def test_protect_whose_fault_free_run_hangs_exits_2(tmp_path, capsys):
     assert main(["protect", "--fixture", "pathfinder_k1", "--budget", "1", *out]) == 2
     assert "fault-free run of warp (0, 0) terminated hung" in capsys.readouterr().err
     assert not (tmp_path / "protection.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [
+        (["classify"], "profile.csv"),
+        (["remap"], "plan.json"),
+        (["protect", "--fixture", "pathfinder_k1"], "plan.json"),
+        (["report", "--mode", "none", "--fixture", "pathfinder_k1"], "stats.json"),
+        (["profile", "--kernel", "{dir}"], None),
+        (["profile", "--kernel", "{kernel}", "--inputs", "{dir}"], None),
+        (["suite", "--cost-table", "{dir}"], None),
+    ],
+    ids=["profile-csv", "remap-writes-plan", "protect-reads-plan", "stats", "kernel", "inputs", "cost-table"],
+)
+def test_artifact_path_that_is_a_directory_exits_3(tmp_path, argv, artifact, capsys):
+    """Reading or writing the artifact fails with an OSError, which exits 3
+    like any other bad artifact."""
+    out = _pathfinder_artifacts(tmp_path)
+    if artifact is not None:
+        (tmp_path / artifact).unlink()
+        (tmp_path / artifact).mkdir()
+    kernel = tmp_path / "add_one.wir"
+    kernel.write_text(ADD_ONE_SOURCE)
+    (tmp_path / "a_directory").mkdir()
+    argv = [arg.format(dir=tmp_path / "a_directory", kernel=kernel) for arg in argv]
+    assert main(["--error-json", *argv, *out]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["exit_code"] == 3 and error["type"] == "IsADirectoryError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["profile", "--fixture", "pathfinder_k1"], ["emit", "--fixture", "pathfinder_k1"], ["suite"]],
+    ids=["classify", "profile", "emit", "suite"],
+)
+def test_out_naming_a_file_exits_2(tmp_path, argv, capsys):
+    (tmp_path / "a_file").write_text("")
+    assert main([*argv, "--out", str(tmp_path / "a_file")]) == 2
+    assert "is not a directory" in capsys.readouterr().err
 
 
 COMMANDS = ["profile", "classify", "remap", "protect", "report", "sweep", "suite", "fixtures", "emit"]

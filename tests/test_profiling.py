@@ -4,15 +4,15 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from warpshield.classify import classify_threads, classify_warps, format_pct, kernel_stats
+from warpshield.classify import classify_threads, classify_warps, format_pct, kernel_stats, scatter_rows
 from warpshield.errors import ValidationError
-from warpshield.fixtures import fixture_names, generate_fixture
+from warpshield.fixtures import fixture_names, generate_fixture, suite_specs
 from warpshield.interp import execute
-from warpshield.ir import parse_kernel
+from warpshield.ir import parse_kernel, warps_for
 from warpshield.profiling import (
     PROFILE_HEADER,
-    KernelProfile,
     ThreadProfile,
     group_by_icnt,
     load_profile,
@@ -25,6 +25,7 @@ from warpshield.profiling import (
     text_digest,
     to_fraction,
 )
+from warpshield.remap import build_plan
 
 import warpshield.faults
 from support import (
@@ -32,6 +33,7 @@ from support import (
     add_one_kernel,
     chase_kernel,
     dead_write_kernel,
+    profile_of_rows,
     profile_per_campaign,
     two_group_kernel,
 )
@@ -237,6 +239,24 @@ def test_load_rejects_malformed_row():
         profile_from_csv_text(_csv(["k,0,0,5,0,0.5,0.5,measured"]))
 
 
+_ROW = "5,0,0.5,0.5,0.0,measured"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([f"k,0,0,{_ROW}", f"j,0,1,{_ROW}"], "profile row 3: mixed kernel names"),
+        ([f"k,0,0,{_ROW}", f"k,0,1,{_ROW}", f"k,1,2,{_ROW}"], "not a multiple of the CTA count"),
+        ([f"k,0,0,{_ROW}", f"k,1,1,{_ROW}", f"k,0,2,{_ROW}", f"k,1,3,{_ROW}"], "not contiguous equal-size blocks"),
+        ([f"k,-1,0,{_ROW}"], "not contiguous equal-size blocks"),
+    ],
+    ids=["mixed-kernels", "ragged-ctas", "interleaved-ctas", "cta-minus-one"],
+)
+def test_load_rejects_mixed_kernels_and_bad_cta_blocking(rows, message):
+    with pytest.raises(ValidationError, match=message):
+        profile_from_csv_text(_csv(rows))
+
+
 def test_gaussian_fixture_profile_loads_and_reproduces_table_row(tmp_path):
     fixture = generate_fixture("gaussian_k1")
     path = tmp_path / "gaussian.csv"
@@ -306,7 +326,7 @@ def _rows(kernel="k", **changes):
 
 @pytest.mark.parametrize("kernel", ['a,"b', "line\nbreak", "", " spaced "])
 def test_kernel_name_that_needs_quoting_renders_per_field_and_round_trips(kernel):
-    profile = KernelProfile(*_rows(kernel))
+    profile = profile_of_rows(*_rows(kernel))
     text = profile_to_csv_text(profile)
     assert text == _per_field_csv(profile)
     assert profile_from_csv_text(text) == profile
@@ -322,11 +342,11 @@ def test_kernel_name_that_needs_quoting_renders_per_field_and_round_trips(kernel
     ids=["out-of-range", "bad-sum", "bad-provenance"],
 )
 def test_bad_rows_built_directly_are_refused_with_the_kernel_profile(changes, message):
-    """Each distinct outcome row is checked once, so a bad row is caught even
-    when it shares its Fraction objects with a good row before it."""
+    """Each outcome-table row is checked once, and the error names the first
+    thread that uses the bad row."""
     kernel, threads = _rows(**changes)
     with pytest.raises(ValidationError, match=message):
-        KernelProfile(kernel, threads)
+        profile_of_rows(kernel, threads)
 
 
 @pytest.mark.parametrize(
@@ -363,3 +383,123 @@ def test_one_campaign_per_warp_equals_a_campaign_per_group_or_thread(monkeypatch
         assert {s.thread_id for s in sites} <= set(w.members)
     runs = profile.runs
     assert runs.without_run + runs.lone_thread + runs.full_warp == sum(map(len, calls))
+
+
+# profile_digest of each suite fixture's declared profile at seed 0: the bytes
+# of profile.csv, pinned so that a change to the profile's data format shows.
+DECLARED_DIGESTS = {
+    "jmeint_k1": "c1832a2b232226f2f18d6289f51e1484435f0c6069aba53ad909c135d84d3c26",
+    "laplacian_k1": "860b66db72c7072ca0633ed2da3573015058a272e41c63c59b338534c28966fb",
+    "meanfilter_k1": "6bb311f932e5f6674c83cae3de7a14afe26bfc7e829be840d42c347c9d445631",
+    "nn_k1": "bd35aac3495aac6fcd0f09ddb945ab668863e6037521c71246f412c823558afd",
+    "nn_k2": "835c203fd540a457901e6f5603f9b7dbaafc8c73df9a6886a3421cf9f261d634",
+    "nn_k3": "7d030c096308646eda2f7be8d9baaa18e5c6638af4926bbd90a7c972f6b26a5c",
+    "nn_k4": "2d2fbb28395041df919db9df9b1c8c9ba49f4d1d4426069fc9641c9aa41b4d62",
+    "scp_k1": "5f7ba2853b6c9da9b5714e6a21cad44e52313163c518b72b237e90458d699097",
+    "conv2d_k1": "115b04795ef8fdac17fbf73b4653b83a0c36a9fee7be51ec50209eace297521e",
+    "mvt_k1": "937eb1b7e273ffa89b15dfca44ae3f0826a4ad7d5f5c753f8800d2f1a398da4c",
+    "gaussian_k1": "9386bf16a4c0cc41bf91a65e16f014fcb8bdcb8756bbfa1b24af54d0b7c41bff",
+    "gaussian_k2": "080758d6fbe8aeca9cfcb96542bba9d19cc6ae93e53ffb7b88918a4cc508e868",
+    "hotspot_k1": "6e4d317ef59c2662ff853727b749133715a42cb468c6237ea84369db7fa6c0ce",
+    "nearestneighbor_k1": "05cb44cf65803fa3089f7f909a25f47a93de47c56c09ef55e61f9464b415461f",
+    "pathfinder_k1": "38f130a9ee05e89e6c23b5b7f256e40ca81a48b926f5b1e7223c2420a6d72029",
+    "srad_k3": "a38668d06eb2e42d921e6ab69b10dfb880238ac834f99ce0413739da7bb6ba1d",
+    "srad_k4": "a9ef2fef7b3c282f0ed22c0dbddf0aa2771ef33c367fcd93544eb013c7ead69e",
+}
+
+
+def test_declared_profile_digests_are_pinned():
+    assert [spec.name for spec in suite_specs()] == list(DECLARED_DIGESTS)
+    for name, digest in DECLARED_DIGESTS.items():
+        assert profile_digest(generate_fixture(name, seed=0).profile) == digest, name
+
+
+_DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 20, 40, 1000)
+
+
+def _copy(x):
+    """An equal Fraction held in a new object."""
+    return Fraction(x.numerator * 3, x.denominator * 3)
+
+
+@st.composite
+def _profiles(draw):
+    """(kernel, num_ctas, cta_size, rows) with rows of (icnt, group_id,
+    (masked, sdc, other), provenance) per thread.  Groups may share an iCnt;
+    a group is pruned-style (its first thread measured, the rest
+    extrapolated from it) or exhaustive-style (every thread measured, rows
+    drawn from a small pool so that they repeat and differ).  Every row
+    holds its own Fraction objects."""
+    kernel = draw(st.text(alphabet='ab,"\n \'', max_size=5))
+    num_ctas, cta_size = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    n_groups = draw(st.integers(1, 4))
+    icnt_of_group = draw(st.lists(st.integers(1, 3), min_size=n_groups, max_size=n_groups))
+    exhaustive = draw(st.lists(st.booleans(), min_size=n_groups, max_size=n_groups))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        den = draw(st.sampled_from(_DENOMINATORS))
+        sdc = draw(st.integers(0, den))
+        other = draw(st.integers(0, den - sdc))
+        pool.append((Fraction(den - sdc - other, den), Fraction(sdc, den), Fraction(other, den)))
+    n = num_ctas * cta_size
+    rep = {}
+    rows = []
+    for gid in draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n)):
+        if gid in rep and not exhaustive[gid]:
+            outcome, provenance = rep[gid], "extrapolated"
+        else:
+            outcome, provenance = draw(st.sampled_from(pool)), "measured"
+            rep.setdefault(gid, outcome)
+        rows.append((icnt_of_group[gid] * 10, gid, tuple(map(_copy, outcome)), provenance))
+    return kernel, num_ctas, cta_size, rows
+
+
+def _reference_text(kernel, cta_size, rows, order):
+    """profile.csv rendered field by field, its rows in ``order``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PROFILE_HEADER)
+    for t in order:
+        icnt, gid, outcome, provenance = rows[t]
+        writer.writerow([kernel, t // cta_size, t, icnt, gid, *(repr(float(x)) for x in outcome), provenance])
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_outcome_table_equals_a_per_thread_reference(data):
+    """A profile built from per-thread rows, and the one loaded from its file
+    with the rows shuffled, render, hash, classify and scatter exactly as a
+    reference computed thread by thread from the rows."""
+    kernel, num_ctas, cta_size, rows = data.draw(_profiles())
+    n = len(rows)
+    text = _reference_text(kernel, cta_size, rows, range(n))
+    shuffled = data.draw(st.permutations(range(n)))
+    threads = tuple(
+        ThreadProfile(t, t // cta_size, icnt, gid, *outcome, p) for t, (icnt, gid, outcome, p) in enumerate(rows)
+    )
+    built = profile_of_rows(kernel, threads)
+    assert built.threads == threads
+    loaded = profile_from_csv_text(_reference_text(kernel, cta_size, rows, shuffled))
+    # The file holds each fraction as the shortest decimal of its float.
+    loaded_sdc = [Fraction(repr(float(outcome[1]))) for _, _, outcome, _ in rows]
+    warps = warps_for(num_ctas, cta_size)
+    for profile, sdc in ((built, [outcome[1] for _, _, outcome, _ in rows]), (loaded, loaded_sdc)):
+        assert profile.geometry == (num_ctas, cta_size)
+        assert len(set(profile.outcomes)) == len(profile.outcomes)
+        assert profile_to_csv_text(profile) == text
+        assert profile_digest(profile) == hashlib.sha256(text.encode()).hexdigest()
+        for tau in {Fraction(0), Fraction(1), Fraction(1, 20), *sdc, *(s + Fraction(1, 10**9) for s in sdc)}:
+            if tau > 1:
+                continue
+            flags = [s <= tau for s in sdc]
+            assert classify_threads(profile, tau) == flags
+            # launch order as loaded, and as regrouped
+            for layout in (warps, build_plan(flags, (num_ctas, cta_size), tau=tau).warps()):
+                expected, prev_cta = [], None
+                for w in layout:
+                    for slot, t in enumerate(w.members):
+                        cta_start = slot == 0 and w.cta_id != prev_cta
+                        expected.append((len(expected), float(sdc[t]), int(slot == 0), int(cta_start), int(flags[t])))
+                    prev_cta = w.cta_id
+                assert scatter_rows(profile, flags, layout) == expected
