@@ -49,10 +49,10 @@ def _fixture(args) -> Fixture:
 
 def _load_program(args) -> tuple[KernelProgram, dict[str, list[int]]]:
     """The kernel and its inputs, from ``--fixture`` or ``--kernel``."""
-    if getattr(args, "fixture", None):
+    if args.fixture:
         fixture = _fixture(args)
         return fixture.program, fixture.inputs
-    if getattr(args, "kernel", None):
+    if args.kernel:
         from .interp import seeded_inputs
         from .ir import parse_kernel
 
@@ -93,7 +93,7 @@ def _out_dir(args) -> Path:
 def _cost_table(args) -> CostTable:
     from .interp import DEFAULT_COST_TABLE, CostTable
 
-    if getattr(args, "cost_table", None):
+    if args.cost_table:
         path = Path(args.cost_table)
         try:
             return CostTable.from_json(_read_json(path, "cost table"))
@@ -266,8 +266,6 @@ def cmd_protect(args) -> int:
     from .remap import apply_plan
 
     out = _out_dir(args)
-    if args.mode == "none":
-        raise _ConfigError("--mode none leaves nothing for the protect step to do")
     program, inputs = _load_program(args)
     profile = load_profile(out / "profile.csv")
     plan = _load_plan_for(out, profile)
@@ -496,44 +494,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--error-json", action="store_true", help="emit errors as JSON on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, kernel_source=False, tau=True, mode=False):
+    # Each command takes only the flags it reads; --seed is on every one.
+    def common(p, *, kernel_source=False, budget=False, cost_table=False):
         p.add_argument("--out", required=True, help="artifact directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         if kernel_source:
             p.add_argument("--fixture", help="built-in fixture name (see `fixtures`)")
             p.add_argument("--kernel", help="path to an IR kernel file")
             p.add_argument("--inputs", help="JSON file of input buffer contents")
-        if tau:
-            p.add_argument("--tau", default="0.05", help="SDC threshold (inclusive)")
-        if mode:
-            p.add_argument("--mode", choices=["detect", "correct", "none"], default="detect")
-        p.add_argument("--cost-table", dest="cost_table", help="JSON cost table")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        if cost_table:
+            p.add_argument("--cost-table", dest="cost_table", help="JSON cost table")
 
     p = sub.add_parser("profile", help="run the fault-injection profiler")
-    common(p, kernel_source=True, tau=False)
+    common(p, kernel_source=True, budget=True)
     p.add_argument("--profile-mode", dest="profile_mode", choices=["pruned", "exhaustive"], default="pruned")
     p.add_argument("--sample", type=float, default=None, help="site sample fraction in (0, 1]")
 
-    p = sub.add_parser("classify", help="classify threads and warps at a threshold")
-    common(p)
-
-    p = sub.add_parser("remap", help="build and evaluate a regrouping plan")
-    common(p)
+    for name, text in (
+        ("classify", "classify threads and warps at a threshold"),
+        ("remap", "build and evaluate a regrouping plan"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--tau", default="0.05", help="SDC threshold (inclusive)")
 
     p = sub.add_parser("protect", help="run replicated execution under the plan")
-    common(p, kernel_source=True, mode=True)
+    common(p, kernel_source=True, budget=True, cost_table=True)
+    p.add_argument("--mode", choices=["detect", "correct"], default="detect")
 
     p = sub.add_parser("report", help="aggregate artifacts and cost the protection")
-    common(p, kernel_source=True, mode=True)
+    common(p, kernel_source=True, budget=True, cost_table=True)
+    p.add_argument("--mode", choices=["detect", "correct", "none"], default="detect")
     p.add_argument("--remap-overhead", dest="remap_overhead", default="0")
 
     p = sub.add_parser("sweep", help="reliable-warp percentages across thresholds")
-    common(p, tau=False)
+    common(p)
     p.add_argument("--taus", required=True, help="comma-separated threshold list")
 
     p = sub.add_parser("suite", help="pipeline + aggregate over the regroupable fixtures")
-    common(p, tau=False)
+    common(p, cost_table=True)
     p.add_argument("--remap-overhead", dest="remap_overhead", default="0")
 
     p = sub.add_parser("fixtures", help="list the built-in fixture table")

@@ -7,7 +7,9 @@ all unreliable, an unreliable prefix, or seeded scatter with per-warp quotas).
 The seventeen-entry suite reproduces a published benchmark table's reliable
 warp/thread percentages exactly at the 5% threshold; geometries were chosen so
 the quantities of interest land on exact two-decimal renderings, and each
-builder records its construction in ``notes``.
+builder records its construction in ``notes``.  The table holds only these
+seventeen; tests build fixtures of their own by passing a spec, a flag and a
+class per thread to ``build_fixture``, on the same dispatch kernel.
 
 Kernel construction mirrors the declared profiles: every thread loads a class
 id and dispatches to a per-class code path, so equal-class threads share a
@@ -35,11 +37,10 @@ class FixtureSpec:
     name: str
     num_ctas: int
     cta_size: int
-    pattern: str  # all_reliable | all_unreliable | prefix_unreliable | alternating | per_cta_blocks | scattered
+    pattern: str  # all_reliable | all_unreliable | prefix_unreliable | scattered
     levels: tuple[Fraction, ...]  # distinct per-class SDC fractions, reliable classes first
     expected: tuple[str, str] | None = None  # (pct reliable warps, pct reliable threads)
     remappable: bool = False
-    equal_work: bool = False
     notes: str = ""
 
     @property
@@ -147,31 +148,6 @@ def _dispatch_kernel(name: str, num_ctas: int, cta_size: int, reliable_classes: 
     lines.append(f"T{num_classes}:")
     lines += [f"    {b}" for b in _default_tail()]
     return parse_kernel("\n".join(lines) + "\n")
-
-
-_UNIFORM_ICNT = 6
-_UNIFORM_WARP_COST = 12
-
-
-def _uniform_kernel(name: str, num_ctas: int, cta_size: int) -> KernelProgram:
-    """Straight-line kernel: identical work in every warp regardless of the
-    declared classes (the profile alone distinguishes threads)."""
-    total = num_ctas * cta_size
-    return parse_kernel(
-        f""".kernel {name}
-.ctas {num_ctas}
-.ctasize {cta_size}
-.in data {total}
-.in cls {total}
-.out out {total}
-    ld r1, data[tid]
-    movi r4, 5
-    imul r5, r1, r4
-    iadd r5, r5, tid
-    st out[tid], r5
-    exit
-"""
-    )
 
 
 def fixture_inputs(program: KernelProgram, level_of: tuple[int, ...], seed: int) -> dict[str, list[int]]:
@@ -293,7 +269,10 @@ def _declared_profile(spec: FixtureSpec, level_of: list[int], icnt_of_level: lis
     )
 
 
-def _build(spec: FixtureSpec, flags: list[bool], level_of: list[int], seed: int) -> Fixture:
+def build_fixture(spec: FixtureSpec, flags: list[bool], level_of: list[int], seed: int) -> Fixture:
+    """The fixture whose thread t is reliable iff ``flags[t]`` and runs the
+    class path ``level_of[t]`` of the dispatch kernel, with the profile that
+    declares ``spec.levels[level_of[t]]`` as its SDC fraction."""
     reliable_classes = sum(1 for s in spec.levels if s <= TAU_DEFAULT)
     for level, sdc in enumerate(spec.levels):
         if (sdc <= TAU_DEFAULT) != (level < reliable_classes):
@@ -302,14 +281,8 @@ def _build(spec: FixtureSpec, flags: list[bool], level_of: list[int], seed: int)
         if flags[tid] != (spec.levels[level] <= TAU_DEFAULT):
             raise FixtureError(f"{spec.name}: thread {tid} class contradicts its flag")
 
-    if spec.equal_work:
-        program = _uniform_kernel(spec.name, spec.num_ctas, spec.cta_size)
-        icnt_of_level = [_UNIFORM_ICNT] * len(spec.levels)
-    else:
-        program = _dispatch_kernel(
-            spec.name, spec.num_ctas, spec.cta_size, reliable_classes, len(spec.levels)
-        )
-        icnt_of_level = [class_path_icnt(j) for j in range(len(spec.levels))]
+    program = _dispatch_kernel(spec.name, spec.num_ctas, spec.cta_size, reliable_classes, len(spec.levels))
+    icnt_of_level = [class_path_icnt(j) for j in range(len(spec.levels))]
 
     profile = _declared_profile(spec, level_of, icnt_of_level)
     if spec.expected is not None:
@@ -341,7 +314,7 @@ def _jmeint(spec: FixtureSpec, seed: int) -> Fixture:
     level_of = _assign_levels(
         flags, _pool({0: 1606, 1: 600}), _pool({2: 598, 3: 598, 4: 598}), rng
     )
-    return _build(spec, flags, level_of, seed)
+    return build_fixture(spec, flags, level_of, seed)
 
 
 def _laplacian(spec: FixtureSpec, seed: int) -> Fixture:
@@ -353,7 +326,7 @@ def _laplacian(spec: FixtureSpec, seed: int) -> Fixture:
         rng.shuffle(q)
     flags = _scattered_flags(spec.num_ctas, spec.cta_size, quotas, rng)
     level_of = _assign_levels(flags, _pool({0: 2000, 1: 769}), _pool({2: 1200, 3: 1151}), rng)
-    return _build(spec, flags, level_of, seed)
+    return build_fixture(spec, flags, level_of, seed)
 
 
 def _meanfilter(spec: FixtureSpec, seed: int) -> Fixture:
@@ -367,7 +340,7 @@ def _meanfilter(spec: FixtureSpec, seed: int) -> Fixture:
     level_of = _assign_levels(
         flags, _pool({0: 1500, 1: 921}), _pool({2: 2700, 3: 2631, 4: 1368}), rng
     )
-    return _build(spec, flags, level_of, seed)
+    return build_fixture(spec, flags, level_of, seed)
 
 
 def _conv2d(spec: FixtureSpec, seed: int) -> Fixture:
@@ -376,7 +349,7 @@ def _conv2d(spec: FixtureSpec, seed: int) -> Fixture:
     quotas = [_spread(r, 8, 0, 31, rng) for r in per_cta_reliable]
     flags = _scattered_flags(spec.num_ctas, spec.cta_size, quotas, rng)
     level_of = _assign_levels(flags, _pool({0: 496}), _pool({1: 1200, 2: 1200, 3: 1200}), rng)
-    return _build(spec, flags, level_of, seed)
+    return build_fixture(spec, flags, level_of, seed)
 
 
 def _hotspot(spec: FixtureSpec, seed: int) -> Fixture:
@@ -391,7 +364,7 @@ def _hotspot(spec: FixtureSpec, seed: int) -> Fixture:
     ]
     flags = _scattered_flags(spec.num_ctas, spec.cta_size, quotas, rng, front_load=(0,))
     level_of = _assign_levels(flags, _pool({0: 672}), _pool({1: 300, 2: 300, 3: 264}), rng)
-    return _build(spec, flags, level_of, seed)
+    return build_fixture(spec, flags, level_of, seed)
 
 
 def _gaussian_k2(spec: FixtureSpec, seed: int) -> Fixture:
@@ -422,7 +395,7 @@ def _gaussian_k2(spec: FixtureSpec, seed: int) -> Fixture:
             level_of.append(0)
         else:
             level_of.append(1)
-    return _build(spec, flags, level_of, seed)
+    return build_fixture(spec, flags, level_of, seed)
 
 
 def _pathfinder(spec: FixtureSpec, seed: int) -> Fixture:
@@ -431,14 +404,14 @@ def _pathfinder(spec: FixtureSpec, seed: int) -> Fixture:
     quotas += [_spread(28, 8, 0, 31, rng) for _ in range(4)]
     flags = _scattered_flags(spec.num_ctas, spec.cta_size, quotas, rng)
     level_of = _assign_levels(flags, _pool({0: 200, 1: 104}), _pool({2: 700, 3: 532}), rng)
-    return _build(spec, flags, level_of, seed)
+    return build_fixture(spec, flags, level_of, seed)
 
 
 def _prefix_unreliable(spec: FixtureSpec, seed: int, k: int, rel_counts, unrel_counts) -> Fixture:
     rng = random.Random(f"{spec.name}:{seed}")
     flags = [tid >= k for tid in range(spec.total_threads)]
     level_of = _assign_levels(flags, _pool(rel_counts), _pool(unrel_counts), rng)
-    return _build(spec, flags, level_of, seed)
+    return build_fixture(spec, flags, level_of, seed)
 
 
 def _uniform_class(spec: FixtureSpec, seed: int, counts: dict[int, int], reliable: bool) -> Fixture:
@@ -448,14 +421,14 @@ def _uniform_class(spec: FixtureSpec, seed: int, counts: dict[int, int], reliabl
         level_of = _assign_levels(flags, _pool(counts), [], rng)
     else:
         level_of = _assign_levels(flags, [], _pool(counts), rng)
-    return _build(spec, flags, level_of, seed)
+    return build_fixture(spec, flags, level_of, seed)
 
 
-_TABLE: list[tuple[FixtureSpec, object]] = []
+_TABLE: dict[str, tuple[FixtureSpec, object]] = {}  # name -> (spec, builder), in table order
 
 
 def _register(spec: FixtureSpec, builder) -> None:
-    _TABLE.append((spec, builder))
+    _TABLE[spec.name] = (spec, builder)
 
 
 _register(
@@ -607,110 +580,25 @@ _register(
     lambda spec, seed: _uniform_class(spec, seed, {0: 700, 1: 324}, True),
 )
 
-REMAPPABLE_BEFORE_PCTS = ("0.00", "49.38", "17.19", "0.00", "63.89", "25.00", "8.33")
-
-# ---------------------------------------------------------------------------
-# extra fixtures used by the pipeline and the cost-model checks
-
-
-def _alternating(spec: FixtureSpec, seed: int) -> Fixture:
-    rng = random.Random(f"{spec.name}:{seed}")
-    flags = [tid % 2 == 0 for tid in range(spec.total_threads)]
-    n = spec.total_threads // 2
-    level_of = _assign_levels(flags, _pool({0: n}), _pool({1: n}), rng)
-    return _build(spec, flags, level_of, seed)
-
-
-def _reliable_block(spec: FixtureSpec, seed: int, reliable_threads: int) -> Fixture:
-    rng = random.Random(f"{spec.name}:{seed}")
-    flags = [tid < reliable_threads for tid in range(spec.total_threads)]
-    level_of = _assign_levels(
-        flags,
-        _pool({0: reliable_threads}),
-        _pool({1: spec.total_threads - reliable_threads}),
-        rng,
-    )
-    return _build(spec, flags, level_of, seed)
-
-
-def _fidelity_probe(spec: FixtureSpec, seed: int) -> Fixture:
-    rng = random.Random(f"{spec.name}:{seed}")
-    flags = _scattered_flags(spec.num_ctas, spec.cta_size, [[16]], rng)
-    level_of = _assign_levels(flags, _pool({0: 16}), _pool({1: 16}), rng)
-    return _build(spec, flags, level_of, seed)
-
-
-def _split_probe(spec: FixtureSpec, seed: int) -> Fixture:
-    rng = random.Random(f"{spec.name}:{seed}")
-    flags = _scattered_flags(spec.num_ctas, spec.cta_size, [[32, 0]], rng)
-    level_of = _assign_levels(flags, _pool({0: 32}), _pool({1: 32}), rng)
-    return _build(spec, flags, level_of, seed)
-
-
-_EXTRA: list[tuple[FixtureSpec, object]] = [
-    (
-        FixtureSpec(
-            "alternating", 2, 64, "alternating", (_F(0), _F("0.5")),
-            equal_work=True,
-            notes="Every warp mixed before regrouping; 50% reliable warps after.",
-        ),
-        _alternating,
-    ),
-    (
-        FixtureSpec(
-            "fidelity_probe", 1, 32, "scattered", (_F(0), _F("0.5")),
-            notes="One mixed warp, small enough to re-measure exhaustively: injected "
-            "campaigns must classify its threads the way the declared profile does.",
-        ),
-        _fidelity_probe,
-    ),
-    (
-        FixtureSpec(
-            "split_probe", 1, 64, "scattered", (_F(0), _F("0.5")),
-            notes="One pure reliable warp and one pure unreliable warp; exercises the "
-            "escape-rate bound for faults landing in unreplicated warps.",
-        ),
-        _split_probe,
-    ),
-]
-for _pct in (0, 25, 50, 75, 100):
-    _EXTRA.append(
-        (
-            FixtureSpec(
-                f"uniform_r{_pct}", 1, 128, "per_cta_blocks", (_F(0), _F("0.5")),
-                equal_work=True,
-                notes="Warp-aligned reliable prefix over uniform work; exercises the "
-                "closed-form savings arithmetic.",
-            ),
-            (lambda p: lambda spec, seed: _reliable_block(spec, seed, p * 128 // 100))(_pct),
-        )
-    )
-
-_ALL: dict[str, tuple[FixtureSpec, object]] = {s.name: (s, b) for s, b in _TABLE + _EXTRA}
-
 
 def fixture_names() -> list[str]:
-    return list(_ALL)
+    """The suite's fixture names, in benchmark-table order."""
+    return list(_TABLE)
 
 
 def suite_specs() -> list[FixtureSpec]:
-    return [spec for spec, _ in _TABLE]
+    return [spec for spec, _ in _TABLE.values()]
 
 
 def generate_fixture(name: str, seed: int = 0) -> Fixture:
     """Build a named fixture; deterministic for a given (name, seed)."""
-    if name not in _ALL:
-        raise FixtureError(f"unknown fixture {name!r} (try one of {', '.join(_ALL)})")
-    spec, builder = _ALL[name]
+    if name not in _TABLE:
+        raise FixtureError(f"unknown fixture {name!r} (try one of {', '.join(_TABLE)})")
+    spec, builder = _TABLE[name]
     return builder(spec, seed)
-
-
-def fixture_suite(seed: int = 0) -> list[Fixture]:
-    """The seventeen-kernel fixture set, in benchmark-table order."""
-    return [builder(spec, seed) for spec, builder in _TABLE]
 
 
 def remappable_suite(seed: int = 0) -> list[Fixture]:
     """The regroup-eligible fixtures, in benchmark-table order; no other is built."""
-    return [builder(spec, seed) for spec, builder in _TABLE if spec.remappable]
+    return [builder(spec, seed) for spec, builder in _TABLE.values() if spec.remappable]
 

@@ -321,10 +321,12 @@ PROFILE_HEADER = [
 
 def profile_to_csv_text(profile: KernelProfile) -> str:
     # The kernel name is the only field the csv module could quote; render
-    # it once, in a two-field row as in the file.
+    # it once, in a two-field row as in the file.  The module quotes a field
+    # for the line-break characters of its terminator only, and a reader ends
+    # a line at either, so the row is rendered with both.
     field_text = io.StringIO()
-    csv.writer(field_text, lineterminator="\n").writerow([profile.kernel, 0])
-    kernel = field_text.getvalue()[: -len(",0\n")]
+    csv.writer(field_text, lineterminator="\r\n").writerow([profile.kernel, 0])
+    kernel = field_text.getvalue()[: -len(",0\r\n")]
     fractions = [f"{float(m)!r},{float(s)!r},{float(o)!r}" for m, s, o in profile.outcomes]
     cta_size = profile.geometry[1]
     lines = [",".join(PROFILE_HEADER) + "\n"]

@@ -19,6 +19,7 @@ from warpshield.faults import (
     golden_run,
     sample_sites,
 )
+from warpshield.fixtures import Fixture, FixtureSpec, build_fixture, fixture_names, generate_fixture
 from warpshield.interp import (
     COMPLETED,
     CRASHED,
@@ -210,6 +211,40 @@ def chase_kernel() -> tuple[KernelProgram, dict[str, list[int]]]:
         "vals": [rng.getrandbits(32) for _ in range(96)],
     }
     return program, inputs
+
+
+# Test-only fixtures on the suite's dispatch kernel: class 0 at 0% SDC for
+# the reliable threads, class 1 at 50% for the rest.
+PROBE_FIXTURE_NAMES = [
+    "alternating",  # every warp mixed before regrouping, 50% reliable warps after
+    "fidelity_probe",  # one mixed warp, small enough to re-measure exhaustively
+    "split_probe",  # one pure reliable warp and one pure unreliable warp
+    *(f"uniform_r{pct}" for pct in (0, 25, 50, 75, 100)),  # warp-aligned reliable prefix
+]
+PROBE_LEVELS = (Fraction(0), Fraction(1, 2))
+
+
+def named_fixture(name: str, seed: int = 0) -> Fixture:
+    """A test-only fixture of ``PROBE_FIXTURE_NAMES``, or else the suite's."""
+    if name == "alternating":
+        spec = FixtureSpec(name, 2, 64, "alternating", PROBE_LEVELS)
+        flags = [tid % 2 == 0 for tid in range(spec.total_threads)]
+    elif name == "fidelity_probe":
+        spec = FixtureSpec(name, 1, 32, "scattered", PROBE_LEVELS)
+        reliable = random.Random(f"{name}:{seed}").sample(range(32), 16)
+        flags = [tid in reliable for tid in range(32)]
+    elif name == "split_probe":
+        spec = FixtureSpec(name, 1, 64, "scattered", PROBE_LEVELS)
+        flags = [tid < 32 for tid in range(64)]
+    elif name in PROBE_FIXTURE_NAMES:
+        spec = FixtureSpec(name, 1, 128, "reliable_prefix", PROBE_LEVELS)
+        flags = [tid < int(name.removeprefix("uniform_r")) * 128 // 100 for tid in range(128)]
+    else:
+        return generate_fixture(name, seed)
+    return build_fixture(spec, flags, [0 if flag else 1 for flag in flags], seed)
+
+
+FIXTURE_NAMES = [*fixture_names(), *PROBE_FIXTURE_NAMES]
 
 
 def identity_plan(geometry: tuple[int, int], tau=Fraction(1, 20), kernel=None) -> RemapPlan:

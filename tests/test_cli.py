@@ -222,8 +222,32 @@ def _pathfinder_artifacts(tmp_path):
 
 @pytest.mark.parametrize("command", ["profile", "protect", "emit"])
 def test_unknown_fixture_exits_2(tmp_path, command, capsys):
-    assert main([command, "--fixture", "nope", "--out", str(tmp_path)]) == 2
-    assert "unknown fixture 'nope'" in capsys.readouterr().err
+    """A test-only fixture such as uniform_r50 is not in the table either."""
+    for name in ("nope", "uniform_r50"):
+        assert main([command, "--fixture", name, "--out", str(tmp_path)]) == 2
+        assert f"unknown fixture '{name}'" in capsys.readouterr().err
+
+
+_UNREAD_FLAGS = [
+    *((command, "--cost-table", "t.json") for command in ("profile", "classify", "remap", "sweep")),
+    *((command, "--budget", "10") for command in ("classify", "remap", "sweep", "suite")),
+    *((command, "--tau", "0.1") for command in ("protect", "report")),
+    ("protect", "--mode", "none"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", _UNREAD_FLAGS, ids=[f"{c}{f}-{v}" for c, f, v in _UNREAD_FLAGS]
+)
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, command, flag, value, capsys):
+    """Each command takes only the flags it reads; the rest are usage errors."""
+    required = ["--taus", "0.05"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    refusal = f"invalid choice: '{value}'" if flag == "--mode" else f"unrecognized arguments: {flag}"
+    assert refusal in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("overhead", ["-2", "-1"])

@@ -10,13 +10,15 @@ from warpshield.interp import CostTable, _DEFAULT_OP_CYCLES, execute
 from warpshield.protect import CORRECT, DETECT, build_protection_plan, run_protected
 from warpshield.remap import apply_plan, build_plan
 
+from support import named_fixture
+
 ZERO_BOOKKEEPING = CostTable(
     op_cycles=dict(_DEFAULT_OP_CYCLES), compare_per_store=0, vote_per_store=0
 )
 
 
 def _uniform(pct):
-    fixture = generate_fixture(f"uniform_r{pct}")
+    fixture = named_fixture(f"uniform_r{pct}")
     return fixture.program, fixture.inputs, list(fixture.flags)
 
 
@@ -57,7 +59,7 @@ def test_savings_monotone_in_reliable_fraction():
 
 def test_account_matches_replicated_interpreter_cycles():
     """The model and brute-force replicated execution must agree exactly."""
-    fixture = generate_fixture("alternating")
+    fixture = named_fixture("alternating")
     program, inputs, flags = fixture.program, fixture.inputs, list(fixture.flags)
     plan = build_plan(flags, program.geometry, tau=fixture.profile.tau)
     report = account(program, inputs, flags, plan=plan)
@@ -115,7 +117,7 @@ def test_suite_savings_positive_and_correction_dominates():
 
 
 def test_account_rejects_program_with_layout_attached():
-    fixture = generate_fixture("alternating")
+    fixture = named_fixture("alternating")
     flags = list(fixture.flags)
     plan = build_plan(flags, fixture.program.geometry, tau=fixture.profile.tau)
     with pytest.raises(ValidationError, match="unmapped"):

@@ -30,6 +30,7 @@ from support import (
     dead_write_kernel,
     finish_issue_by_issue,
     from_launch_campaign,
+    named_fixture,
     run_protected_every_replica,
     single_step_execute,
     two_group_kernel,
@@ -237,7 +238,7 @@ def test_warp_local_campaign_equals_full_runs_on_every_site(kernel):
 def test_warp_local_campaign_equals_full_runs_on_sampled_probe_sites(name, fraction):
     """The dispatch kernels of the fixture suite: one mixed warp, and one
     pure warp of each class."""
-    fixture = generate_fixture(name)
+    fixture = named_fixture(name)
     program, inputs = fixture.program, fixture.inputs
     sites = sample_sites(enumerate_fault_space(program, inputs), fraction, seed=3)
     campaign = run_campaign(program, inputs, sites)

@@ -4,16 +4,11 @@ import pytest
 
 from warpshield.classify import classify_threads, classify_warps, format_pct, kernel_stats
 from warpshield.errors import FixtureError
-from warpshield.fixtures import (
-    class_path_icnt,
-    fixture_names,
-    fixture_suite,
-    generate_fixture,
-    remappable_suite,
-    suite_specs,
-)
+from warpshield.fixtures import class_path_icnt, fixture_names, generate_fixture, remappable_suite, suite_specs
 from warpshield.interp import execute
 from warpshield.profiling import TAU_DEFAULT, profile_kernel
+
+from support import PROBE_FIXTURE_NAMES, named_fixture
 
 TABLE_ORDER = [
     "jmeint_k1",
@@ -45,7 +40,7 @@ def test_suite_has_seventeen_kernels_in_table_order():
 
 def test_every_fixture_reproduces_its_target_stats():
     # generation itself verifies targets; recompute here independently
-    for fixture in fixture_suite():
+    for fixture in map(generate_fixture, fixture_names()):
         flags = list(fixture.flags)
         stats = kernel_stats(classify_warps(flags, fixture.program.warps()), flags)
         got = (format_pct(stats.pct_reliable_warps), format_pct(stats.pct_reliable_threads))
@@ -72,7 +67,7 @@ def test_seed_does_not_move_target_stats():
 
 
 def test_fixture_kernels_execute_and_match_declared_icnt():
-    for fixture in fixture_suite():
+    for fixture in map(generate_fixture, fixture_names()):
         result = execute(fixture.program, fixture.inputs)
         assert result.termination == "completed", fixture.name
         assert result.per_thread_icnt == [t.icnt for t in fixture.profile.threads], fixture.name
@@ -129,17 +124,19 @@ def test_profile_group_ids_track_path_length():
     assert ordered == sorted(ordered)
 
 
-def test_injected_classes_match_declared_classes():
+@pytest.mark.parametrize("name", PROBE_FIXTURE_NAMES)
+def test_injected_classes_match_declared_classes(name):
     """The generated code paths don't just declare reliability; they measure
     that way under real injection."""
-    fixture = generate_fixture("fidelity_probe")
+    fixture = named_fixture(name)
     measured = profile_kernel(fixture.program, fixture.inputs, mode="pruned")
     declared = classify_threads(fixture.profile, TAU_DEFAULT)
     assert classify_threads(measured, TAU_DEFAULT) == declared
-    reliable_sdc = {t.sdc_pct for t in measured.threads if declared[t.thread_id]}
-    unreliable_sdc = {t.sdc_pct for t in measured.threads if not declared[t.thread_id]}
-    assert max(reliable_sdc) <= TAU_DEFAULT
-    assert min(unreliable_sdc) > Fraction(1, 2)
+    for t in measured.threads:
+        if declared[t.thread_id]:
+            assert t.sdc_pct <= TAU_DEFAULT
+        else:
+            assert t.sdc_pct > Fraction(1, 2)
 
 
 def test_unknown_fixture_name():
@@ -148,9 +145,7 @@ def test_unknown_fixture_name():
 
 
 def test_registry_exposes_suite_and_probes():
-    names = fixture_names()
-    assert set(TABLE_ORDER) <= set(names)
-    assert {"alternating", "fidelity_probe", "split_probe", "uniform_r50"} <= set(names)
+    assert fixture_names() == TABLE_ORDER
 
 
 def test_remappable_suite_subset():

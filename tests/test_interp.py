@@ -5,11 +5,18 @@ import pytest
 
 from warpshield.errors import ValidationError
 from warpshield.faults import FaultSite, default_budget
-from warpshield.fixtures import fixture_names, generate_fixture
+from warpshield.fixtures import generate_fixture
 from warpshield.interp import CostTable, _runs_of, execute, seeded_inputs, word_inputs
 from warpshield.ir import parse_kernel
 
-from support import add_one_inputs, add_one_kernel, address_probe_kernel, single_step_execute
+from support import (
+    FIXTURE_NAMES,
+    add_one_inputs,
+    add_one_kernel,
+    address_probe_kernel,
+    named_fixture,
+    single_step_execute,
+)
 
 IFELSE_SRC = """.kernel ifelse
 .ctas 1
@@ -302,11 +309,11 @@ def test_fused_runs_equal_single_step_at_every_site_and_budget():
     assert terminations == {"hung", "completed"}
 
 
-@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fused_runs_equal_single_step_on_fixtures(name):
     """Fault-free, at sampled sites, under warp filters and under budgets
     that run out, with and without recorded writes and stores."""
-    fixture = generate_fixture(name)
+    fixture = named_fixture(name)
     program, inputs = fixture.program, word_inputs(fixture.program, fixture.inputs)
     golden = _same(program, inputs, record_writes=True, record_stores=True)
     rng = random.Random(name)

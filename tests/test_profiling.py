@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from warpshield.classify import classify_threads, classify_warps, format_pct, kernel_stats, scatter_rows
 from warpshield.errors import ValidationError
-from warpshield.fixtures import fixture_names, generate_fixture, suite_specs
+from warpshield.fixtures import generate_fixture, suite_specs
 from warpshield.interp import execute
 from warpshield.ir import parse_kernel, warps_for
 from warpshield.profiling import (
@@ -29,10 +29,12 @@ from warpshield.remap import build_plan
 
 import warpshield.faults
 from support import (
+    FIXTURE_NAMES,
     add_one_inputs,
     add_one_kernel,
     chase_kernel,
     dead_write_kernel,
+    named_fixture,
     profile_of_rows,
     profile_per_campaign,
     two_group_kernel,
@@ -161,12 +163,12 @@ def _sampled_exhaustive_profile():
     return profile
 
 
-@pytest.mark.parametrize("name", [*fixture_names(), "sampled-exhaustive"])
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "sampled-exhaustive"])
 def test_profile_file_is_the_per_field_rendering_and_round_trips(name, tmp_path):
     if name == "sampled-exhaustive":
         profile = _sampled_exhaustive_profile()
     else:
-        profile = generate_fixture(name).profile
+        profile = named_fixture(name).profile
     expected = _per_field_csv(profile).encode()
     assert profile_digest(profile) == hashlib.sha256(expected).hexdigest()
     path = tmp_path / "profile.csv"
@@ -430,7 +432,7 @@ def _profiles(draw):
     extrapolated from it) or exhaustive-style (every thread measured, rows
     drawn from a small pool so that they repeat and differ).  Every row
     holds its own Fraction objects."""
-    kernel = draw(st.text(alphabet='ab,"\n \'', max_size=5))
+    kernel = draw(st.text(alphabet='ab,"\n\r \'', max_size=5))
     num_ctas, cta_size = draw(st.integers(1, 3)), draw(st.integers(1, 40))
     n_groups = draw(st.integers(1, 4))
     icnt_of_group = draw(st.lists(st.integers(1, 3), min_size=n_groups, max_size=n_groups))
@@ -455,14 +457,20 @@ def _profiles(draw):
 
 
 def _reference_text(kernel, cta_size, rows, order):
-    """profile.csv rendered field by field, its rows in ``order``."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PROFILE_HEADER)
+    """profile.csv rendered field by field, its rows in ``order``.  Each row
+    is written with a ``\\r\\n`` terminator, so that the csv module quotes a
+    field holding either line-break character, and then ends in ``\\n``."""
+
+    def line(fields):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(fields)
+        return out.getvalue()[: -len("\r\n")] + "\n"
+
+    text = [line(PROFILE_HEADER)]
     for t in order:
         icnt, gid, outcome, provenance = rows[t]
-        writer.writerow([kernel, t // cta_size, t, icnt, gid, *(repr(float(x)) for x in outcome), provenance])
-    return out.getvalue()
+        text.append(line([kernel, t // cta_size, t, icnt, gid, *(repr(float(x)) for x in outcome), provenance]))
+    return "".join(text)
 
 
 @settings(max_examples=60, deadline=None)

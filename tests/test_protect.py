@@ -17,7 +17,7 @@ from warpshield.protect import (
     run_protected,
 )
 
-from support import add_one_inputs, add_one_kernel, address_probe_kernel, dead_write_kernel
+from support import add_one_inputs, add_one_kernel, address_probe_kernel, dead_write_kernel, named_fixture
 
 
 def _full_plan(program, mode):
@@ -120,7 +120,7 @@ def test_full_duplication_cycles_double_plus_compare():
 def test_escape_rate_bounded_by_threshold_share():
     """Faults in unreplicated warps escape by design, but no faster than the
     threshold times those warps' share of the fault space."""
-    fixture = generate_fixture("split_probe")
+    fixture = named_fixture("split_probe")
     program, inputs = fixture.program, fixture.inputs
     measured = profile_kernel(program, inputs, mode="pruned")
     tau = Fraction(1, 20)
