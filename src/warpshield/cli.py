@@ -82,6 +82,9 @@ def _read_inputs(path: Path) -> dict[str, list[int]]:
 
 
 def _out_dir(args) -> Path:
+    """``--out``, made if missing.  A command that reads a kernel resolves
+    it first, so a refused ``--fixture`` or ``--kernel`` leaves no
+    directory behind."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -174,10 +177,10 @@ def _read_json(path: Path, what: str):
 def cmd_profile(args) -> int:
     from .profiling import profile_kernel, save_profile, text_digest
 
-    out = _out_dir(args)
     program, inputs = _load_program(args)
     if args.sample is not None and not 0 < args.sample <= 1:
         raise _ConfigError(f"--sample {args.sample} outside (0, 1]")
+    out = _out_dir(args)
     profile = profile_kernel(
         program,
         inputs,
@@ -265,8 +268,8 @@ def cmd_protect(args) -> int:
     from .protect import build_protection_plan, protection_report, run_protected
     from .remap import apply_plan
 
-    out = _out_dir(args)
     program, inputs = _load_program(args)
+    out = _out_dir(args)
     profile = load_profile(out / "profile.csv")
     plan = _load_plan_for(out, profile)
     remapped = apply_plan(program, plan)
@@ -295,8 +298,8 @@ def cmd_report(args) -> int:
     from .costs import REFERENCE_FIGURES, account
     from .profiling import load_profile, to_fraction
 
-    out = _out_dir(args)
     program, inputs = _load_program(args)
+    out = _out_dir(args)
     profile = load_profile(out / "profile.csv")
     stats_before = _read_json(out / "stats.json", "classify output")
     report = {
@@ -460,8 +463,8 @@ def cmd_emit(args) -> int:
     from .ir import program_to_source
     from .profiling import save_profile
 
-    out = _out_dir(args)
     fixture = _fixture(args)
+    out = _out_dir(args)
     (out / f"{fixture.name}.wir").write_text(program_to_source(fixture.program))
     _write_json(out / f"{fixture.name}_inputs.json", {k: v for k, v in fixture.inputs.items()})
     save_profile(fixture.profile, out / f"{fixture.name}_profile.csv")

@@ -24,7 +24,9 @@ Phases order the thread's stores against every other store but one kind:
 a warp-mate's store to the same location in the same phase, which only
 lock-step orders (lanes issue in lane order).  A site whose thread, golden
 or faulted, shares a location and a phase with a warp-mate's golden store
-re-runs its whole warp instead, whose stream the replay orders exactly.
+re-runs its whole warp from launch instead, as
+``execute(..., warp_filter=key)``, the run protection makes of a faulted
+replica, and the replay orders that warp's stream exactly.
 
 Nor does a site re-run its thread from launch.  Until the faulted thread
 first reads the flipped register, the faulted run equals the golden run but
@@ -275,9 +277,11 @@ def run_campaign(
     Any difference from the golden output is ``sdc``, none is ``masked``.
     When a store of the thread, golden or faulted, shares a location and a
     barrier phase with a warp-mate's golden store, only lock-step orders
-    the two: that site re-runs its whole warp from the same fork and
-    replays the warp's stream instead.  The result's ``runs`` counts the
-    sites decided with no run, by a one-thread run and by a warp run.
+    the two: that site re-runs its whole warp from launch, as
+    ``execute(..., fault=site, warp_filter=key)`` (the run protection makes
+    of a faulted replica), and replays the warp's stream instead.  The
+    result's ``runs`` counts the sites decided with no run, by a
+    one-thread run and by a warp run.
 
     The sites of one warp share its fault-free pass, so they are classified
     in the pass's order; each outcome depends on its site alone, so the
@@ -310,7 +314,8 @@ def run_campaign(
     runs = RunCounts()
     for key, warp_sites in by_warp.items():
         cursor = WarpRun(program, words, key, budget)
-        scorer = _WarpScorer(golden, cursor, {site.thread_id for site in warp_sites}, writers)
+        threads = {site.thread_id for site in warp_sites}
+        scorer = _WarpScorer(program, words, budget, golden, cursor, threads, writers)
         for site, written in _warp_forks(cursor, warp_sites, per_site):
             per_site[site] = scorer.outcome(site, written, runs)
     runs.without_run = len(sites) - runs.lone_thread - runs.full_warp
@@ -470,10 +475,12 @@ class _WarpScorer:
     sites needs them.  A warp-mate's golden store to a location in a phase
     the thread also stores to, in the golden or the faulted run, is a
     collision: only lock-step orders the two, so such a site re-runs the
-    whole warp.
+    whole warp from launch through ``execute(..., warp_filter=key)``, the
+    isolated run protection makes of a faulted replica.
     """
 
-    def __init__(self, golden: ExecutionResult, cursor: WarpRun, threads, writers):
+    def __init__(self, program, words, budget: int, golden, cursor: WarpRun, threads, writers):
+        self.program, self.words, self.budget = program, words, budget
         self.golden = golden
         self.cursor = cursor
         self.key = cursor.warp.key
@@ -504,7 +511,8 @@ class _WarpScorer:
         return info
 
     def outcome(self, site: FaultSite, written: int | None, runs: RunCounts) -> Outcome:
-        """Outcome of ``site``, whose run forks from the cursor as it is now.
+        """Outcome of ``site``, whose one-thread run forks from the cursor as it
+        is now.
 
         A completed run of the thread alone is scored by replaying, at the
         locations the thread stores to in the golden or the faulted run,
@@ -523,11 +531,19 @@ class _WarpScorer:
         mate_triples = info.mate_triples
         if info.collides or any((buf, addr, phase) in mate_triples for buf, addr, _, phase in faulted):
             runs.full_warp += 1
-            run = cursor.fork_warp(site, written).finish()
-            if run.termination != COMPLETED:  # as the lone run: never
+            run = execute(
+                self.program,
+                self.words,
+                fault=site,
+                budget=self.budget,
+                warp_filter=self.key,
+                record_stores=True,
+            )
+            if not run.completed:  # as the lone run: never
                 return classify_outcome(golden, run)
-            touched = {(buf, addr) for buf, addr, _, _ in (*self.stream, *run.stream)}
-            return _replayed_outcome(golden, self.key, run.stream, touched, self.writers)
+            stream = run.store_streams.get(self.key, ())
+            touched = {(buf, addr) for buf, addr, _, _ in (*self.stream, *stream)}
+            return _replayed_outcome(golden, self.key, stream, touched, self.writers)
         runs.lone_thread += 1
         touched = info.locations.union((buf, addr) for buf, addr, _, _ in faulted)
         forked_at = cursor.icnt[site.thread_id]

@@ -53,15 +53,16 @@ instruction from the same table, so opcode semantics are written once.
 
 Snapshot and resume: :class:`WarpRun` runs one warp as a warp-filtered
 :func:`execute` does, but holds it between issues.  It names the coming
-issue (pc, block end, lane mask), makes it, or forks a copy at that
-boundary: of one thread (its registers, iCnt and fragment or barrier wait,
-with the warp's barrier phase and issue count), or of the whole warp (its
-registers, iCnts, fragments, waiting fragments, barrier phase, issue count,
-cycles and store stream so far).  A fork is armed with a fault, or gets a
-bit flipped in a register directly, and runs to its end.  ``execute`` and
-every ``WarpRun`` issue through one ``issue`` closure built by
-``_issuer``; a ``WarpRun`` keys its state by its own threads and keeps no
-output buffers, so it costs O(warp) memory.
+issue (pc, block end, lane mask), makes it, or forks a copy of one thread
+at that boundary: its registers, iCnt and fragment or barrier wait, with
+the warp's barrier phase and issue count.  A fork is armed with a fault,
+or gets a bit flipped in a register directly, and runs to its end.  A
+whole warp runs on its own only as ``execute(..., warp_filter=key)``,
+from launch: protection's faulted replica, and a fault site whose store
+shares a location and a phase with a warp-mate's.  ``execute`` and every
+``WarpRun`` issue through one ``issue`` closure built by ``_issuer``; a
+``WarpRun`` keys its state by its own threads and keeps no output
+buffers, so it costs O(warp) memory.
 
 Lone form: a one-thread copy finishes in the program's ``lone`` form, one
 generated function (:mod:`warpshield.lone`) that keeps the thread's
@@ -219,13 +220,6 @@ class _WarpCtx:
         self.cycles = 0
         self.phase = 0  # barrier releases of the warp's CTA so far
 
-    def copy(self) -> "_WarpCtx":
-        twin = _WarpCtx(self.key, self.members)
-        twin.frags = [frag[:] for frag in self.frags]
-        twin.waiting = [frag[:] for frag in self.waiting]
-        twin.issued, twin.cycles, twin.phase = self.issued, self.cycles, self.phase
-        return twin
-
     def lone(self, lane: int) -> "_WarpCtx":
         """A copy that holds lane ``lane`` alone, as lane 0: its fragment or
         barrier wait, the warp's issue count and barrier phase, no cycles."""
@@ -319,6 +313,55 @@ def _generate(source: str, name: str):
     return namespace["f"]
 
 
+def _block_source(
+    instructions: tuple[Instruction, ...],
+    start: int,
+    end: int,
+    buffers: tuple[str, ...],
+    hooked: bool = False,
+):
+    """The block ``instructions[start:end]`` for one lane whose registers
+    are locals ``x<reg>``: ``(lines, loads, reads, written)``.
+
+    ``lines`` set ``x<dest> = <value>`` for each instruction but the
+    closing ``bra``; ``hooked``, each is followed by the fault hook's flip
+    of its register when ``hook`` is its pc.  ``loads`` are the distinct
+    ``(address register, buffer index)`` of its loads, the input buffer
+    ``buffers[k]`` being ``b<k>``; ``reads`` are the registers it reads
+    before writing them, the closing ``bra``'s predicate included, and
+    ``written`` those it writes; each in order of first use.  Only
+    validated integers (register numbers, ``movi`` immediates, buffer
+    indices) and the fixed strings above enter the source.
+    """
+    lines, loads, reads, written = [], [], [], []
+
+    def read(reg):
+        if reg not in written and reg not in reads:
+            reads.append(reg)
+        return f"x{reg}"
+
+    for pc in range(start, end):
+        ins = instructions[pc]
+        if ins.opcode == "bra":  # only ever the last instruction
+            if ins.srcs:
+                read(ins.srcs[0])
+            continue
+        if ins.opcode == "ld":
+            load = (ins.addr_reg, buffers.index(ins.buffer))
+            if load not in loads:
+                loads.append(load)
+            value = _VALUE["ld"].format(buf=f"b{load[1]}", a=read(ins.addr_reg))
+        else:
+            a, b = (*(read(reg) for reg in ins.srcs), None, None)[:2]
+            value = _VALUE[ins.opcode].format(a=a, b=b, imm=ins.imm, cmp=_SETP_CMP.get(ins.cond))
+        lines.append(f"x{ins.dest} = {value}")
+        if hooked:
+            lines.append(f"if hook == {pc}: x{ins.dest} ^= mask")
+        if ins.dest not in written:
+            written.append(ins.dest)
+    return lines, loads, reads, written
+
+
 def _compile_run(
     instructions: tuple[Instruction, ...],
     start: int,
@@ -337,50 +380,18 @@ def _compile_run(
     block before its ld, so every address is a register value at block
     entry and the check can come first.  Hooked, it inverts ``mask`` in
     the value instruction ``at`` writes on lane ``lane``, where the
-    instruction writes it.
-
-    Register operands become locals ``x<reg>``, and the input buffer
-    ``buffers[k]`` is ``bufs[k]``.  Only validated integers (register
-    numbers, ``movi`` immediates, buffer indices) and the fixed strings
-    above enter the source.
+    instruction writes it.  The lane's body is :func:`_block_source`'s.
     """
-    reads, body, written, checks, used = [], [], [], [], []
-    writing = 0
-    taken = None
-
-    def read(reg):
-        if reg not in written and reg not in reads:
-            reads.append(reg)
-        return f"x{reg}"
-
-    for pc in range(start, end):
-        ins = instructions[pc]
-        if ins.opcode == "bra":  # only ever the last instruction
-            if ins.srcs:
-                taken = read(ins.srcs[0])
-            continue
-        if ins.opcode == "ld":
-            k = buffers.index(ins.buffer)
-            if k not in used:
-                used.append(k)
-            check = _OUT_OF_BOUNDS.format(a=f"r[{ins.addr_reg}]", size=f"s{k}")
-            if check not in checks:
-                checks.append(check)
-            value = _VALUE["ld"].format(buf=f"b{k}", a=read(ins.addr_reg))
-        else:
-            a, b = (*(read(reg) for reg in ins.srcs), None, None)[:2]
-            value = _VALUE[ins.opcode].format(a=a, b=b, imm=ins.imm, cmp=_SETP_CMP.get(ins.cond))
-        body.append(f"x{ins.dest} = {value}")
-        if hooked:
-            body.append(f"if hook == {pc}: x{ins.dest} ^= mask")
-        if ins.dest not in written:
-            written.append(ins.dest)
-        writing += 1
+    body, loads, reads, written = _block_source(instructions, start, end, buffers, hooked)
+    closing = instructions[end - 1]
+    taken = f"x{closing.srcs[0]}" if closing.opcode == "bra" and closing.srcs else None
     length = end - start
+    writing = length - (closing.opcode == "bra")
     lines = [f"def f(regs, members, lanes, icnt, writes, bufs{', lane, at, mask' if hooked else ''}):"]
-    for k in used:
+    for k in dict.fromkeys(k for _, k in loads):
         lines += [f"    b{k} = bufs[{k}]", f"    s{k} = len(b{k})"]
-    if checks:
+    if loads:
+        checks = (_OUT_OF_BOUNDS.format(a=f"r[{reg}]", size=f"s{k}") for reg, k in loads)
         lines += [
             "    for li in lanes:",
             "        r = regs[members[li]]",
@@ -609,8 +620,9 @@ def execute(
     as it does inside the full run.  Each recorded store carries the count
     of barrier releases before it, which is the same in both runs, so
     :func:`replay_stores` can put isolated streams back in full-run order.
-    Protection replicas run warps this way, and :class:`WarpRun` runs one
-    warp so for fault injection.
+    Protection replicas run warps this way, and so does fault injection,
+    from launch for a site whose store meets a warp-mate's and resumed in
+    a :class:`WarpRun` for every other.
 
     Each issue runs a whole basic block over the warp's active lanes (see
     the module docstring).  It steps one instruction at a time instead when
@@ -913,18 +925,20 @@ def _issuer(
 
 class WarpRun:
     """One warp run on its own, as ``execute(..., warp_filter=key)`` runs
-    it, held between issues so that it can be copied and resumed.
+    it, held between issues so that one thread of it can be copied and
+    resumed.
 
-    A new ``WarpRun`` is the fault-free warp at launch.  :meth:`next_issue`
-    names the coming issue, :meth:`advance` makes it, :meth:`fork` copies
-    one thread of the run at that boundary and :meth:`fork_warp` the whole
-    warp (armed with a fault, or with its bit already flipped), and
-    :meth:`finish` runs a copy to its end.  A one-thread copy runs its
-    thread as the warp would, in the program's lone form, and its store
-    stream holds that thread's stores from the fork on.  State is keyed by the run's own threads and
-    output buffers are not kept, so a resumed run allocates O(warp) memory
-    whatever the kernel's thread count.  Every issue goes through the same
-    :func:`_issuer` as :func:`execute`.
+    A new ``WarpRun`` is the fault-free warp at launch; it records no
+    stores.  :meth:`next_issue` names the coming issue, :meth:`advance`
+    makes it, :meth:`fork` copies one thread of the run at that boundary
+    (armed with a fault, or with its bit already flipped), and
+    :meth:`finish` runs the copy to its end in the program's lone form, as
+    its warp would run that thread; the copy's store stream holds the
+    thread's stores from the fork on.  A whole warp that must run with a
+    fault runs from launch in ``execute``.  State is keyed by the run's
+    own threads and output buffers are not kept, so a resumed run
+    allocates O(warp) memory whatever the kernel's thread count.  Every
+    issue goes through the same :func:`_issuer` as :func:`execute`.
     """
 
     __slots__ = (
@@ -947,7 +961,7 @@ class WarpRun:
             regs={t: [0] * REGISTER_COUNT for t in members},
             writes=None,
             outputs={name: _Unkept(size) for name, size in program.output_buffers},
-            streams={},
+            streams=None,
             stores={},
         )
         for t, r in self._state.regs.items():
@@ -971,14 +985,13 @@ class WarpRun:
 
     @property
     def stream(self) -> list[tuple[str, int, int, int]]:
-        """The run's stores so far, as ``execute`` records them; a
-        one-thread copy's since it was forked."""
-        return self._state.streams.get(self.warp.key, [])
+        """A copy's stores since it was forked, as ``execute`` records
+        them."""
+        return self._state.streams[self.warp.key]
 
     @property
-    def store_icnts(self) -> list[int] | None:
-        """A one-thread copy's iCnt after each store of :attr:`stream`;
-        None for a run of the whole warp."""
+    def store_icnts(self) -> list[int]:
+        """A copy's iCnt after each store of :attr:`stream`."""
         return self._state.marks
 
     def next_issue(self) -> tuple[int, int, int] | None:
@@ -1024,41 +1037,28 @@ class WarpRun:
         never below the thread's iCnt, so a fragment the budget left inside
         a run keeps single-stepping.  What the copy cannot tell is the order
         of its stores against a warp-mate's store to the same location in
-        the same phase; :meth:`fork_warp` copies the whole warp for that.
+        the same phase; for that the whole warp re-runs from launch, as
+        ``execute(..., fault=fault, warp_filter=key)``.
         """
         return self._copy(fault.thread_id, fault, written)
-
-    def fork_warp(self, fault: "FaultSite", written: int | None = None) -> "WarpRun":
-        """As :meth:`fork`, but a copy of the whole warp: its registers,
-        iCnts, fragments, waiting fragments, barrier phase, issue count,
-        cycles and store stream so far."""
-        return self._copy(None, fault, written)
 
     def lone(self, thread: int) -> "WarpRun":
         """A fault-free one-thread copy of this run, as :meth:`fork` makes."""
         return self._copy(thread, None, None)
 
-    def _copy(self, thread: int | None, fault: "FaultSite | None", written: int | None) -> "WarpRun":
+    def _copy(self, thread: int, fault: "FaultSite | None", written: int | None) -> "WarpRun":
         wp, state = self.warp, self._state
         twin = object.__new__(WarpRun)
-        if thread is None:
-            twin.warp = wp.copy()
-            threads = wp.members
-            streams = {key: stream[:] for key, stream in state.streams.items()}
-            stores = dict(state.stores)
-        else:
-            twin.warp = wp.lone(wp.members.index(thread))
-            threads = twin.warp.members
-            streams, stores = {twin.warp.key: []}, {}
+        twin.warp = wp.lone(wp.members.index(thread))
         twin.termination = COMPLETED
         twin._state = _State(
-            icnt={t: state.icnt[t] for t in threads},
-            regs={t: state.regs[t][:] for t in threads},
+            icnt={thread: state.icnt[thread]},
+            regs={thread: state.regs[thread][:]},
             writes=None,
             outputs=state.outputs,
-            streams=streams,
-            stores=stores,
-            marks=[] if thread is not None else None,
+            streams={wp.key: []},
+            stores={},
+            marks=[],
         )
         twin._state.fault_applied = state.fault_applied
         twin._runs, twin._prefix, twin._inputs, twin._budget = (
@@ -1081,28 +1081,24 @@ class WarpRun:
         return twin
 
     def finish(self) -> "WarpRun":
-        """Run to the end: completion, a crash or a hang.
+        """Run a copy to the end: completion, a crash or a hang.
 
-        A one-thread copy first makes, through ``issue``, any issue still
-        due before its thread runs on its own: a pending barrier release,
-        and the issues up to and including an armed fault's (its hooked
-        block).  Then it runs the program's ``lone`` form (see
-        :class:`_Runs`), which hands back to ``issue`` for each instruction
-        the thread might crash or hang on, or that lies inside a block, and
-        resumes after it.  This is exact because a lone thread's crash,
-        hang, path and stores depend on its own iCnt alone, never on the
-        issue count, so fused and single-stepped issues give the same
-        result wherever the switch happens: it hangs exactly when it is
-        about to issue an instruction other than ``exit`` with its iCnt at
-        the budget.  A copy of the whole warp runs issue by issue.
+        The copy first makes, through ``issue``, any issue still due before
+        its thread runs on its own: a pending barrier release, and the
+        issues up to and including an armed fault's (its hooked block).
+        Then it runs the program's ``lone`` form (see :class:`_Runs`),
+        which hands back to ``issue`` for each instruction the thread might
+        crash or hang on, or that lies inside a block, and resumes after
+        it.  This is exact because a lone thread's crash, hang, path and
+        stores depend on its own iCnt alone, never on the issue count, so
+        fused and single-stepped issues give the same result wherever the
+        switch happens: it hangs exactly when it is about to issue an
+        instruction other than ``exit`` with its iCnt at the budget.
         """
-        try:
-            if self._state.marks is None:  # a run of the whole warp
-                _run_cta([self.warp], self._issue)
-            else:
-                from .lone import finish_alone
+        from .lone import finish_alone
 
-                finish_alone(self)
+        try:
+            finish_alone(self)
         except _Abort as abort:
             self.termination = abort.kind
         return self

@@ -96,10 +96,6 @@ class Warp:
     warp_id: int
     members: tuple[int, ...]
 
-    @property
-    def active_mask(self) -> int:
-        return (1 << len(self.members)) - 1
-
 
 @dataclass(frozen=True)
 class KernelProgram:

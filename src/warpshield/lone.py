@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .interp import _OUT_OF_BOUNDS, _SETP_CMP, _VALUE, _generate, _release
+from .interp import _OUT_OF_BOUNDS, _block_source, _generate, _release
 from .ir import Instruction
 
 if TYPE_CHECKING:
@@ -53,7 +53,8 @@ def compile_lone(instructions: tuple[Instruction, ...], end: list[int], buffers:
     A ``while`` loop dispatches on the pc of each block start and each
     instruction in no block (``end`` as in
     :class:`~warpshield.interp._Runs`).  A block runs as in
-    :func:`~warpshield.interp._compile_run`, for one lane; ``st`` appends
+    :func:`~warpshield.interp._compile_run`, for one lane, from the same
+    :func:`~warpshield.interp._block_source`; ``st`` appends
     ``(buffer, index, value, phase)`` to ``stream`` and the iCnt after it
     to ``marks``; ``bar`` adds 1 to the phase, as a release does when
     every live thread is this one; ``exit`` returns.
@@ -85,21 +86,9 @@ def compile_lone(instructions: tuple[Instruction, ...], end: list[int], buffers:
         ins = instructions[pc]
         op = ins.opcode
         if end[pc] > pc:  # a block
-            stop, checks, body = end[pc], [], []
-            for at in range(pc, stop):
-                ins = instructions[at]
-                if ins.opcode == "bra":  # only ever the last instruction
-                    break
-                if ins.opcode == "ld":
-                    k = buffers.index(ins.buffer)
-                    check = _OUT_OF_BOUNDS.format(a=f"x{ins.addr_reg}", size=f"s{k}")
-                    if check not in checks:
-                        checks.append(check)
-                    value = _VALUE["ld"].format(buf=f"b{k}", a=f"x{ins.addr_reg}")
-                else:
-                    a, b = (*(f"x{reg}" for reg in ins.srcs), None, None)[:2]
-                    value = _VALUE[ins.opcode].format(a=a, b=b, imm=ins.imm, cmp=_SETP_CMP.get(ins.cond))
-                body.append(f"x{ins.dest} = {value}")
+            stop = end[pc]
+            body, loads, _, _ = _block_source(instructions, pc, stop, buffers)
+            checks = [_OUT_OF_BOUNDS.format(a=f"x{reg}", size=f"s{k}") for reg, k in loads]
             return [
                 f"if n > budget - {stop - pc}: break",
                 *([f"if {' or '.join(checks)}: break"] if checks else []),

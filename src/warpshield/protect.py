@@ -73,10 +73,6 @@ class ProtectedRunResult:
     cycles: int
     warp_terminations: dict[tuple[int, int], tuple[str, ...]]  # per replica
 
-    @property
-    def detected(self) -> bool:
-        return bool(self.detections)
-
 
 def build_protection_plan(
     classifications: list[WarpClassification], mode: str

@@ -98,9 +98,8 @@ def apply_plan(program: KernelProgram, plan: RemapPlan) -> KernelProgram:
     return replace(program, layout=plan.new_orders)
 
 
-def remapped_stats(plan: RemapPlan, flags: list[bool], tau=None) -> KernelReliabilityStats:
-    tau = plan.tau if tau is None else to_fraction(tau)
-    return kernel_stats(classify_warps(flags, plan.warps()), flags, tau)
+def remapped_stats(plan: RemapPlan, flags: list[bool]) -> KernelReliabilityStats:
+    return kernel_stats(classify_warps(flags, plan.warps()), flags, plan.tau)
 
 
 # ---------------------------------------------------------------------------

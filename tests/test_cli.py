@@ -222,10 +222,21 @@ def _pathfinder_artifacts(tmp_path):
 
 @pytest.mark.parametrize("command", ["profile", "protect", "emit"])
 def test_unknown_fixture_exits_2(tmp_path, command, capsys):
-    """A test-only fixture such as uniform_r50 is not in the table either."""
+    """A test-only fixture such as uniform_r50 is not in the table either.
+    A refused fixture leaves no ``--out`` directory behind."""
     for name in ("nope", "uniform_r50"):
-        assert main([command, "--fixture", name, "--out", str(tmp_path)]) == 2
+        assert main([command, "--fixture", name, "--out", str(tmp_path / "out")]) == 2
         assert f"unknown fixture '{name}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "protect", "report"])
+def test_missing_kernel_file_exits_3(tmp_path, command, capsys):
+    """A missing ``--kernel`` leaves no ``--out`` directory behind."""
+    argv = [command, "--kernel", str(tmp_path / "missing.wir"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "missing.wir does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 _UNREAD_FLAGS = [

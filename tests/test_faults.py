@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from warpshield import faults
 from warpshield.errors import CampaignRefused, ValidationError
 from warpshield.faults import (
     FaultSite,
@@ -748,6 +749,43 @@ def test_store_colliding_with_a_warp_mate_reruns_the_whole_warp():
     assert run_campaign(program, inputs, [COLLIDING_SITE]).runs == RunCounts(0, 0, 1)
 
 
+def _counted_warp_runs(monkeypatch) -> list:
+    """Per ``execute`` call a campaign makes with a warp filter, its
+    ``(fault, warp_filter)``."""
+    calls = []
+    real = faults.execute
+
+    def counted(*args, **kwargs):
+        if kwargs.get("warp_filter") is not None:
+            calls.append((kwargs.get("fault"), kwargs["warp_filter"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(faults, "execute", counted)
+    return calls
+
+
+def test_collision_sites_rerun_their_warp_as_protection_does(monkeypatch, phase_probe):
+    """Each site decided by a run of its whole warp makes exactly one
+    ``execute(..., warp_filter=key)`` call, the run protection makes of a
+    faulted replica, with that site as its fault; no other site makes one."""
+    program, inputs, golden, full = phase_probe
+    calls = _counted_warp_runs(monkeypatch)
+    campaign = run_campaign(program, inputs, list(full), golden=golden)
+    assert len(calls) == campaign.runs.full_warp > 0
+    assert len({fault for fault, _ in calls}) == len(calls)
+    # CTAs of 33 threads, launched in thread order
+    assert all(key == (fault.thread_id // 33, fault.thread_id % 33 // 32) for fault, key in calls)
+
+    program = parse_kernel(COLLIDE_SOURCE)
+    inputs = {"dst": [33, *range(1, 32)], "val": [0] + [7] * 31}
+    del calls[:]
+    quiet = FaultSite(5, 2, 0)  # thread 5's value: its own slot, no collision
+    assert run_campaign(program, inputs, [quiet]).runs == RunCounts(0, 1, 0)
+    assert calls == []
+    assert run_campaign(program, inputs, [COLLIDING_SITE]).runs == RunCounts(0, 0, 1)
+    assert calls == [(COLLIDING_SITE, (0, 0))]
+
+
 @pytest.mark.parametrize("name", ["chase", "jmeint_k1"])
 def test_sampled_profiles_of_kernels_storing_to_their_own_slot_need_no_warp_run(name):
     if name == "chase":
@@ -801,7 +839,6 @@ def test_lone_copy_of_a_thread_waiting_at_a_bar():
     assert lone.stream == [record for record in full.store_streams[(0, 0)] if record[1] == 2]
     assert lone.stream == [("out", 2, 5 ^ 16, 1)]
     assert lone.icnt == {2: full.per_thread_icnt[2]}
-    assert cursor.fork_warp(site, written=5).finish().stream == list(full.store_streams[(0, 0)])
 
 
 # The second block loads through r1 and then r2; neither is written in it.

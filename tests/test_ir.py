@@ -167,7 +167,6 @@ def test_warps_for_partial_trailing_warp():
         (1, 1, 8),
     ]
     assert warps[1].members == tuple(range(32, 40))
-    assert warps[1].active_mask == 0xFF
 
 
 def test_layout_must_be_per_cta_permutation():
