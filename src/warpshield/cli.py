@@ -3,8 +3,12 @@
 Every command consumes the previous command's files from the output directory
 and writes plain CSV/JSON artifacts there; the run configuration is embedded
 in each artifact so results are reproducible byte-for-byte from the same
-flags.  Exit codes: 0 success, 2 configuration error, 3 artifact error
-(including a file that cannot be read or written), 4 execution error.
+flags.  Exit codes: 0 success, 2 configuration error, 3 artifact error, 4
+execution error.  Artifact errors include a file that cannot be read or
+written, a ``--kernel`` file that does not decode, parse or validate, an
+``--inputs`` file that does not match its kernel's buffers, and a
+malformed artifact such as ``stats.json``.  A command refuses a bad
+``--kernel`` or ``--inputs`` file before it makes ``--out``.
 
 Commands import what they use: this module loads only what the parser needs,
 and each handler imports its own modules, so ``classify`` never loads the
@@ -19,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ArtifactError, ValidationError, WarpshieldError
+from .errors import ArtifactError, ParseError, ValidationError, WarpshieldError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -53,17 +57,23 @@ def _load_program(args) -> tuple[KernelProgram, dict[str, list[int]]]:
         fixture = _fixture(args)
         return fixture.program, fixture.inputs
     if args.kernel:
-        from .interp import seeded_inputs
+        from .interp import seeded_inputs, validate_inputs
         from .ir import parse_kernel
 
         path = Path(args.kernel)
         if not path.exists():
             raise ArtifactError(f"kernel file {path} does not exist")
-        program = parse_kernel(path.read_text())
-        if args.inputs:
-            inputs = _read_inputs(Path(args.inputs))
-        else:
-            inputs = seeded_inputs(program, args.seed)
+        try:
+            program = parse_kernel(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, ParseError, ValidationError) as e:
+            raise ArtifactError(f"malformed kernel file {path}: {e}") from None
+        if not args.inputs:
+            return program, seeded_inputs(program, args.seed)
+        inputs = _read_inputs(Path(args.inputs))
+        try:
+            validate_inputs(program, inputs)
+        except ValidationError as e:
+            raise ArtifactError(f"inputs file {args.inputs} does not match kernel {program.name!r}: {e}") from None
         return program, inputs
     raise _ConfigError("one of --fixture or --kernel is required")
 
@@ -172,6 +182,16 @@ def _read_json(path: Path, what: str):
         return json.loads(path.read_text())
     except ValueError as e:  # undecodable bytes or JSON syntax
         raise ArtifactError(f"{what} {path} is not valid JSON: {e}") from None
+
+
+def _read_stats(path: Path, what: str) -> dict:
+    """stats.json or stats_remapped.json: an object with a numeric
+    ``pct_reliable_warps``, which ``report`` copies into bars.csv."""
+    stats = _read_json(path, what)
+    share = stats.get("pct_reliable_warps") if isinstance(stats, dict) else None
+    if not isinstance(share, (int, float)) or isinstance(share, bool):
+        raise ArtifactError(f"{what} {path} must be a JSON object with a numeric pct_reliable_warps")
+    return stats
 
 
 def cmd_profile(args) -> int:
@@ -301,7 +321,7 @@ def cmd_report(args) -> int:
     program, inputs = _load_program(args)
     out = _out_dir(args)
     profile = load_profile(out / "profile.csv")
-    stats_before = _read_json(out / "stats.json", "classify output")
+    stats_before = _read_stats(out / "stats.json", "classify output")
     report = {
         "config": _config_dict(args, "report"),
         "kernel": profile.kernel,
@@ -310,6 +330,7 @@ def cmd_report(args) -> int:
     }
     if args.mode != "none":
         plan = _load_plan_for(out, profile)
+        report["after"] = _read_stats(out / "stats_remapped.json", "remap output")
         flags = classify_threads(profile, plan.tau)
         cost = account(
             program,
@@ -320,7 +341,6 @@ def cmd_report(args) -> int:
             remap_overhead=to_fraction(args.remap_overhead),
             budget=args.budget,
         )
-        report["after"] = _read_json(out / "stats_remapped.json", "remap output")
         report["cost"] = cost.to_json()
         bars = [
             {

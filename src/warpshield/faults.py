@@ -11,14 +11,14 @@ only what *t* does: threads read input buffers and never each other's
 output, a barrier delays a thread without changing its own store stream,
 and the injected budget covers every fault-free thread, so no other thread
 can crash, hang or store anything new.  Each site therefore re-runs only
-the faulted thread, as a one-thread copy of its warp.  Its stores, tagged
-with barrier phases, are replayed with
-:func:`~warpshield.interp.replay_stores` together with the golden stores of
-every other thread to every location it touches, which puts every store to
-those locations in the order the full faulted run issues them, even when
-the fault moves a store across a barrier.  Locations the thread does not
-touch keep their golden values, so comparing the touched ones classifies
-the site exactly, without a full-kernel run.
+the faulted thread, alone.  Its stores, tagged with barrier phases, are
+replayed with :func:`~warpshield.interp.replay_stores` together with the
+golden stores of every other thread to every location it touches, which
+puts every store to those locations in the order the full faulted run
+issues them, even when the fault moves a store across a barrier.
+Locations the thread does not touch keep their golden values, so
+comparing the touched ones classifies the site exactly, without a
+full-kernel run.
 
 Phases order the thread's stores against every other store but one kind:
 a warp-mate's store to the same location in the same phase, which only
@@ -30,11 +30,12 @@ replica, and the replay orders that warp's stream exactly.
 
 Nor does a site re-run its thread from launch.  Until the faulted thread
 first reads the flipped register, the faulted run equals the golden run but
-for that register.  So one fault-free :class:`~warpshield.interp.WarpRun`
-of each warp that hosts sites serves as a golden checkpoint: as it advances
-issue by issue, each site's run forks from it at the issue that first reads
-the flipped value, and a site whose value is overwritten before any read,
-or never read before its thread exits, is masked with no run at all (the
+for that register.  So one fault-free
+:class:`~warpshield.interp.ThreadRun` per injected thread serves as a
+golden checkpoint: as it advances issue by issue along the thread's own
+path, each site's run forks from it at the issue that first reads the
+flipped value, and a site whose value is overwritten before any read, or
+never read before the thread exits, is masked with no run at all (the
 exact form of def-use pruning: Hari et al., Relyzer, ASPLOS 2012; Nie et
 al., MICRO 2018, whose thread-wise pruning injects one thread at a time
 too).
@@ -56,8 +57,7 @@ from .interp import (
     CRASHED,
     DEFAULT_BUDGET,
     ExecutionResult,
-    WarpRun,
-    _lanes,
+    ThreadRun,
     execute,
     replay_stores,
     word_inputs,
@@ -247,17 +247,17 @@ def run_campaign(
     """Classify every site against the golden run, re-running only its
     thread from the golden state before the fault's effect first matters.
 
-    One fault-free :class:`~warpshield.interp.WarpRun` of each warp that
-    hosts sites advances issue by issue.  A site enters at the issue whose
-    block executes its dynamic instruction, and its written register is
-    then followed along the faulted lane's issues:
+    One fault-free :class:`~warpshield.interp.ThreadRun` per injected
+    thread advances issue by issue along that thread's path.  A site enters
+    at the issue whose block executes its dynamic instruction, and its
+    written register is then followed along the thread's later issues:
 
     - a site on no register-writing instruction of its thread's golden
       path, past that path's end or on a thread never launched is masked,
       not executed, without a run;
     - a site whose register is overwritten before it is read, or never read
-      before the lane exits, is masked without a run;
-    - otherwise a one-thread copy forks at the issue that first reads it:
+      before the thread exits, is masked without a run;
+    - otherwise a copy of that run forks at the issue that first reads it:
       at the fault's own issue, armed with the fault, when its block reads
       the value, or at a later issue with the bit already flipped.
 
@@ -283,10 +283,10 @@ def run_campaign(
     result's ``runs`` counts the sites decided with no run, by a
     one-thread run and by a warp run.
 
-    The sites of one warp share its fault-free pass, so they are classified
-    in the pass's order; each outcome depends on its site alone, so the
-    result does not depend on the order of ``sites``.  A list that repeats
-    a site is refused.
+    The sites of one thread share its fault-free run, so they are
+    classified in the order that run reaches them; each outcome depends on
+    its site alone, so the result does not depend on the order of
+    ``sites``.  A list that repeats a site is refused.
     """
     if golden is None:
         golden = golden_run(program, inputs)
@@ -313,11 +313,14 @@ def run_campaign(
             by_warp.setdefault(key, []).append(site)
     runs = RunCounts()
     for key, warp_sites in by_warp.items():
-        cursor = WarpRun(program, words, key, budget)
-        threads = {site.thread_id for site in warp_sites}
-        scorer = _WarpScorer(program, words, budget, golden, cursor, threads, writers)
-        for site, written in _warp_forks(cursor, warp_sites, per_site):
-            per_site[site] = scorer.outcome(site, written, runs)
+        scorer = _WarpScorer(program, words, budget, golden, key, writers)
+        by_thread: dict[int, list[FaultSite]] = {}
+        for site in warp_sites:
+            by_thread.setdefault(site.thread_id, []).append(site)
+        for thread, thread_sites in by_thread.items():
+            cursor = ThreadRun(program, words, thread, key, budget)
+            for site, written in _thread_forks(cursor, thread_sites, per_site):
+                per_site[site] = scorer.outcome(cursor, site, written, runs)
     runs.without_run = len(sites) - runs.lone_thread - runs.full_warp
     tallies: dict[int, list[int]] = {}
     for site, outcome in per_site.items():
@@ -340,27 +343,22 @@ _NOT_EXECUTED = Outcome(MASKED, "not-executed")
 _SDC = Outcome(SDC)
 
 
-def _warp_forks(cursor: WarpRun, sites: list[FaultSite], outcomes: dict):
-    """Yield ``(site, written)`` for each site of the cursor's warp whose
+def _thread_forks(cursor: ThreadRun, sites: list[FaultSite], outcomes: dict):
+    """Yield ``(site, written)`` for each site of the cursor's thread whose
     flipped value is read, with the cursor at the boundary its run forks
-    from (``written`` as :meth:`~warpshield.interp.WarpRun.fork` takes it),
-    in the order the fault-free cursor reaches the forks; put every other
-    site's outcome in ``outcomes``.
+    from (``written`` as :meth:`~warpshield.interp.ThreadRun.fork` takes
+    it), in the order the fault-free cursor reaches the forks; put every
+    other site's outcome in ``outcomes``.
 
-    Sites of one thread and dynamic instruction differ only in the bit, so
-    they share every decision but their run.
+    Sites of one dynamic instruction differ only in the bit, so they share
+    every decision but their run.
     """
     instructions = cursor.instructions
-    members = cursor.warp.members
-    lane_of = {t: li for li, t in enumerate(members)}
-    bits: dict[tuple[int, int], list[FaultSite]] = {}
+    bits: dict[int, list[FaultSite]] = {}
     for site in sites:
-        bits.setdefault((site.thread_id, site.dyn_instr), []).append(site)
-    todo: dict[int, list[int]] = {}  # lane -> dynamic instructions not reached, last first
-    for thread, dyn in sorted(bits, reverse=True):
-        todo.setdefault(lane_of[thread], []).append(dyn)
-    watched: dict[int, list[tuple[int, list[FaultSite]]]] = {}  # lane -> (register, sites)
-    interest = sum(1 << li for li in todo)  # lanes with sites not yet decided
+        bits.setdefault(site.dyn_instr, []).append(site)
+    todo = sorted(bits, reverse=True)  # dynamic instructions not reached, last first
+    watched: list[tuple[int, list[FaultSite]]] = []  # (register, sites) written, not yet read
     scans: dict[tuple[int, int], tuple[dict[int, bool], bool]] = {}
 
     def first_access(start: int, end: int) -> tuple[dict[int, bool], bool]:
@@ -379,47 +377,36 @@ def _warp_forks(cursor: WarpRun, sites: list[FaultSite], outcomes: dict):
             scan = scans[(start, end)] = (accessed, exits)
         return scan
 
-    while interest:
+    while todo or watched:
         coming = cursor.next_issue()
         if coming is None:
             break
-        pc, end, mask = coming
-        forks = []
-        for li in _lanes(mask & interest):
-            t = members[li]
-            n = cursor.icnt[t]
-            dyns = todo.get(li, [])
-            if li not in watched and dyns[-1] > n + end - pc:
-                continue  # nothing of this lane's is due in this issue
+        pc, end = coming
+        n = cursor.icnt
+        if watched or todo[-1] <= n + end - pc:
             # (register, sites, first instruction to scan, register if written before this issue)
-            follow = [(reg, group, pc, reg) for reg, group in watched.pop(li, ())]
-            while dyns and dyns[-1] <= n + end - pc:
-                group = bits[(t, dyns.pop())]
+            follow = [(reg, group, pc, reg) for reg, group in watched]
+            while todo and todo[-1] <= n + end - pc:
+                group = bits[todo.pop()]
                 at = pc + group[0].dyn_instr - n - 1
                 dest = instructions[at].dest
                 if dest is None:  # st, bra, bar or exit writes no register
                     outcomes.update(dict.fromkeys(group, _NOT_EXECUTED))
                 else:
                     follow.append((dest, group, at + 1, None))
-            kept = []
+            watched = []
             for reg, group, start, written in follow:
                 accessed, exits = first_access(start, end)
                 read = accessed.get(reg)
                 if read:
-                    forks += ((site, written) for site in group)
+                    yield from ((site, written) for site in group)
                 elif read is None and not exits:
-                    kept.append((reg, group))
+                    watched.append((reg, group))
                 else:  # overwritten before any read, or never read
                     outcomes.update(dict.fromkeys(group, _MASKED))
-            if kept:
-                watched[li] = kept
-            elif not dyns:
-                interest &= ~(1 << li)
-        yield from forks
         cursor.advance()
-    for li, dyns in todo.items():  # past the end of the thread's path
-        for dyn in dyns:
-            outcomes.update(dict.fromkeys(bits[(members[li], dyn)], _NOT_EXECUTED))
+    for dyn in todo:  # past the end of the thread's path
+        outcomes.update(dict.fromkeys(bits[dyn], _NOT_EXECUTED))
 
 
 def _reads(ins: Instruction) -> tuple[int, ...]:
@@ -471,28 +458,28 @@ class _WarpScorer:
     alone where that is exact, else from a run of the whole warp.
 
     Each thread's golden stores, tagged with its iCnt at each, come from
-    one fault-free run of that thread alone, made the first time one of its
-    sites needs them.  A warp-mate's golden store to a location in a phase
-    the thread also stores to, in the golden or the faulted run, is a
-    collision: only lock-step orders the two, so such a site re-runs the
-    whole warp from launch through ``execute(..., warp_filter=key)``, the
-    isolated run protection makes of a faulted replica.
+    one fault-free run of that thread alone, from launch, made the first
+    time one of its sites needs them.  The warp-mates' golden stores come
+    from the golden run's stream of the warp.  A warp-mate's golden store
+    to a location in a phase the thread also stores to, in the golden or
+    the faulted run, is a collision: only lock-step orders the two, so such
+    a site re-runs the whole warp from launch through
+    ``execute(..., warp_filter=key)``, the isolated run protection makes of
+    a faulted replica.
     """
 
-    def __init__(self, program, words, budget: int, golden, cursor: WarpRun, threads, writers):
+    def __init__(self, program, words, budget: int, golden, key: tuple[int, int], writers):
         self.program, self.words, self.budget = program, words, budget
         self.golden = golden
-        self.cursor = cursor
-        self.key = cursor.warp.key
+        self.key = key
         self.writers = writers
-        self.stream = golden.store_streams.get(self.key, ())
-        self.launched = {t: cursor.lone(t) for t in threads}  # fault-free, at launch
+        self.stream = golden.store_streams.get(key, ())
         self.threads: dict[int, _GoldenThread] = {}
 
     def thread(self, t: int) -> _GoldenThread:
         info = self.threads.get(t)
         if info is None:
-            run = self.launched.pop(t).finish()
+            run = ThreadRun(self.program, self.words, t, self.key, self.budget).finish()
             stores = list(zip(run.stream, run.store_icnts))
             own = Counter((buf, addr, phase) for (buf, addr, _, phase), _ in stores)
             everyone = Counter((buf, addr, phase) for buf, addr, _, phase in self.stream)
@@ -510,9 +497,9 @@ class _WarpScorer:
             )
         return info
 
-    def outcome(self, site: FaultSite, written: int | None, runs: RunCounts) -> Outcome:
-        """Outcome of ``site``, whose one-thread run forks from the cursor as it
-        is now.
+    def outcome(self, cursor: ThreadRun, site: FaultSite, written: int | None, runs: RunCounts) -> Outcome:
+        """Outcome of ``site``, whose run forks from its thread's fault-free
+        ``cursor`` as it is now.
 
         A completed run of the thread alone is scored by replaying, at the
         locations the thread stores to in the golden or the faulted run,
@@ -521,7 +508,7 @@ class _WarpScorer:
         stores.  With no collision, a warp-mate's store and the thread's
         never share a location and a phase, so phases order them.
         """
-        cursor, golden = self.cursor, self.golden
+        golden = self.golden
         lone = cursor.fork(site, written).finish()
         if lone.termination != COMPLETED:
             runs.lone_thread += 1
@@ -546,7 +533,7 @@ class _WarpScorer:
             return _replayed_outcome(golden, self.key, stream, touched, self.writers)
         runs.lone_thread += 1
         touched = info.locations.union((buf, addr) for buf, addr, _, _ in faulted)
-        forked_at = cursor.icnt[site.thread_id]
+        forked_at = cursor.icnt
         mates_at = info.mates_at
         # Records at different locations never meet, so only each
         # location's own order matters.

@@ -51,20 +51,20 @@ bit where that instruction writes it: no ld address is written inside a
 run, so the flip moves no load of the run.  A single step evaluates each
 instruction from the same table, so opcode semantics are written once.
 
-Snapshot and resume: :class:`WarpRun` runs one warp as a warp-filtered
-:func:`execute` does, but holds it between issues.  It names the coming
-issue (pc, block end, lane mask), makes it, or forks a copy of one thread
-at that boundary: its registers, iCnt and fragment or barrier wait, with
-the warp's barrier phase and issue count.  A fork is armed with a fault,
-or gets a bit flipped in a register directly, and runs to its end.  A
-whole warp runs on its own only as ``execute(..., warp_filter=key)``,
-from launch: protection's faulted replica, and a fault site whose store
-shares a location and a phase with a warp-mate's.  ``execute`` and every
-``WarpRun`` issue through one ``issue`` closure built by ``_issuer``; a
-``WarpRun`` keys its state by its own threads and keeps no output
-buffers, so it costs O(warp) memory.
+Snapshot and resume: :class:`ThreadRun` runs one thread as its warp runs
+it, but holds it between issues.  It names the coming issue (pc, block
+end), makes it, or forks a copy at that boundary: the thread's registers,
+iCnt, fragment or barrier wait, barrier phase and issue count.  A fork is
+armed with a fault, or gets a bit flipped in a register directly, and
+runs to its end.  Fault injection walks one fault-free run per injected
+thread to the forks of that thread's sites.  A whole warp runs on its own
+only as ``execute(..., warp_filter=key)``, from launch: protection's
+faulted replica, and a fault site whose store shares a location and a
+phase with a warp-mate's.  ``execute`` and every ``ThreadRun`` issue
+through one ``issue`` closure built by ``_issuer``; a ``ThreadRun`` is a
+warp of one member and keeps no output buffers, so it costs O(1) memory.
 
-Lone form: a one-thread copy finishes in the program's ``lone`` form, one
+Lone form: a ``ThreadRun`` finishes in the program's ``lone`` form, one
 generated function (:mod:`warpshield.lone`) that keeps the thread's
 registers in locals and runs its whole control-flow graph in one ``while``
 loop, a block per turn, built from the same opcode table.  It decides
@@ -72,8 +72,7 @@ nothing itself: wherever the thread might crash or hang, and wherever it
 stands inside a block, it hands its state back to ``issue``, which holds
 the one definition of both.  Alone, a thread hangs exactly when it is
 about to issue an instruction other than ``exit`` with its iCnt at the
-budget, and the warp's issue count decides nothing for it, so switching
-between the two forms anywhere changes nothing.
+budget, so switching between the two forms anywhere changes nothing.
 """
 
 from __future__ import annotations
@@ -219,16 +218,6 @@ class _WarpCtx:
         self.issued = 0  # instructions issued, fused ones counted singly
         self.cycles = 0
         self.phase = 0  # barrier releases of the warp's CTA so far
-
-    def lone(self, lane: int) -> "_WarpCtx":
-        """A copy that holds lane ``lane`` alone, as lane 0: its fragment or
-        barrier wait, the warp's issue count and barrier phase, no cycles."""
-        bit = 1 << lane
-        twin = _WarpCtx(self.key, (self.members[lane],))
-        twin.frags = [[pc, 1] for pc, mask in self.frags if mask & bit]
-        twin.waiting = [[pc, 1] for pc, mask in self.waiting if mask & bit]
-        twin.issued, twin.phase = self.issued, self.phase
-        return twin
 
 
 class _State:
@@ -517,7 +506,7 @@ class _Runs:
         """``(f, stored)``: the program compiled to run one thread alone
         (:func:`~warpshield.lone.compile_lone`) and the output buffers it
         stores to, in the order ``f`` takes them.  Compiled on first use,
-        so a command that never finishes a one-thread copy never pays."""
+        so a command that never finishes a ``ThreadRun`` never pays."""
         if self.lone is None:
             from .lone import compile_lone
 
@@ -621,8 +610,8 @@ def execute(
     of barrier releases before it, which is the same in both runs, so
     :func:`replay_stores` can put isolated streams back in full-run order.
     Protection replicas run warps this way, and so does fault injection,
-    from launch for a site whose store meets a warp-mate's and resumed in
-    a :class:`WarpRun` for every other.
+    from launch for a site whose store meets a warp-mate's; every other
+    site resumes its thread alone in a :class:`ThreadRun`.
 
     Each issue runs a whole basic block over the warp's active lanes (see
     the module docstring).  It steps one instruction at a time instead when
@@ -923,177 +912,152 @@ def _issuer(
     return issue
 
 
-class WarpRun:
-    """One warp run on its own, as ``execute(..., warp_filter=key)`` runs
-    it, held between issues so that one thread of it can be copied and
-    resumed.
+class ThreadRun:
+    """One thread run on its own, as its warp runs it, held between issues
+    so that it can be copied and resumed.
 
-    A new ``WarpRun`` is the fault-free warp at launch; it records no
-    stores.  :meth:`next_issue` names the coming issue, :meth:`advance`
-    makes it, :meth:`fork` copies one thread of the run at that boundary
-    (armed with a fault, or with its bit already flipped), and
-    :meth:`finish` runs the copy to its end in the program's lone form, as
-    its warp would run that thread; the copy's store stream holds the
-    thread's stores from the fork on.  A whole warp that must run with a
-    fault runs from launch in ``execute``.  State is keyed by the run's
-    own threads and output buffers are not kept, so a resumed run
-    allocates O(warp) memory whatever the kernel's thread count.  Every
-    issue goes through the same :func:`_issuer` as :func:`execute`.
+    A new ``ThreadRun`` is the fault-free thread at launch.
+    :meth:`next_issue` names its coming issue, :meth:`advance` makes it,
+    :meth:`fork` copies the run at that boundary (armed with a fault, or
+    with its bit already flipped), and :meth:`finish` runs a run to its end
+    in the program's lone form.  Every run records its stores and its iCnt
+    after each; a copy's records start at the fork.  The thread lives in a
+    one-member warp context, so every issue goes through the same
+    :func:`_issuer` as :func:`execute`, and with one lane the issue count
+    always equals the thread's iCnt.  Output buffers are not kept, so a
+    run allocates O(1) memory whatever the kernel's thread count.
+
+    A thread runs alone as it runs in its warp: it reads only input
+    buffers, so its path, registers, crash, hang and stores depend on it
+    alone, and each store's phase counts its own barrier waits, since a
+    release happens only when every live thread waits.  What a run of one
+    thread cannot tell is the order of its stores against a warp-mate's
+    store to the same location in the same phase; for that the whole warp
+    runs from launch, as ``execute(..., warp_filter=key)``.
     """
 
-    __slots__ = (
-        "warp", "termination", "_state", "_runs", "_prefix", "_inputs", "_budget", "_issue", "_armed"
-    )
+    __slots__ = ("warp", "termination", "_state", "_runs", "_prefix", "_inputs", "_budget", "_issue", "_armed")
 
-    def __init__(self, program: KernelProgram, inputs: WordInputs, key: tuple[int, int], budget: int):
+    def __init__(
+        self, program: KernelProgram, inputs: WordInputs, thread: int, key: tuple[int, int], budget: int
+    ):
         if budget < 1:
             raise ValidationError("instruction budget must be positive")
         validate_inputs(program, inputs)
         cta, wid = key
         order = program.launch_order(cta) if 0 <= cta < program.num_ctas else ()
-        members = order[wid * WARP_SIZE : (wid + 1) * WARP_SIZE] if wid >= 0 else ()
-        if not members:
-            raise ValidationError(f"warp filter {key} matches no warp")
-        self.warp = _WarpCtx(key, members)
+        if wid < 0 or thread not in order[wid * WARP_SIZE : (wid + 1) * WARP_SIZE]:
+            raise ValidationError(f"thread {thread} is not in warp {key}")
+        regs = [0] * REGISTER_COUNT
+        regs[TID_REGISTER] = thread
+        regs[CTAID_REGISTER] = cta
+        self._runs, self._inputs, self._budget = _runs_of(program.instructions), inputs, budget
+        self._prefix = self._runs.prefix(DEFAULT_COST_TABLE.op_cycles)
+        outputs = {name: _Unkept(size) for name, size in program.output_buffers}
+        self._begin(_WarpCtx(key, (thread,)), 0, regs, outputs)
+
+    def _begin(self, ctx: _WarpCtx, icnt: int, regs: list[int], outputs, fault: "FaultSite | None" = None):
+        """Hold the one thread of ``ctx`` with iCnt ``icnt`` and registers
+        ``regs``, armed with ``fault``, its records empty."""
+        thread = ctx.members[0]
+        self.warp = ctx
         self.termination = COMPLETED
         self._state = _State(
-            icnt=dict.fromkeys(members, 0),
-            regs={t: [0] * REGISTER_COUNT for t in members},
+            icnt={thread: icnt},
+            regs={thread: regs},
             writes=None,
-            outputs={name: _Unkept(size) for name, size in program.output_buffers},
-            streams=None,
+            outputs=outputs,
+            streams={ctx.key: []},
             stores={},
+            marks=[],
         )
-        for t, r in self._state.regs.items():
-            r[TID_REGISTER] = t
-            r[CTAID_REGISTER] = cta
-        self._runs = _runs_of(program.instructions)
-        self._prefix = self._runs.prefix(DEFAULT_COST_TABLE.op_cycles)
-        self._inputs = inputs
-        self._budget = budget
-        self._issue = _issuer(self._runs, self._prefix, inputs, budget, self._state, None, None)
-        self._armed = False
+        self._armed = fault is not None
+        self._issue = _issuer(
+            self._runs, self._prefix, self._inputs, self._budget, self._state, fault, ctx if self._armed else None
+        )
+
+    @property
+    def thread(self) -> int:
+        return self.warp.members[0]
 
     @property
     def instructions(self) -> tuple[Instruction, ...]:
         return self._runs.instructions
 
     @property
-    def icnt(self) -> dict[int, int]:
-        """Each thread's dynamic instructions so far."""
-        return self._state.icnt
+    def icnt(self) -> int:
+        """The thread's dynamic instructions so far."""
+        return self._state.icnt[self.thread]
 
     @property
     def stream(self) -> list[tuple[str, int, int, int]]:
-        """A copy's stores since it was forked, as ``execute`` records
-        them."""
+        """The run's stores, from launch or, in a copy, from the fork, as
+        ``execute`` records them."""
         return self._state.streams[self.warp.key]
 
     @property
     def store_icnts(self) -> list[int]:
-        """A copy's iCnt after each store of :attr:`stream`."""
+        """The thread's iCnt after each store of :attr:`stream`."""
         return self._state.marks
 
-    def next_issue(self) -> tuple[int, int, int] | None:
-        """``(pc, end, mask)`` of the coming issue: it runs instructions
-        ``pc`` to ``end - 1`` over the lanes of ``mask``.  None once the warp
-        has exited.  A barrier release, if due, happens here."""
+    def next_issue(self) -> tuple[int, int] | None:
+        """``(pc, end)`` of the coming issue: it runs instructions ``pc`` to
+        ``end - 1``.  None once the thread has exited.  A barrier release,
+        if due, happens here: the thread is the only one live."""
         wp = self.warp
-        frags = wp.frags
-        if not frags and not _release((wp,)):
+        if not wp.frags and not _release((wp,)):
             return None
-        if len(frags) == 1:
-            pc, mask = frags[0]
-        else:
-            pc = min(frag[0] for frag in frags)
-            mask = 0
-            for frag_pc, frag_mask in frags:
-                if frag_pc == pc:
-                    mask |= frag_mask
+        pc = wp.frags[0][0]
         end = self._runs.end[pc]
         if not (end > pc and wp.issued + end - pc <= self._budget):  # as issue decides
             end = pc + 1
-        return pc, end, mask
+        return pc, end
 
     def advance(self) -> None:
         """Make the issue :meth:`next_issue` names."""
         self._issue(self.warp)
 
-    def fork(self, fault: "FaultSite", written: int | None = None) -> "WarpRun":
-        """A one-thread copy of this run at the boundary before the coming
-        issue: the faulted thread's registers, iCnt and fragment or barrier
-        wait, with the warp's barrier phase and issue count.
+    def fork(self, fault: "FaultSite", written: int | None = None) -> "ThreadRun":
+        """A copy of this run at the boundary before the coming issue: the
+        thread's registers, iCnt, fragment or barrier wait, barrier phase
+        and issue count, with an empty store stream.
 
         The copy is armed with ``fault``, whose dynamic instruction has not
         issued yet.  With ``written``, that instruction has issued and wrote
         register ``written``, which nothing has read since: the copy gets
         the fault's bit flipped in that register instead, as the faulted
         run would have it now.
-
-        The thread runs alone as it would in its warp: its path, registers,
-        crash, hang and stores depend on it alone, and each store's phase
-        counts its own barrier waits, since a release happens only when
-        every live thread waits.  The issue count stays the warp's, which is
-        never below the thread's iCnt, so a fragment the budget left inside
-        a run keeps single-stepping.  What the copy cannot tell is the order
-        of its stores against a warp-mate's store to the same location in
-        the same phase; for that the whole warp re-runs from launch, as
-        ``execute(..., fault=fault, warp_filter=key)``.
         """
-        return self._copy(fault.thread_id, fault, written)
-
-    def lone(self, thread: int) -> "WarpRun":
-        """A fault-free one-thread copy of this run, as :meth:`fork` makes."""
-        return self._copy(thread, None, None)
-
-    def _copy(self, thread: int, fault: "FaultSite | None", written: int | None) -> "WarpRun":
         wp, state = self.warp, self._state
-        twin = object.__new__(WarpRun)
-        twin.warp = wp.lone(wp.members.index(thread))
-        twin.termination = COMPLETED
-        twin._state = _State(
-            icnt={thread: state.icnt[thread]},
-            regs={thread: state.regs[thread][:]},
-            writes=None,
-            outputs=state.outputs,
-            streams={wp.key: []},
-            stores={},
-            marks=[],
-        )
-        twin._state.fault_applied = state.fault_applied
-        twin._runs, twin._prefix, twin._inputs, twin._budget = (
-            self._runs, self._prefix, self._inputs, self._budget
-        )
+        ctx = _WarpCtx(wp.key, wp.members)
+        ctx.frags = [frag[:] for frag in wp.frags]
+        ctx.waiting = [frag[:] for frag in wp.waiting]
+        ctx.issued, ctx.phase = wp.issued, wp.phase
+        regs = state.regs[self.thread][:]
+        applied = state.fault_applied
         if written is not None:
-            twin._state.regs[fault.thread_id][written] ^= 1 << fault.bit
-            twin._state.fault_applied = True
-            fault = None
-        twin._armed = fault is not None
-        twin._issue = _issuer(
-            twin._runs,
-            twin._prefix,
-            twin._inputs,
-            twin._budget,
-            twin._state,
-            fault,
-            twin.warp if fault is not None else None,
-        )
+            regs[written] ^= 1 << fault.bit
+            applied, fault = True, None
+        twin = object.__new__(ThreadRun)
+        twin._runs, twin._prefix, twin._inputs, twin._budget = self._runs, self._prefix, self._inputs, self._budget
+        twin._begin(ctx, self.icnt, regs, state.outputs, fault)
+        twin._state.fault_applied = applied
         return twin
 
-    def finish(self) -> "WarpRun":
-        """Run a copy to the end: completion, a crash or a hang.
+    def finish(self) -> "ThreadRun":
+        """Run to the end: completion, a crash or a hang.
 
-        The copy first makes, through ``issue``, any issue still due before
-        its thread runs on its own: a pending barrier release, and the
+        The run first makes, through ``issue``, any issue still due before
+        its thread runs in the lone form: a pending barrier release, and the
         issues up to and including an armed fault's (its hooked block).
         Then it runs the program's ``lone`` form (see :class:`_Runs`),
         which hands back to ``issue`` for each instruction the thread might
         crash or hang on, or that lies inside a block, and resumes after
         it.  This is exact because a lone thread's crash, hang, path and
-        stores depend on its own iCnt alone, never on the issue count, so
-        fused and single-stepped issues give the same result wherever the
-        switch happens: it hangs exactly when it is about to issue an
-        instruction other than ``exit`` with its iCnt at the budget.
+        stores depend on its own iCnt alone, so fused and single-stepped
+        issues give the same result wherever the switch happens: it hangs
+        exactly when it is about to issue an instruction other than
+        ``exit`` with its iCnt at the budget.
         """
         from .lone import finish_alone
 
@@ -1102,7 +1066,6 @@ class WarpRun:
         except _Abort as abort:
             self.termination = abort.kind
         return self
-
 
 def replay_stores(
     outputs: dict[str, list[int]],

@@ -1,8 +1,8 @@
 """A thread run alone, compiled: the program's whole control-flow graph as
 one Python function with the thread's registers in locals, and the loop
-by which :meth:`warpshield.interp.WarpRun.finish` runs a one-thread copy
+by which :meth:`warpshield.interp.ThreadRun.finish` runs a thread
 through it.  It lives apart from :mod:`warpshield.interp` so that only a
-command that finishes such a copy loads it.
+command that finishes such a run loads it.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from .interp import _OUT_OF_BOUNDS, _block_source, _generate, _release
 from .ir import Instruction
 
 if TYPE_CHECKING:
-    from .interp import WarpRun
+    from .interp import ThreadRun
 
 
-def finish_alone(run: "WarpRun") -> None:
-    """Finish the one-thread copy ``run`` as :meth:`WarpRun.finish` says:
-    the issues still due through ``issue``, then the lone form, and
-    ``issue`` again for each instruction it hands back.  A crash or a hang
-    raises from ``issue``."""
+def finish_alone(run: "ThreadRun") -> None:
+    """Finish ``run`` as :meth:`ThreadRun.finish` says: the issues still
+    due through ``issue``, then the lone form, and ``issue`` again for each
+    instruction it hands back.  A crash or a hang raises from ``issue``."""
     wp, state, issue, runs = run.warp, run._state, run._issue, run._runs
     frags = wp.frags
     (t,) = wp.members

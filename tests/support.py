@@ -397,16 +397,14 @@ def _warp_outcome(golden, run, key, writers):
 
 
 def finish_issue_by_issue(run):
-    """Finish a one-thread ``WarpRun`` copy one ``issue`` at a time, as
-    ``execute`` runs a warp, instead of through the lone form.  (A whole
-    warp runs on its own only from launch, through
-    ``execute(..., warp_filter=key)``, the run protection's faulted replica
-    makes.)  Returns the run, the ``(pc, end)`` of its last issue and the
-    message a crash or a hang stopped it with (None when it completed)."""
+    """Finish a ``ThreadRun`` one ``issue`` at a time, as ``execute`` runs
+    a warp, instead of through the lone form.  Returns the run, the
+    ``(pc, end)`` of its last issue and the message a crash or a hang
+    stopped it with (None when it completed)."""
     last = error = None
     try:
         while (coming := run.next_issue()) is not None:
-            last = coming[:2]
+            last = coming
             run.advance()
     except interp._Abort as abort:
         run.termination = abort.kind

@@ -122,10 +122,19 @@ def test_malformed_plan_exits_3(tmp_path, content, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", json.dumps({"in": [1, "2"]}), json.dumps({"in": [1, 2.5]}), "[1, 2]"],
-    ids=["missing", "not-json", "string-word", "float-word", "not-an-object"],
+    [
+        None,
+        "{not json",
+        json.dumps({"in": [1, "2"]}),
+        json.dumps({"in": [1, 2.5]}),
+        "[1, 2]",
+        json.dumps({"in": [1] * 63}),
+        json.dumps({"in": [1] * 64, "extra": [1]}),
+    ],
+    ids=["missing", "not-json", "string-word", "float-word", "not-an-object", "short-buffer", "extra-buffer"],
 )
 def test_bad_inputs_file_exits_3(tmp_path, content, capsys):
+    """A refused inputs file leaves no ``--out`` directory behind."""
     kernel = tmp_path / "add_one.wir"
     kernel.write_text(ADD_ONE_SOURCE)
     inputs = tmp_path / "inputs.json"
@@ -134,6 +143,41 @@ def test_bad_inputs_file_exits_3(tmp_path, content, capsys):
     argv = ["profile", "--kernel", str(kernel), "--inputs", str(inputs)]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 3
     assert "inputs file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_MALFORMED_KERNELS = {
+    "undecodable": b"\xff\xfe.kernel add_one\n",
+    "unknown-opcode": ADD_ONE_SOURCE.replace("iadd r2, r1, r0", "frob r2, r1, r0").encode(),
+    "zero-ctas": ADD_ONE_SOURCE.replace(".ctas 2", ".ctas 0").encode(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED_KERNELS))
+@pytest.mark.parametrize("command", ["profile", "protect", "report"])
+def test_malformed_kernel_file_exits_3(tmp_path, command, kind, capsys):
+    """A kernel file that does not decode, parse or validate is a bad
+    artifact, and leaves no ``--out`` directory behind."""
+    kernel = tmp_path / "bad.wir"
+    kernel.write_bytes(_MALFORMED_KERNELS[kind])
+    assert main([command, "--kernel", str(kernel), "--out", str(tmp_path / "out")]) == 3
+    assert f"malformed kernel file {kernel}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "content", ["[]", "{}", json.dumps({"pct_reliable_warps": "x"}), json.dumps({"pct_reliable_warps": True})],
+    ids=["list", "empty-object", "string-share", "bool-share"],
+)
+@pytest.mark.parametrize("artifact", ["stats.json", "stats_remapped.json"])
+def test_malformed_stats_file_exits_3(tmp_path, artifact, content, capsys):
+    """``report`` copies ``pct_reliable_warps`` into bars.csv, so it must
+    be a number in a JSON object."""
+    out = _pathfinder_artifacts(tmp_path)
+    (tmp_path / artifact).write_text(content)
+    assert main(["report", "--mode", "correct", "--fixture", "pathfinder_k1", *out]) == 3
+    assert f"{tmp_path / artifact} must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "bars.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -362,7 +406,7 @@ COMMANDS = ["profile", "classify", "remap", "protect", "report", "sweep", "suite
 
 # Modules a command must not load: classify and remap never run the
 # interpreter, and a --kernel run never builds the fixture table.
-# Only profile finishes one-thread copies, so only it loads ``lone``.
+# Only profile finishes ``ThreadRun``s, so only it loads ``lone``.
 NOT_LOADED = {
     "emit": {"lone"},
     "classify": {"interp", "faults", "fixtures", "protect", "costs", "lone"},

@@ -18,9 +18,9 @@ from warpshield.faults import (
     sample_sites,
 )
 from warpshield.fixtures import generate_fixture
-from warpshield.interp import WarpRun, execute, word_inputs
+from warpshield.interp import ThreadRun, execute, word_inputs
 from warpshield.ir import DEFAULT_BUDGET, parse_kernel
-from warpshield.profiling import profile_kernel
+from warpshield.profiling import profile_digest, profile_kernel
 from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
 
 from support import (
@@ -562,20 +562,20 @@ _READ_CASES["divergent-path-unread"] = (_DIVERGENT_SOURCE, 4, 2, {"masked"}, 0)
 
 def _counted_forks(monkeypatch) -> list:
     forks = []
-    fork = WarpRun.fork
+    fork = ThreadRun.fork
 
     def counted(self, *args, **kwargs):
         forks.append(args)
         return fork(self, *args, **kwargs)
 
-    monkeypatch.setattr(WarpRun, "fork", counted)
+    monkeypatch.setattr(ThreadRun, "fork", counted)
     return forks
 
 
 def _counted_fork_issues(monkeypatch) -> list[int]:
     """Per fork, the number of ``issue`` calls its copy makes."""
     issues = []
-    fork = WarpRun.fork
+    fork = ThreadRun.fork
 
     def counted(self, *args, **kwargs):
         twin = fork(self, *args, **kwargs)
@@ -589,7 +589,7 @@ def _counted_fork_issues(monkeypatch) -> list[int]:
         twin._issue = counting
         return twin
 
-    monkeypatch.setattr(WarpRun, "fork", counted)
+    monkeypatch.setattr(ThreadRun, "fork", counted)
     return issues
 
 
@@ -602,6 +602,21 @@ def _loop_barrier_seed_0():
     spec.loader.exec_module(module)
     program = parse_kernel((PERFBENCH / "loop_barrier.wir").read_text())
     return program, module.loop_inputs(program, 0)
+
+
+def test_fork_mask_and_collision_decisions_are_pinned(phase_probe):
+    """How each site is decided, and the profile it yields, pinned on two
+    kernels: the bench's seed-0, 5%-sampled pruned profile of the
+    loop/barrier kernel and the unsampled exhaustive ``phase_probe``
+    campaign.  A moved fork, mask or collision decision changes a count or
+    the digest."""
+    program, inputs = _loop_barrier_seed_0()
+    profile = profile_kernel(program, inputs, "pruned", 0.05, seed=0)
+    assert profile.runs == RunCounts(without_run=10, lone_thread=682, full_warp=0, crashed=71, hung=13)
+    assert profile_digest(profile) == "6522c5bda3b16bde371479c7cb1434268ff85c60b05f026c871775f8225558ad"
+    program, inputs, golden, full = phase_probe
+    campaign = run_campaign(program, inputs, list(full), golden=golden)
+    assert campaign.runs == RunCounts(without_run=0, lone_thread=8168, full_warp=280, crashed=1683, hung=0)
 
 
 # Bit 20 of a trip count (thread 5's first loop, thread 200's second) asks
@@ -675,8 +690,10 @@ def test_fork_after_a_barrier_release_keeps_the_phase(monkeypatch):
 
 
 # The two paths differ in length by more than what follows JOIN's block,
-# so at the golden peak iCnt the warp's issue count makes that block run
-# in single steps.
+# so at the golden peak iCnt a run of the whole warp, whose issue count
+# counts both paths, would issue that block in single steps.  A thread's
+# own fault-free run never splits it: its issue count is its iCnt, which
+# stays within the peak.
 STEPPED_BLOCK_SOURCE = """\
 .kernel stepped_block
 .ctas 1
@@ -705,11 +722,19 @@ JOIN: movi r6, 0
 
 
 def test_site_in_a_block_the_budget_splits_into_single_steps():
-    """``mov r5`` (dynamic instruction 10 of thread 3) issues alone, one
-    step after its block starts; r5 is read by the next block's load."""
+    """``mov r5`` (dynamic instruction 10 of thread 3) lies one step into
+    JOIN's block, which a whole warp at a budget of the golden peak would
+    single-step; thread 3's own fault-free run issues the block whole, and
+    the campaign at that budget still equals the from-launch oracle.  r5 is
+    read by the next block's load."""
     program = parse_kernel(STEPPED_BLOCK_SOURCE)
     inputs = {"in": [100 + 3 * t for t in range(32)]}
     golden = golden_run(program, inputs)
+    join = next(pc for pc, ins in enumerate(program.instructions) if ins.opcode == "movi" and ins.dest == 6)
+    cursor = ThreadRun(program, word_inputs(program, inputs), 3, (0, 0), golden.max_icnt())
+    while (coming := cursor.next_issue())[0] != join:
+        cursor.advance()
+    assert coming == (join, join + 2)  # movi r6 and mov r5 as one block
     sites = [FaultSite(3, 10, bit) for bit in range(32)]
     campaign = _assert_equals_from_launch(program, inputs, sites, budget=golden.max_icnt())
     assert {o.detail or o.kind for o in campaign.per_site.values()} == {"sdc", "crashed"}
@@ -819,26 +844,28 @@ LATE: iadd r4, r1, r1
     st out[tid], r4
     exit
 """
-LATE_PC = 9
+BAR_PC = 5
 
 
 def test_lone_copy_of_a_thread_waiting_at_a_bar():
-    """A one-thread copy made while its thread waits at a bar keeps the
-    wait and the warp's phase: it resumes at the release and stores what
+    """A copy made after its thread issues a bar and before the release
+    keeps the wait and the phase: it resumes at the release and stores what
     the thread stores in the faulted run of its warp."""
     program = parse_kernel(WAIT_FORK_SOURCE)
     inputs = {"late": [t % 2 for t in range(32)]}
-    cursor = WarpRun(program, word_inputs(program, inputs), (0, 0), DEFAULT_BUDGET)
-    while cursor.next_issue()[0] != LATE_PC:
+    cursor = ThreadRun(program, word_inputs(program, inputs), 2, (0, 0), DEFAULT_BUDGET)
+    while cursor.next_issue()[0] != BAR_PC:
         cursor.advance()
+    cursor.advance()  # the bar: thread 2 waits until the next next_issue
     site = FaultSite(2, 2, 4)
     full = execute(program, inputs, fault=site, warp_filter=(0, 0), record_stores=True)
     lone = cursor.fork(site, written=5)
-    assert lone.warp.members == (2,) and lone.warp.waiting and not lone.warp.frags
+    assert lone.thread == 2 and lone.warp.waiting and not lone.warp.frags
+    assert lone.warp.phase == 0 and lone.stream == []
     lone.finish()
     assert lone.stream == [record for record in full.store_streams[(0, 0)] if record[1] == 2]
     assert lone.stream == [("out", 2, 5 ^ 16, 1)]
-    assert lone.icnt == {2: full.per_thread_icnt[2]}
+    assert lone.icnt == full.per_thread_icnt[2]
 
 
 # The second block loads through r1 and then r2; neither is written in it.
@@ -866,12 +893,13 @@ def test_lone_copy_crashing_on_either_load_of_its_block(reg):
     load's register as single steps do."""
     program = parse_kernel(TWO_LOADS_SOURCE)
     inputs = {"a": list(range(32)), "b": list(range(32))}
-    cursor = WarpRun(program, word_inputs(program, inputs), (0, 0), DEFAULT_BUDGET)
+    cursor = ThreadRun(program, word_inputs(program, inputs), 3, (0, 0), DEFAULT_BUDGET)
+    assert cursor.next_issue() == (0, 2)
     cursor.advance()  # the movs
     site = FaultSite(3, reg, 9)
     lone = cursor.fork(site, written=reg).finish()
     stepped, _, error = finish_issue_by_issue(cursor.fork(site, written=reg))
     assert lone.termination == stepped.termination == "crashed"
     assert f"[{3 ^ 512}]" in error
-    assert lone.icnt == stepped.icnt == {3: 2 + reg}
+    assert lone.icnt == stepped.icnt == 2 + reg
     assert lone._state.regs == stepped._state.regs

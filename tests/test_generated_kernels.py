@@ -5,8 +5,8 @@ stores to computed in-bounds addresses, over 1-2 CTAs of up to 3 warps.
 An unprotected replay of isolated warps and warp-local fault injection must
 agree with full re-execution of the whole kernel, protected runs must equal
 a run of every replica, execute must equal the single-step reference
-interpreter, a one-thread copy finished by the lone form must equal one
-finished issue by issue, and for kernels whose threads store only to
+interpreter, a thread's run finished by the lone form must equal one finished
+issue by issue, and for kernels whose threads store only to
 ``out[tid]`` so must a run under any per-CTA layout.
 """
 
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from warpshield import interp
 from warpshield.faults import FaultSite, classify_outcome, default_budget, golden_run, run_campaign
-from warpshield.interp import WarpRun, execute, word_inputs
+from warpshield.interp import ThreadRun, execute, word_inputs
 from warpshield.ir import WRITING_OPS, parse_kernel
 from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
 
@@ -228,54 +228,66 @@ FLIPPED = (*DATA, SMALL, ADDR, 30, 31, 40, 41)
 
 
 def _lone_fork_ends(program, inputs, rng) -> set[str]:
-    """Fork one-thread copies of every warp at random issue boundaries,
-    under budgets that run out early, armed with a fault, with a bit
-    already flipped or fault-free; assert that the lone form finishes each
-    as issue-by-issue driving does; return how the copies ended."""
+    """Walk the fault-free runs of two threads of every warp and fork
+    copies at random issue boundaries, right after a ``bar`` issues
+    included, under budgets that run out early, armed with a fault, with a
+    bit already flipped or fault-free; assert that the lone form finishes
+    each as issue-by-issue driving does; return how the copies ended."""
     golden = golden_run(program, inputs)
     words = word_inputs(program, inputs)
     ends = set()
     for warp in program.warps():
-        budget = rng.choice([rng.randrange(1, golden.max_icnt() + 2), 3 * golden.max_icnt()])
-        cursor = WarpRun(program, words, (warp.cta_id, warp.warp_id), budget)
-        members = cursor.warp.members
-        while cursor.next_issue() is not None:
-            if rng.random() < 0.25:
-                waiting = [li for li in range(len(members)) if any(m >> li & 1 for _, m in cursor.warp.waiting)]
-                li = rng.choice(waiting) if waiting and rng.random() < 0.5 else rng.randrange(len(members))
-                t = members[li]
-                how = rng.randrange(3)
-                if how == 0:  # armed: its dynamic instruction is still to come
-                    site = FaultSite(t, cursor.icnt[t] + rng.randint(1, 6), rng.randrange(32))
-                    forks = [cursor.fork(site) for _ in range(2)]
-                elif how == 1:
-                    site = FaultSite(t, max(1, cursor.icnt[t]), rng.randrange(32))
-                    written = rng.choice(FLIPPED)
-                    forks = [cursor.fork(site, written) for _ in range(2)]
-                else:
-                    forks = [cursor.lone(t) for _ in range(2)]
-                alone, (stepped, last, error) = forks[0].finish(), finish_issue_by_issue(forks[1])
-                assert alone.termination == stepped.termination, (t, how)
-                assert alone.stream == stepped.stream
-                assert alone.store_icnts == stepped.store_icnts
-                assert alone.warp.phase == stepped.warp.phase
-                assert alone.warp.issued == stepped.warp.issued
-                assert alone.icnt == stepped.icnt
-                assert alone._state.regs == stepped._state.regs
-                assert alone._state.fault_applied == stepped._state.fault_applied
-                if li in waiting:
-                    ends.add("forked-waiting")
-                if stepped.termination == "hung":
-                    op = program.instructions[last[0]].opcode
-                    ends.add("hung-in-block" if op in WRITING_OPS else f"hung-at-{op}")
-                elif stepped.termination == "crashed":
-                    ends.add("crashed-at-ld" if "loaded" in error else "crashed-at-st")
-                else:
-                    ends.add(stepped.termination)
-            try:
-                cursor.advance()
-            except interp._Abort:  # the fault-free warp ran out of budget
-                break
+        key = (warp.cta_id, warp.warp_id)
+        for t in rng.sample(warp.members, min(2, len(warp.members))):
+            budget = rng.choice([rng.randrange(1, golden.max_icnt() + 2), 3 * golden.max_icnt()])
+
+            def walked(k):
+                """A fault-free run of ``t`` after ``k`` issues, as the cursor walks."""
+                run = ThreadRun(program, words, t, key, budget)
+                for _ in range(k):
+                    run.next_issue()
+                    run.advance()
+                return run
+
+            cursor = walked(0)
+            issued = 0
+            while cursor.warp.frags or cursor.warp.waiting:
+                waiting = bool(cursor.warp.waiting)  # after a bar, before its release
+                if rng.random() < (0.5 if waiting else 0.25):
+                    how = rng.randrange(3)
+                    if how == 0:  # armed: its dynamic instruction is still to come
+                        site = FaultSite(t, cursor.icnt + rng.randint(1, 6), rng.randrange(32))
+                        forks = [cursor.fork(site) for _ in range(2)]
+                    elif how == 1:
+                        site = FaultSite(t, max(1, cursor.icnt), rng.randrange(32))
+                        written = rng.choice(FLIPPED)
+                        forks = [cursor.fork(site, written) for _ in range(2)]
+                    else:
+                        forks = [walked(issued) for _ in range(2)]
+                    alone, (stepped, last, error) = forks[0].finish(), finish_issue_by_issue(forks[1])
+                    assert alone.termination == stepped.termination, (t, how)
+                    assert alone.stream == stepped.stream
+                    assert alone.store_icnts == stepped.store_icnts
+                    assert alone.warp.phase == stepped.warp.phase
+                    assert alone.warp.issued == stepped.warp.issued == stepped.icnt
+                    assert alone.icnt == stepped.icnt
+                    assert alone._state.regs == stepped._state.regs
+                    assert alone._state.fault_applied == stepped._state.fault_applied
+                    if waiting:
+                        ends.add("forked-waiting")
+                    if stepped.termination == "hung":
+                        op = program.instructions[last[0]].opcode
+                        ends.add("hung-in-block" if op in WRITING_OPS else f"hung-at-{op}")
+                    elif stepped.termination == "crashed":
+                        ends.add("crashed-at-ld" if "loaded" in error else "crashed-at-st")
+                    else:
+                        ends.add(stepped.termination)
+                cursor.next_issue()  # a due release happens here
+                try:
+                    cursor.advance()
+                except interp._Abort:  # the fault-free thread ran out of budget
+                    break
+                issued += 1
     return ends
 
 

@@ -6,7 +6,7 @@ import pytest
 from warpshield.errors import ValidationError
 from warpshield.faults import FaultSite, default_budget
 from warpshield.fixtures import generate_fixture
-from warpshield.interp import CostTable, _runs_of, execute, seeded_inputs, word_inputs
+from warpshield.interp import CostTable, ThreadRun, _runs_of, execute, seeded_inputs, word_inputs
 from warpshield.ir import parse_kernel
 
 from support import (
@@ -495,3 +495,17 @@ def test_faulted_long_block_runs_in_its_hooked_form(dyn):
         result = _same_recorded(program, inputs, fault=FaultSite(1, dyn, bit), warp_filter=(0, 0))
         assert result.fault_applied
     assert start in runs.hooked
+
+
+@pytest.mark.parametrize(
+    "thread, key, budget",
+    [(3, (0, 1), 100), (3, (1, 0), 100), (3, (0, -1), 100), (64, (2, 0), 100), (3, (0, 0), 0)],
+    ids=["other-warp", "other-cta", "negative-warp", "never-launched", "zero-budget"],
+)
+def test_thread_run_refuses_a_thread_outside_its_warp_or_a_budget_below_one(thread, key, budget):
+    program = add_one_kernel()  # two CTAs of one warp each
+    words = word_inputs(program, add_one_inputs(program))
+    with pytest.raises(ValidationError):
+        ThreadRun(program, words, thread, key, budget)
+    run = ThreadRun(program, words, 35, (1, 0), 100).finish()
+    assert run.termination == "completed" and run.icnt == execute(program, words).per_thread_icnt[35]
