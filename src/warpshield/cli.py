@@ -52,8 +52,12 @@ def _fixture(args) -> Fixture:
 
 
 def _load_program(args) -> tuple[KernelProgram, dict[str, list[int]]]:
-    """The kernel and its inputs, from ``--fixture`` or ``--kernel``."""
+    """The kernel and its inputs, from ``--fixture`` or ``--kernel``.  A
+    fixture brings its own inputs, so ``--kernel`` or ``--inputs`` beside it
+    could not take effect and is refused."""
     if args.fixture:
+        if args.kernel or args.inputs:
+            raise _ConfigError("--fixture cannot be combined with --kernel or --inputs")
         fixture = _fixture(args)
         return fixture.program, fixture.inputs
     if args.kernel:
@@ -523,8 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         if kernel_source:
             p.add_argument("--fixture", help="built-in fixture name (see `fixtures`)")
-            p.add_argument("--kernel", help="path to an IR kernel file")
-            p.add_argument("--inputs", help="JSON file of input buffer contents")
+            p.add_argument("--kernel", help="path to an IR kernel file, in place of --fixture")
+            p.add_argument("--inputs", help="JSON file of the --kernel's input buffer contents")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         if cost_table:

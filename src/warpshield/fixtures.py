@@ -23,6 +23,7 @@ so warp work stays uniform once warps are pure.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -598,7 +599,9 @@ def generate_fixture(name: str, seed: int = 0) -> Fixture:
     return builder(spec, seed)
 
 
-def remappable_suite(seed: int = 0) -> list[Fixture]:
-    """The regroup-eligible fixtures, in benchmark-table order; no other is built."""
-    return [builder(spec, seed) for spec, builder in _TABLE.values() if spec.remappable]
+def remappable_suite(seed: int = 0) -> Iterator[Fixture]:
+    """The regroup-eligible fixtures, in benchmark-table order, each built
+    when the caller asks for it, so that one is held at a time; no other is
+    built."""
+    return (builder(spec, seed) for spec, builder in _TABLE.values() if spec.remappable)
 

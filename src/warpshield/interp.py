@@ -221,11 +221,12 @@ class _WarpCtx:
 
 
 class _State:
-    """What issues change besides each warp's own context: registers and
-    iCnts keyed by thread id, recorded register writes, output buffers,
-    store streams and store counts keyed by warp, for a run of one thread
-    the thread's iCnt after each store (``marks``, else None), and whether
-    the fault has been applied."""
+    """What issues change besides each warp's own context: registers keyed
+    by thread id, for the running CTA's threads only (its one thread's in a
+    :class:`ThreadRun`), iCnts keyed by thread id, recorded register
+    writes, output buffers, store streams and store counts keyed by warp,
+    for a run of one thread the thread's iCnt after each store (``marks``,
+    else None), and whether the fault has been applied."""
 
     __slots__ = ("icnt", "regs", "writes", "outputs", "streams", "stores", "marks", "fault_applied")
 
@@ -619,6 +620,11 @@ def execute(
     single steps put it, and when the budget may run out inside the block.
     ``register_writes`` holds, per thread, the dynamic numbers of its
     register-writing instructions, never those of a ``bra``.
+
+    CTAs run one after another and never share registers, so each CTA's
+    warps and register files are made when it starts and dropped when the
+    next one does: a run holds one CTA's registers, whatever the kernel's
+    size.
     """
     if budget < 1:
         raise ValidationError("instruction budget must be positive")
@@ -633,7 +639,7 @@ def execute(
     total = program.total_threads
     state = _State(
         icnt=[0] * total,
-        regs=[None] * total,
+        regs={},
         writes=[[] for _ in range(total)] if record_writes else None,
         outputs={name: [0] * size for name, size in program.output_buffers},
         streams={} if record_stores else None,
@@ -641,47 +647,43 @@ def execute(
     )
     regs = state.regs
 
-    f_thread = fault.thread_id if fault is not None else -1
-    f_warp = None  # the faulted thread's warp
-
     launched = range(program.num_ctas)
     if warp_filter is not None:
-        launched = [warp_filter[0]] if 0 <= warp_filter[0] < program.num_ctas else []
-    ctas: list[list[_WarpCtx]] = []
-    for cta in launched:
-        order = program.launch_order(cta)
-        warps = []
-        for wid, start in enumerate(range(0, len(order), WARP_SIZE)):
-            key = (cta, wid)
-            if warp_filter is not None and key != warp_filter:
-                continue
-            members = order[start : start + WARP_SIZE]
-            wp = _WarpCtx(key, members)
-            warps.append(wp)
-            for t in members:
-                r = [0] * REGISTER_COUNT
-                r[TID_REGISTER] = t
-                r[CTAID_REGISTER] = cta
-                regs[t] = r
-                if t == f_thread:
-                    f_warp = wp
-        if warps:
-            ctas.append(warps)
-    if not ctas:
-        raise ValidationError(f"warp filter {warp_filter} matches no warp")
-
-    issue = _issuer(runs, runs.prefix(costs), in_bufs, budget, state, fault, f_warp)
+        cta, wid = warp_filter
+        if not (0 <= cta < program.num_ctas and 0 <= wid * WARP_SIZE < program.cta_size):
+            raise ValidationError(f"warp filter {warp_filter} matches no warp")
+        launched = [cta]
+    prefix = runs.prefix(costs)
+    f_thread = fault.thread_id if fault is not None else -1
+    per_warp_cycles: dict[tuple[int, int], int] = {}
     termination = COMPLETED
     error = None
     try:
-        for warps in ctas:
-            _run_cta(warps, issue)
+        for cta in launched:
+            order = program.launch_order(cta)
+            warps = [
+                _WarpCtx((cta, wid), order[start : start + WARP_SIZE])
+                for wid, start in enumerate(range(0, len(order), WARP_SIZE))
+                if warp_filter in (None, (cta, wid))
+            ]
+            regs.clear()
+            for wp in warps:
+                for t in wp.members:
+                    r = regs[t] = [0] * REGISTER_COUNT
+                    r[TID_REGISTER] = t
+                    r[CTAID_REGISTER] = cta
+            f_warp = next((wp for wp in warps if f_thread in wp.members), None)
+            try:
+                _run_cta(warps, _issuer(runs, prefix, in_bufs, budget, state, fault, f_warp))
+            finally:  # a crash or a hang ends the run inside this CTA
+                per_warp_cycles.update((wp.key, wp.cycles) for wp in warps if wp.issued)
     except _Abort as abort:
         termination = abort.kind
         error = abort.message
 
-    per_warp_cycles = {wp.key: wp.cycles for warps in ctas for wp in warps if wp.issued}
-    streams = state.streams
+    streams, writes = state.streams, state.writes
+    for t, w in enumerate(writes or ()):  # each list freed as its tuple is made
+        writes[t] = tuple(w)
     return ExecutionResult(
         outputs=state.outputs,
         per_thread_icnt=state.icnt,
@@ -690,7 +692,7 @@ def execute(
         fault_applied=state.fault_applied,
         per_warp_cycles=per_warp_cycles,
         per_warp_stores=state.stores,
-        register_writes=[tuple(w) for w in state.writes] if record_writes else None,
+        register_writes=writes,
         store_streams=(
             {k: tuple(v) for k, v in streams.items()} if streams is not None else None
         ),

@@ -34,7 +34,7 @@ from .errors import ArtifactError, ValidationError
 from .ir import DEFAULT_BUDGET, KernelProgram
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Hashable, Iterable
+    from collections.abc import Callable, Hashable, Iterable, Iterator
 
     from .faults import RunCounts
     from .interp import ExecutionResult
@@ -355,9 +355,26 @@ def load_profile(path) -> KernelProfile:
         raise ArtifactError(f"malformed profile {path}: {e}") from None
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each with its line feed, as ``io.StringIO``
+    reads them, without the copy of four bytes per character it holds."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def profile_from_csv_text(text: str) -> KernelProfile:
-    """The profile a ``profile.csv`` holds; its rows may come in any order."""
-    reader = csv.reader(io.StringIO(text))
+    """The profile a ``profile.csv`` holds; its rows may come in any order.
+
+    Lines are read from ``text`` itself, and each row goes straight into
+    per-thread columns indexed by its thread id, sized by the file's line
+    count: no row outlives its line but its CTA id and an index into the
+    distinct (iCnt, group, outcome, provenance) tails.  A thread id below 0
+    or not below that count is refused before anything is indexed by it.
+    """
+    reader = csv.reader(_lines(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -377,7 +394,12 @@ def profile_from_csv_text(text: str) -> KernelProfile:
     tail_index: dict[tuple[str, ...], int] = {}
     tails: list[tuple] = []
     kernel = None
-    rows: dict[int, tuple[int, int]] = {}  # thread id -> (cta id, index into tails)
+    # Rows never outnumber line feeds: the header's line ends in one, and so
+    # does every row's line but perhaps the last.
+    size = text.count("\n")
+    ctas: list[int | None] = [None] * size  # by thread id
+    tail_of: list[int | None] = [None] * size  # by thread id: index into tails
+    n = 0  # rows read
     for lineno, row in enumerate(reader, 2):
         if not row:
             continue
@@ -399,21 +421,23 @@ def profile_from_csv_text(text: str) -> KernelProfile:
             kernel = row[0]
         elif kernel != row[0]:
             raise ValidationError(f"profile row {lineno}: mixed kernel names")
-        if tid in rows:
+        if not 0 <= tid < size:
+            raise ValidationError(f"profile row {lineno}: thread id {tid} is negative or not below the row count")
+        if tail_of[tid] is not None:
             raise ValidationError(f"profile row {lineno}: duplicate thread id {tid}")
-        rows[tid] = (cta, tail)
+        ctas[tid], tail_of[tid] = cta, tail
+        n += 1
     if kernel is None:
         raise ValidationError("profile has no rows")
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
-        missing = sorted(set(range(n)) - set(rows))[:5]
-        raise ValidationError(f"profile is missing thread ids (first few: {missing})")
-    ctas, tail_of = zip(*(rows[t] for t in range(n)))
+    missing = [t for t in range(n) if tail_of[t] is None]  # n distinct ids are 0..n-1 or miss one
+    if missing:
+        raise ValidationError(f"profile is missing thread ids (first few: {missing[:5]})")
+    del ctas[n:], tail_of[n:]
     num_ctas = max(ctas[-1] + 1, 1)
     if n % num_ctas:
         raise ValidationError("thread count is not a multiple of the CTA count")
     cta_size = n // num_ctas
-    if ctas != tuple(t // cta_size for t in range(n)):
+    if any(cta != t // cta_size for t, cta in enumerate(ctas)):
         raise ValidationError("cta ids are not contiguous equal-size blocks")
     icnt, group_id, provenance, _ = zip(*(tails[i] for i in tail_of))
     outcome_of, outcomes = outcome_table(tail_of, lambda i: tails[i][3])

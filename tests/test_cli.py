@@ -99,8 +99,12 @@ def test_missing_profile_exits_3(tmp_path):
         b"x" * 200_000,
         b"kernel,cta_id,thread_id,icnt,group_id,masked_pct,sdc_pct,other_pct,provenance\n"
         b"k,-1,0,5,0,0.5,0.5,0.0,measured\n",
+        b"kernel,cta_id,thread_id,icnt,group_id,masked_pct,sdc_pct,other_pct,provenance\n"
+        b"k,0,-1,5,0,0.5,0.5,0.0,measured\n",
+        b"kernel,cta_id,thread_id,icnt,group_id,masked_pct,sdc_pct,other_pct,provenance\n"
+        b"k,0,1000000000000,5,0,0.5,0.5,0.0,measured\n",
     ],
-    ids=["short-header", "not-utf8", "overlong-field", "cta-minus-one"],
+    ids=["short-header", "not-utf8", "overlong-field", "cta-minus-one", "thread-minus-one", "thread-beyond-rows"],
 )
 def test_malformed_profile_exits_3(tmp_path, content, capsys):
     (tmp_path / "profile.csv").write_bytes(content)
@@ -280,6 +284,19 @@ def test_missing_kernel_file_exits_3(tmp_path, command, capsys):
     argv = [command, "--kernel", str(tmp_path / "missing.wir"), "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert "missing.wir does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "protect", "report"])
+@pytest.mark.parametrize("flags", [["--kernel"], ["--inputs"], ["--kernel", "--inputs"]], ids=["kernel", "inputs", "both"])
+def test_fixture_with_kernel_or_inputs_exits_2(tmp_path, command, flags, capsys):
+    """A fixture brings its own kernel and inputs, so a ``--kernel`` or
+    ``--inputs`` beside it could not take effect: the run is refused before
+    anything is read and leaves no ``--out`` directory behind."""
+    paths = [arg for flag in flags for arg in (flag, str(tmp_path / "missing"))]
+    sample = ["--sample", "0.001"] if command == "profile" else []
+    assert main([command, "--fixture", "pathfinder_k1", *paths, *sample, "--out", str(tmp_path / "out")]) == 2
+    assert "--fixture cannot be combined with --kernel or --inputs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

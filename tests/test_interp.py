@@ -1,16 +1,18 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
 from warpshield.errors import ValidationError
 from warpshield.faults import FaultSite, default_budget
-from warpshield.fixtures import generate_fixture
+from warpshield.fixtures import FixtureSpec, build_fixture, generate_fixture
 from warpshield.interp import CostTable, ThreadRun, _runs_of, execute, seeded_inputs, word_inputs
 from warpshield.ir import parse_kernel
 
 from support import (
     FIXTURE_NAMES,
+    PROBE_LEVELS,
     add_one_inputs,
     add_one_kernel,
     address_probe_kernel,
@@ -509,3 +511,28 @@ def test_thread_run_refuses_a_thread_outside_its_warp_or_a_budget_below_one(thre
         ThreadRun(program, words, thread, key, budget)
     run = ThreadRun(program, words, 35, (1, 0), 100).finish()
     assert run.termination == "completed" and run.icnt == execute(program, words).per_thread_icnt[35]
+
+
+def _working_set_of_execute(num_ctas: int) -> int:
+    """Bytes tracemalloc sees at the peak of a fault-free ``execute`` of a
+    dispatch kernel with ``num_ctas`` CTAs of 256 threads, beyond what its
+    result keeps (outputs and iCnts, which grow with the kernel)."""
+    spec = FixtureSpec(f"ctas_{num_ctas}", num_ctas, 256, "alternating", PROBE_LEVELS)
+    flags = [t % 2 == 0 for t in range(spec.total_threads)]
+    fixture = build_fixture(spec, flags, [0 if flag else 1 for flag in flags], 0)
+    inputs = word_inputs(fixture.program, fixture.inputs)
+    execute(fixture.program, inputs)  # compiles the program's blocks
+    tracemalloc.start()
+    try:
+        result = execute(fixture.program, inputs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.completed
+    return peak - kept
+
+
+def test_execute_holds_one_ctas_registers_at_a_time():
+    """CTAs run one after another, so sixteen of them need no more working
+    memory than one: registers and warps are made per CTA."""
+    assert _working_set_of_execute(16) <= 1.5 * _working_set_of_execute(1)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,34 @@ def test_load_rejects_duplicate_and_missing_threads():
     gap = _csv(["k,0,0,5,0,0.5,0.5,0.0,measured", "k,0,2,5,0,0.5,0.5,0.0,measured"])
     with pytest.raises(ValidationError, match="missing"):
         profile_from_csv_text(gap)
+
+
+@pytest.mark.parametrize("tid", [-1, 10**12])
+def test_load_refuses_a_thread_id_outside_the_rows_before_indexing_by_it(tid):
+    text = _csv(["k,0,0,5,0,0.5,0.5,0.0,measured", f"k,0,{tid},5,0,0.5,0.5,0.0,measured"])
+    with pytest.raises(ValidationError, match=f"profile row 3: thread id {tid} is negative or not below"):
+        profile_from_csv_text(text)
+
+
+def test_rows_in_reverse_order_load_to_an_equal_profile():
+    profile = generate_fixture("pathfinder_k1").profile
+    header, *rows = profile_to_csv_text(profile).splitlines(keepends=True)
+    loaded = profile_from_csv_text(header + "".join(reversed(rows)))
+    assert loaded == profile
+    assert profile_digest(loaded) == profile_digest(profile)
+
+
+def test_loading_a_profile_peaks_within_four_times_its_text():
+    """Lines are read from the text itself, not from a copy of four bytes
+    per character, and rows go straight into per-thread columns."""
+    text = profile_to_csv_text(generate_fixture("meanfilter_k1").profile)
+    tracemalloc.start()
+    try:
+        profile_from_csv_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 def test_load_rejects_group_fraction_conflict():
