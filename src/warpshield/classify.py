@@ -9,10 +9,9 @@ rule over the members present.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
 from .profiling import KernelProfile, to_fraction
@@ -25,16 +24,14 @@ UNRELIABLE = "unreliable"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class WarpClassification:
+class WarpClassification(NamedTuple):
     cta_id: int
     warp_id: int
     kind: str  # reliable | unreliable | mixed
     members: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class KernelReliabilityStats:
+class KernelReliabilityStats(NamedTuple):
     tau: Fraction
     pct_reliable_warps: Fraction
     pct_reliable_threads: Fraction

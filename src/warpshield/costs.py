@@ -14,8 +14,8 @@ a 1.63% mean, with several negative cases).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import RELIABLE, classify_warps
 from .errors import ValidationError
@@ -36,8 +36,7 @@ REFERENCE_FIGURES = {
 }
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     kernel: str
     cycles_base: int
     cycles_remapped: Fraction

@@ -47,7 +47,6 @@ import random
 from bisect import bisect_right
 from collections.abc import Sequence
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -72,42 +71,66 @@ _OUTCOME_KINDS = (MASKED, SDC, OTHER)
 _DETAILS = (None, "crashed", "hung", "not-executed")
 
 
-@dataclass(frozen=True, order=True)
-class FaultSite:
+class _FaultSite(NamedTuple):
     thread_id: int
     dyn_instr: int  # 1-based ordinal in the thread's dynamic instruction stream
     bit: int
 
-    def __post_init__(self):
-        if not (0 <= self.bit <= 31):
-            raise ValidationError(f"bit {self.bit} outside [0, 31]")
-        if self.dyn_instr < 1:
+
+class FaultSite(_FaultSite):
+    """One bit of one register write; sites sort by (thread, dyn_instr, bit)."""
+
+    __slots__ = ()
+
+    def __new__(cls, thread_id: int, dyn_instr: int, bit: int):
+        if not (0 <= bit <= 31):
+            raise ValidationError(f"bit {bit} outside [0, 31]")
+        if dyn_instr < 1:
             raise ValidationError("dyn_instr is 1-based")
-        if self.thread_id < 0:
+        if thread_id < 0:
             raise ValidationError("thread_id must be non-negative")
+        return tuple.__new__(cls, (thread_id, dyn_instr, bit))
 
 
-@dataclass(frozen=True)
-class Outcome:
+class _Outcome(NamedTuple):
     kind: str  # masked | sdc | other
     detail: str | None = None  # crashed | hung | not-executed
 
-    def __post_init__(self):
-        if self.kind not in _OUTCOME_KINDS or self.detail not in _DETAILS:
-            raise ValidationError(f"bad outcome {self.kind!r}/{self.detail!r}")
+
+class Outcome(_Outcome):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, detail: str | None = None):
+        if kind not in _OUTCOME_KINDS or detail not in _DETAILS:
+            raise ValidationError(f"bad outcome {kind!r}/{detail!r}")
+        return tuple.__new__(cls, (kind, detail))
 
 
-@dataclass
 class RunCounts:
     """How many sites a campaign decided with no run, by a run of the
     faulted thread alone, and by a run of its whole warp; and how many of
     its ``other`` sites crashed and how many hung."""
 
-    without_run: int = 0
-    lone_thread: int = 0
-    full_warp: int = 0
-    crashed: int = 0
-    hung: int = 0
+    __slots__ = ("without_run", "lone_thread", "full_warp", "crashed", "hung")
+
+    def __init__(self, without_run: int = 0, lone_thread: int = 0, full_warp: int = 0, crashed: int = 0, hung: int = 0):
+        self.without_run = without_run
+        self.lone_thread = lone_thread
+        self.full_warp = full_warp
+        self.crashed = crashed
+        self.hung = hung
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"RunCounts({fields})"
 
     def __iadd__(self, other: "RunCounts") -> "RunCounts":
         self.without_run += other.without_run
@@ -127,12 +150,32 @@ class RunCounts:
         }
 
 
-@dataclass
 class CampaignResult:
-    per_site: dict[FaultSite, Outcome]
-    per_thread_counts: dict[int, tuple[int, int, int]]  # tid -> (masked, sdc, other)
-    seed: int | None = None
-    runs: RunCounts = field(default_factory=RunCounts)
+    __slots__ = ("per_site", "per_thread_counts", "seed", "runs")
+
+    def __init__(
+        self,
+        per_site: dict[FaultSite, Outcome],
+        per_thread_counts: dict[int, tuple[int, int, int]],  # tid -> (masked, sdc, other)
+        seed: int | None = None,
+        runs: RunCounts | None = None,
+    ):
+        self.per_site = per_site
+        self.per_thread_counts = per_thread_counts
+        self.seed = seed
+        self.runs = RunCounts() if runs is None else runs
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"CampaignResult({fields})"
 
     def counts(self, thread_id: int) -> tuple[int, int, int]:
         return self.per_thread_counts.get(thread_id, (0, 0, 0))

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import classify_warps, format_pct, kernel_stats
 from .errors import FixtureError
@@ -33,8 +33,7 @@ from .ir import KernelProgram, WARP_SIZE, parse_kernel, warps_for
 from .profiling import EXTRAPOLATED, MEASURED, KernelProfile, TAU_DEFAULT, outcome_table
 
 
-@dataclass(frozen=True)
-class FixtureSpec:
+class FixtureSpec(NamedTuple):
     name: str
     num_ctas: int
     cta_size: int
@@ -49,8 +48,7 @@ class FixtureSpec:
         return self.num_ctas * self.cta_size
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     spec: FixtureSpec
     program: KernelProgram
     profile: KernelProfile
@@ -274,12 +272,12 @@ def build_fixture(spec: FixtureSpec, flags: list[bool], level_of: list[int], see
     """The fixture whose thread t is reliable iff ``flags[t]`` and runs the
     class path ``level_of[t]`` of the dispatch kernel, with the profile that
     declares ``spec.levels[level_of[t]]`` as its SDC fraction."""
-    reliable_classes = sum(1 for s in spec.levels if s <= TAU_DEFAULT)
-    for level, sdc in enumerate(spec.levels):
-        if (sdc <= TAU_DEFAULT) != (level < reliable_classes):
-            raise FixtureError(f"{spec.name}: reliable classes must precede unreliable ones")
+    reliable = [sdc <= TAU_DEFAULT for sdc in spec.levels]  # each level's verdict
+    reliable_classes = sum(reliable)
+    if reliable != sorted(reliable, reverse=True):
+        raise FixtureError(f"{spec.name}: reliable classes must precede unreliable ones")
     for tid, level in enumerate(level_of):
-        if flags[tid] != (spec.levels[level] <= TAU_DEFAULT):
+        if flags[tid] != reliable[level]:
             raise FixtureError(f"{spec.name}: thread {tid} class contradicts its flag")
 
     program = _dispatch_kernel(spec.name, spec.num_ctas, spec.cta_size, reliable_classes, len(spec.levels))

@@ -79,9 +79,8 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
 from .ir import (
@@ -120,27 +119,33 @@ _DEFAULT_OP_CYCLES = {
 }
 
 
-@dataclass(frozen=True)
-class CostTable:
+class _CostTable(NamedTuple):
+    op_cycles: dict[str, int]
+    compare_per_store: int
+    vote_per_store: int
+
+
+class CostTable(_CostTable):
     """Cycles charged per issued warp-instruction, plus replica bookkeeping costs."""
 
-    op_cycles: dict[str, int] = field(default_factory=lambda: dict(_DEFAULT_OP_CYCLES))
-    compare_per_store: int = 1
-    vote_per_store: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        missing = set(_DEFAULT_OP_CYCLES) - set(self.op_cycles)
+    def __new__(cls, op_cycles: dict[str, int] | None = None, compare_per_store: int = 1, vote_per_store: int = 2):
+        if op_cycles is None:
+            op_cycles = dict(_DEFAULT_OP_CYCLES)
+        missing = set(_DEFAULT_OP_CYCLES) - set(op_cycles)
         if missing:
             raise ValidationError(f"cost table missing opcodes: {sorted(missing)}")
-        unknown = set(self.op_cycles) - set(_DEFAULT_OP_CYCLES)
+        unknown = set(op_cycles) - set(_DEFAULT_OP_CYCLES)
         if unknown:
             raise ValidationError(f"cost table names unknown opcodes: {sorted(unknown)}")
         # Every issued instruction costs time, and savings divide by cycles.
-        cheap = sorted(op for op in _DEFAULT_OP_CYCLES if self.op_cycles[op] < 1)
+        cheap = sorted(op for op in _DEFAULT_OP_CYCLES if op_cycles[op] < 1)
         if cheap:
             raise ValidationError(f"cost table op cycles must be at least 1: {cheap}")
-        if self.compare_per_store < 0 or self.vote_per_store < 0:
+        if compare_per_store < 0 or vote_per_store < 0:
             raise ValidationError("cost table per-store costs must not be negative")
+        return tuple.__new__(cls, (op_cycles, compare_per_store, vote_per_store))
 
     def to_json(self) -> dict:
         return {
@@ -170,7 +175,6 @@ class CostTable:
 DEFAULT_COST_TABLE = CostTable()
 
 
-@dataclass
 class ExecutionResult:
     """Snapshot of one kernel execution.
 
@@ -182,16 +186,54 @@ class ExecutionResult:
     the barrier releases of the warp's CTA before the store.
     """
 
-    outputs: dict[str, list[int]]
-    per_thread_icnt: list[int]
-    cycles: int
-    termination: str
-    fault_applied: bool = False
-    per_warp_cycles: dict[tuple[int, int], int] = field(default_factory=dict)
-    per_warp_stores: dict[tuple[int, int], int] = field(default_factory=dict)
-    register_writes: list[tuple[int, ...]] | None = None
-    store_streams: dict[tuple[int, int], tuple[tuple[str, int, int, int], ...]] | None = None
-    error: str | None = None
+    __slots__ = (
+        "outputs",
+        "per_thread_icnt",
+        "cycles",
+        "termination",
+        "fault_applied",
+        "per_warp_cycles",
+        "per_warp_stores",
+        "register_writes",
+        "store_streams",
+        "error",
+    )
+
+    def __init__(
+        self,
+        outputs: dict[str, list[int]],
+        per_thread_icnt: list[int],
+        cycles: int,
+        termination: str,
+        fault_applied: bool = False,
+        per_warp_cycles: dict[tuple[int, int], int] | None = None,
+        per_warp_stores: dict[tuple[int, int], int] | None = None,
+        register_writes: list[tuple[int, ...]] | None = None,
+        store_streams: dict[tuple[int, int], tuple[tuple[str, int, int, int], ...]] | None = None,
+        error: str | None = None,
+    ):
+        self.outputs = outputs
+        self.per_thread_icnt = per_thread_icnt
+        self.cycles = cycles
+        self.termination = termination
+        self.fault_applied = fault_applied
+        self.per_warp_cycles = {} if per_warp_cycles is None else per_warp_cycles
+        self.per_warp_stores = {} if per_warp_stores is None else per_warp_stores
+        self.register_writes = register_writes
+        self.store_streams = store_streams
+        self.error = error
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"ExecutionResult({fields})"
 
     @property
     def completed(self) -> bool:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -69,27 +69,56 @@ _REG_ALIASES = {"tid": TID_REGISTER, "ctaid": CTAID_REGISTER}
 _BUF_RE = re.compile(r"^(\w+)\[(\w+)\]$")
 
 
-@dataclass(frozen=True)
 class Instruction:
-    opcode: str
-    dest: int | None = None
-    srcs: tuple[int, ...] = ()
-    imm: int | None = None
-    buffer: str | None = None
-    addr_reg: int | None = None
-    cond: str | None = None
-    target: int | None = None
-    # Source provenance only; irrelevant to program semantics and equality.
-    target_label: str | None = field(default=None, compare=False)
-    line: int | None = field(default=None, compare=False)
+    """One instruction.  ``target_label`` and ``line`` record where it came
+    from in the source; they take no part in equality or hashing."""
+
+    __slots__ = ("opcode", "dest", "srcs", "imm", "buffer", "addr_reg", "cond", "target", "target_label", "line")
+
+    def __init__(
+        self,
+        opcode: str,
+        dest: int | None = None,
+        srcs: tuple[int, ...] = (),
+        imm: int | None = None,
+        buffer: str | None = None,
+        addr_reg: int | None = None,
+        cond: str | None = None,
+        target: int | None = None,
+        target_label: str | None = None,
+        line: int | None = None,
+    ):
+        values = (opcode, dest, srcs, imm, buffer, addr_reg, cond, target, target_label, line)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.opcode, self.dest, self.srcs, self.imm, self.buffer, self.addr_reg, self.cond, self.target)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Instruction({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def writes_register(self) -> bool:
         return self.opcode in WRITING_OPS
 
 
-@dataclass(frozen=True)
-class Warp:
+class Warp(NamedTuple):
     """One scheduling unit: up to 32 threads of a single CTA, in slot order."""
 
     cta_id: int
@@ -97,8 +126,7 @@ class Warp:
     members: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class KernelProgram:
+class _KernelProgram(NamedTuple):
     name: str
     instructions: tuple[Instruction, ...]
     num_ctas: int
@@ -108,8 +136,20 @@ class KernelProgram:
     # Optional per-CTA launch order (original thread ids); None means linear.
     layout: tuple[tuple[int, ...], ...] | None = None
 
-    def __post_init__(self):
+
+class KernelProgram(_KernelProgram):
+    """A kernel and its launch geometry, validated when it is made.
+
+    Make a changed copy with the constructor, as
+    :func:`~warpshield.remap.apply_plan` does: ``_replace`` builds the
+    tuple without the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _validate_program(self)
+        return self
 
     @property
     def total_threads(self) -> int:
@@ -456,7 +496,8 @@ def parse_kernel(text: str) -> KernelProgram:
             raise ParseError(f"undefined label {label!r}", lineno)
         if labels[label] >= len(instructions):
             raise ParseError(f"label {label!r} points past the last instruction", lineno)
-        instructions[idx] = replace(instructions[idx], target=labels[label])
+        ins = instructions[idx]
+        instructions[idx] = Instruction("bra", srcs=ins.srcs, target=labels[label], target_label=label, line=ins.line)
 
     try:
         return KernelProgram(

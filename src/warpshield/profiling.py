@@ -21,13 +21,10 @@ indexing.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ArtifactError, ValidationError
@@ -120,7 +117,6 @@ class ThreadProfile(NamedTuple):
 OutcomeRow = tuple[Fraction, Fraction, Fraction]  # (masked, sdc, other) fractions
 
 
-@dataclass(frozen=True)
 class KernelProfile:
     """Every thread's outcome fractions, as per-thread columns over a table
     of distinct outcome rows.
@@ -133,19 +129,37 @@ class KernelProfile:
     per thread, for readers outside the package.
     """
 
-    kernel: str
-    geometry: tuple[int, int]  # (num_ctas, cta_size)
-    icnt: tuple[int, ...]
-    group_id: tuple[int, ...]
-    provenance: tuple[str, ...]  # measured | extrapolated
-    outcome_of: tuple[int, ...]
-    outcomes: tuple[OutcomeRow, ...]
-    # Downstream classification default; not persisted, excluded from equality.
-    tau: Fraction = field(default=TAU_DEFAULT, compare=False)
-    # How profile_kernel's campaigns decided their sites; None when loaded.
-    runs: RunCounts | None = field(default=None, compare=False)
+    __slots__ = (
+        "kernel",
+        "geometry",  # (num_ctas, cta_size)
+        "icnt",
+        "group_id",
+        "provenance",  # measured | extrapolated
+        "outcome_of",
+        "outcomes",
+        # Downstream classification default; not persisted, excluded from equality.
+        "tau",
+        # How profile_kernel's campaigns decided their sites; None when loaded.
+        "runs",
+        "_threads",  # the ``threads`` view, made on first use
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kernel: str,
+        geometry: tuple[int, int],
+        icnt: tuple[int, ...],
+        group_id: tuple[int, ...],
+        provenance: tuple[str, ...],
+        outcome_of: tuple[int, ...],
+        outcomes: tuple[OutcomeRow, ...],
+        tau: Fraction = TAU_DEFAULT,
+        runs: RunCounts | None = None,
+    ):
+        values = (kernel, geometry, icnt, group_id, provenance, outcome_of, outcomes, tau, runs, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
         num_ctas, cta_size = self.geometry
         n = num_ctas * cta_size
         if num_ctas < 1 or cta_size < 1:
@@ -182,14 +196,38 @@ class KernelProfile:
                 if rep != r:
                     raise ValidationError(f"group {gid} carries conflicting outcome fractions")
 
-    @cached_property
+    def _key(self) -> tuple:
+        return (self.kernel, self.geometry, self.icnt, self.group_id, self.provenance, self.outcome_of, self.outcomes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])  # not _threads
+        return f"KernelProfile({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @property
     def threads(self) -> tuple[ThreadProfile, ...]:
-        cta_size = self.geometry[1]
-        columns = zip(self.icnt, self.group_id, self.outcome_of, self.provenance)
-        return tuple(
-            ThreadProfile(t, t // cta_size, icnt, gid, *self.outcomes[r], p)
-            for t, (icnt, gid, r, p) in enumerate(columns)
-        )
+        if self._threads is None:
+            cta_size = self.geometry[1]
+            columns = zip(self.icnt, self.group_id, self.outcome_of, self.provenance)
+            threads = tuple(
+                ThreadProfile(t, t // cta_size, icnt, gid, *self.outcomes[r], p)
+                for t, (icnt, gid, r, p) in enumerate(columns)
+            )
+            object.__setattr__(self, "_threads", threads)
+        return self._threads
 
 
 def outcome_table(
@@ -299,6 +337,8 @@ def profile_kernel(
 
 
 def hash_seed(seed: int, salt) -> int:
+    import hashlib  # here, so commands that never hash skip OpenSSL
+
     digest = hashlib.sha256(f"{seed}:{salt}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -451,4 +491,6 @@ def profile_digest(profile: KernelProfile) -> str:
 
 def text_digest(text: str) -> str:
     """:func:`profile_digest` of the profile that renders as ``text``."""
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()

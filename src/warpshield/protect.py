@@ -20,8 +20,7 @@ hardware would spend them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .classify import RELIABLE, WarpClassification
 from .errors import ProtectionError, ValidationError
@@ -45,8 +44,7 @@ CORRECT = "correct"
 _FACTORS = {DETECT: 2, CORRECT: 3}
 
 
-@dataclass(frozen=True)
-class ProtectionPlan:
+class ProtectionPlan(NamedTuple):
     mode: str  # detect | correct
     factors: dict[tuple[int, int], int]  # (cta_id, warp_id) -> replication factor
 
@@ -55,8 +53,7 @@ class ProtectionPlan:
         return sorted(k for k, f in self.factors.items() if f > 1)
 
 
-@dataclass(frozen=True)
-class WarpIncident:
+class WarpIncident(NamedTuple):
     """A detection or correction event on one warp."""
 
     cta_id: int
@@ -64,14 +61,36 @@ class WarpIncident:
     locations: tuple[tuple[str, int], ...]  # (buffer, index) pairs
 
 
-@dataclass
 class ProtectedRunResult:
-    mode: str
-    final_outputs: dict[str, list[int]]
-    detections: list[WarpIncident]
-    corrections: list[WarpIncident]
-    cycles: int
-    warp_terminations: dict[tuple[int, int], tuple[str, ...]]  # per replica
+    __slots__ = ("mode", "final_outputs", "detections", "corrections", "cycles", "warp_terminations")
+
+    def __init__(
+        self,
+        mode: str,
+        final_outputs: dict[str, list[int]],
+        detections: list[WarpIncident],
+        corrections: list[WarpIncident],
+        cycles: int,
+        warp_terminations: dict[tuple[int, int], tuple[str, ...]],  # per replica
+    ):
+        self.mode = mode
+        self.final_outputs = final_outputs
+        self.detections = detections
+        self.corrections = corrections
+        self.cycles = cycles
+        self.warp_terminations = warp_terminations
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"ProtectedRunResult({fields})"
 
 
 def build_protection_plan(

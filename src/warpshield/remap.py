@@ -11,8 +11,8 @@ what keeps barrier semantics and per-thread work untouched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import KernelReliabilityStats, classify_warps, kernel_stats
 from .errors import ArtifactError, ValidationError
@@ -20,8 +20,7 @@ from .ir import KernelProgram, WARP_SIZE, validate_layout, warps_for
 from .profiling import to_fraction
 
 
-@dataclass(frozen=True)
-class RemapPlan:
+class RemapPlan(NamedTuple):
     """Per-CTA launch orders: new warp k holds positions kW..kW+W-1 of its CTA's list."""
 
     new_orders: tuple[tuple[int, ...], ...]
@@ -95,7 +94,15 @@ def apply_plan(program: KernelProgram, plan: RemapPlan) -> KernelProgram:
         raise ValidationError(
             f"plan was built for kernel {plan.kernel!r}, not {program.name!r}"
         )
-    return replace(program, layout=plan.new_orders)
+    return KernelProgram(
+        name=program.name,
+        instructions=program.instructions,
+        num_ctas=program.num_ctas,
+        cta_size=program.cta_size,
+        input_buffers=program.input_buffers,
+        output_buffers=program.output_buffers,
+        layout=plan.new_orders,
+    )
 
 
 def remapped_stats(plan: RemapPlan, flags: list[bool]) -> KernelReliabilityStats:

@@ -436,23 +436,40 @@ NOT_LOADED = {
 }
 
 
-def _fresh_cli(cwd, *argv):
-    """Run ``python -m warpshield.cli`` in a new interpreter; return its exit
-    code, its stderr and the warpshield modules it imported."""
+# Stdlib modules no command may import: ``dataclasses`` and the ``inspect``
+# it pulls in cost a start-up more than the package's own value types do.
+NEVER_LOADED = {"dataclasses", "inspect"}
+# Commands that hash nothing, and so must not initialise OpenSSL.
+NOT_HASHING = {"classify", "emit", "sweep", "fixtures"}
+
+
+def _run_importtime(cwd, *args):
+    """Run ``python -X importtime *args`` with ``src`` on the path; return
+    the process and the names of the modules it imported."""
     src = str(Path(warpshield.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "warpshield.cli", *argv],
+        [sys.executable, "-X", "importtime", *args],
         capture_output=True,
         text=True,
         env=env,
         cwd=cwd,
     )
     lines = proc.stderr.splitlines()
-    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
-    errors = "\n".join(line for line in lines if not line.startswith("import time:"))
+    return proc, {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+
+
+def _fresh_cli(cwd, *argv):
+    """Run ``python -m warpshield.cli`` in a new interpreter; return its exit
+    code, its stderr, the warpshield modules it imported and the other
+    modules it imported that a bare interpreter (``site`` and any ``.pth``
+    file) does not already load."""
+    proc, imported = _run_importtime(cwd, "-m", "warpshield.cli", *argv)
+    _, bare = _run_importtime(cwd, "-c", "pass")
+    errors = "\n".join(line for line in proc.stderr.splitlines() if not line.startswith("import time:"))
     modules = {name.split(".", 1)[1] for name in imported if name.startswith("warpshield.")}
-    return proc.returncode, errors, modules
+    others = {name for name in imported - bare if name.split(".", 1)[0] != "warpshield"}
+    return proc.returncode, errors, modules, others
 
 
 def test_every_command_runs_in_a_fresh_interpreter_and_loads_only_what_it_uses(tmp_path):
@@ -471,9 +488,11 @@ def test_every_command_runs_in_a_fresh_interpreter_and_loads_only_what_it_uses(t
     ]
     assert sorted(argv[0] for argv in runs) == sorted(COMMANDS)
     for argv in runs:
-        code, errors, modules = _fresh_cli(tmp_path, *argv)
+        code, errors, modules, others = _fresh_cli(tmp_path, *argv)
         assert code == 0, (argv, errors)
         assert not modules & NOT_LOADED.get(argv[0], set()), (argv[0], sorted(modules))
+        assert not others & NEVER_LOADED, (argv[0], sorted(others))
+        assert argv[0] not in NOT_HASHING or "hashlib" not in others, (argv[0], sorted(others))
         if argv[0] == "emit":
             shutil.copy(out / "pathfinder_k1_profile.csv", out / "profile.csv")
     assert (out / "report.json").exists() and (tmp_path / "profiled" / "profile.csv").exists()
@@ -481,5 +500,5 @@ def test_every_command_runs_in_a_fresh_interpreter_and_loads_only_what_it_uses(t
 
 def test_help_of_every_command_exits_0(tmp_path):
     for argv in [["--help"], *([command, "--help"] for command in COMMANDS)]:
-        code, errors, _ = _fresh_cli(tmp_path, *argv)
+        code, errors, _, _ = _fresh_cli(tmp_path, *argv)
         assert code == 0, (argv, errors)

@@ -11,7 +11,7 @@ issue by issue, and for kernels whose threads store only to
 """
 
 import random
-from dataclasses import replace
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +20,7 @@ from warpshield.faults import FaultSite, classify_outcome, default_budget, golde
 from warpshield.interp import ThreadRun, execute, word_inputs
 from warpshield.ir import WRITING_OPS, parse_kernel
 from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
+from warpshield.remap import RemapPlan, apply_plan
 
 from support import (
     finish_issue_by_issue,
@@ -329,7 +330,7 @@ def relaid_kernels(draw):
 def test_any_layout_keeps_outputs_and_icnt_when_threads_store_to_own_slot(case):
     program, inputs, layout = case
     golden = execute(program, inputs)
-    relaid = execute(replace(program, layout=layout), inputs)
+    relaid = execute(apply_plan(program, RemapPlan(new_orders=layout, tau=Fraction(0))), inputs)
     assert relaid.termination == golden.termination == "completed"
     assert relaid.outputs == golden.outputs
     assert relaid.per_thread_icnt == golden.per_thread_icnt

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 
@@ -8,7 +7,7 @@ from warpshield.errors import ValidationError
 from warpshield.faults import FaultSite, default_budget
 from warpshield.fixtures import FixtureSpec, build_fixture, generate_fixture
 from warpshield.interp import CostTable, ThreadRun, _runs_of, execute, seeded_inputs, word_inputs
-from warpshield.ir import parse_kernel
+from warpshield.ir import KernelProgram, parse_kernel
 
 from support import (
     FIXTURE_NAMES,
@@ -113,7 +112,16 @@ def test_warp_assignment_independence():
             order = list(range(cta * 64, (cta + 1) * 64))
             rng.shuffle(order)
             layout.append(tuple(order))
-        shuffled = execute(dataclasses.replace(program, layout=tuple(layout)), inputs)
+        relaid = KernelProgram(
+            program.name,
+            program.instructions,
+            program.num_ctas,
+            program.cta_size,
+            program.input_buffers,
+            program.output_buffers,
+            layout=tuple(layout),
+        )
+        shuffled = execute(relaid, inputs)
         assert shuffled.outputs == baseline.outputs
         assert shuffled.per_thread_icnt == baseline.per_thread_icnt
 
