@@ -38,7 +38,10 @@ flipped value, and a site whose value is overwritten before any read, or
 never read before the thread exits, is masked with no run at all (the
 exact form of def-use pruning: Hari et al., Relyzer, ASPLOS 2012; Nie et
 al., MICRO 2018, whose thread-wise pruning injects one thread at a time
-too).
+too).  It is the thread's only fault-free run: the stores it has recorded
+when a site forks are the thread's golden stores before the fork, and
+once it has passed the thread's last fork it runs on to the end for the
+thread's whole golden store stream.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ class FaultSite(_FaultSite):
     """One bit of one register write; sites sort by (thread, dyn_instr, bit)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace validates too
 
     def __new__(cls, thread_id: int, dyn_instr: int, bit: int):
         if not (0 <= bit <= 31):
@@ -99,6 +103,7 @@ class _Outcome(NamedTuple):
 
 class Outcome(_Outcome):
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace validates too
 
     def __new__(cls, kind: str, detail: str | None = None):
         if kind not in _OUTCOME_KINDS or detail not in _DETAILS:
@@ -314,9 +319,9 @@ def run_campaign(
     A forked run that crashes or hangs is ``other``.  Otherwise the
     locations the thread stores to, in the golden or the faulted run, are
     decided by replaying, in full-run order, the faulted run's stores, the
-    thread's golden stores before the fork (from one fault-free run of the
-    thread alone, made when first needed) and every other thread's golden
-    stores to those locations (a location no replayed store writes is 0).
+    thread's golden stores before the fork (what the fault-free run has
+    recorded when the site forks) and every other thread's golden stores
+    to those locations (a location no replayed store writes is 0).
     Any difference from the golden output is ``sdc``, none is ``masked``.
     When a store of the thread, golden or faulted, shares a location and a
     barrier phase with a warp-mate's golden store, only lock-step orders
@@ -326,10 +331,10 @@ def run_campaign(
     result's ``runs`` counts the sites decided with no run, by a
     one-thread run and by a warp run.
 
-    The sites of one thread share its fault-free run, so they are
-    classified in the order that run reaches them; each outcome depends on
-    its site alone, so the result does not depend on the order of
-    ``sites``.  A list that repeats a site is refused.
+    The sites of one thread share its fault-free run, so they are run in
+    the order that run reaches them and scored once it has run to its end;
+    each outcome depends on its site alone, so the result does not depend
+    on the order of ``sites``.  A list that repeats a site is refused.
     """
     if golden is None:
         golden = golden_run(program, inputs)
@@ -362,8 +367,16 @@ def run_campaign(
             by_thread.setdefault(site.thread_id, []).append(site)
         for thread, thread_sites in by_thread.items():
             cursor = ThreadRun(program, words, thread, key, budget)
+            completed = []  # (site, how many golden stores precede its fork, the fork's stores)
             for site, written in _thread_forks(cursor, thread_sites, per_site):
-                per_site[site] = scorer.outcome(cursor, site, written, runs)
+                lone = cursor.fork(site, written).finish()
+                if lone.termination == COMPLETED:
+                    completed.append((site, len(cursor.stream), lone.stream))
+                else:
+                    runs.lone_thread += 1
+                    per_site[site] = classify_outcome(golden, lone)
+            if completed:
+                per_site.update(scorer.outcomes(cursor.finish().stream, completed, runs))
     runs.without_run = len(sites) - runs.lone_thread - runs.full_warp
     tallies: dict[int, list[int]] = {}
     for site, outcome in per_site.items():
@@ -486,29 +499,17 @@ def _warps_of(program: KernelProgram, threads) -> dict[int, tuple[int, int]]:
     return warp_of
 
 
-class _GoldenThread(NamedTuple):
-    """One thread's golden stores, as its sites are scored against them."""
-
-    stores: list[tuple[tuple, int]]  # (record, the thread's iCnt after it)
-    locations: set[tuple[str, int]]  # where the thread stores
-    mates_at: dict[tuple[str, int], list[tuple]]  # warp-mates' records, per location
-    mate_triples: set[tuple[str, int, int]]  # warp-mates' (buffer, index, phase)
-    collides: bool  # the thread stores to one of mate_triples
-
-
 class _WarpScorer:
-    """Scores the forked sites of one warp, each from a run of its thread
-    alone where that is exact, else from a run of the whole warp.
+    """Scores the completed forked runs of one warp's threads, each from its
+    run of the thread alone where that is exact, else from a run of the
+    whole warp.
 
-    Each thread's golden stores, tagged with its iCnt at each, come from
-    one fault-free run of that thread alone, from launch, made the first
-    time one of its sites needs them.  The warp-mates' golden stores come
-    from the golden run's stream of the warp.  A warp-mate's golden store
-    to a location in a phase the thread also stores to, in the golden or
-    the faulted run, is a collision: only lock-step orders the two, so such
-    a site re-runs the whole warp from launch through
-    ``execute(..., warp_filter=key)``, the isolated run protection makes of
-    a faulted replica.
+    The warp-mates' golden stores come from the golden run's stream of the
+    warp.  A warp-mate's golden store to a location in a phase the thread
+    also stores to, in the golden or the faulted run, is a collision: only
+    lock-step orders the two, so such a site re-runs the whole warp from
+    launch through ``execute(..., warp_filter=key)``, the isolated run
+    protection makes of a faulted replica.
     """
 
     def __init__(self, program, words, budget: int, golden, key: tuple[int, int], writers):
@@ -517,73 +518,54 @@ class _WarpScorer:
         self.key = key
         self.writers = writers
         self.stream = golden.store_streams.get(key, ())
-        self.threads: dict[int, _GoldenThread] = {}
 
-    def thread(self, t: int) -> _GoldenThread:
-        info = self.threads.get(t)
-        if info is None:
-            run = ThreadRun(self.program, self.words, t, self.key, self.budget).finish()
-            stores = list(zip(run.stream, run.store_icnts))
-            own = Counter((buf, addr, phase) for (buf, addr, _, phase), _ in stores)
-            everyone = Counter((buf, addr, phase) for buf, addr, _, phase in self.stream)
-            mate_triples = {triple for triple, n in everyone.items() if n > own[triple]}
-            mates_at: dict[tuple[str, int], list[tuple]] = {}
-            for record in self.stream:
-                if (record[0], record[1], record[3]) not in own:
-                    mates_at.setdefault((record[0], record[1]), []).append(record)
-            info = self.threads[t] = _GoldenThread(
-                stores,
-                {(buf, addr) for (buf, addr, _, _), _ in stores},
-                mates_at,
-                mate_triples,
-                not mate_triples.isdisjoint(own),
-            )
-        return info
+    def outcomes(self, own: list[tuple], forks: list[tuple], runs: RunCounts):
+        """Yield ``(site, outcome)`` for each completed fork ``(site,
+        prefix, faulted)`` of one thread, whose whole golden store stream
+        is ``own``: the fork's run stored ``faulted`` after the thread's
+        first ``prefix`` golden stores.
 
-    def outcome(self, cursor: ThreadRun, site: FaultSite, written: int | None, runs: RunCounts) -> Outcome:
-        """Outcome of ``site``, whose run forks from its thread's fault-free
-        ``cursor`` as it is now.
-
-        A completed run of the thread alone is scored by replaying, at the
-        locations the thread stores to in the golden or the faulted run,
-        the other warps' golden stores, the warp-mates' golden stores, the
-        thread's golden stores before the fork and the faulted run's
-        stores.  With no collision, a warp-mate's store and the thread's
-        never share a location and a phase, so phases order them.
+        A fork free of collisions is scored by replaying, at the locations
+        the thread stores to in the golden or the faulted run, the other
+        warps' golden stores, the warp-mates' golden stores, ``own[:prefix]``
+        and ``faulted``.  With no collision, a warp-mate's store and the
+        thread's never share a location and a phase, so phases order them.
         """
         golden = self.golden
-        lone = cursor.fork(site, written).finish()
-        if lone.termination != COMPLETED:
-            runs.lone_thread += 1
-            return classify_outcome(golden, lone)
-        info = self.thread(site.thread_id)
-        faulted = lone.stream
-        mate_triples = info.mate_triples
-        if info.collides or any((buf, addr, phase) in mate_triples for buf, addr, _, phase in faulted):
-            runs.full_warp += 1
-            run = execute(
-                self.program,
-                self.words,
-                fault=site,
-                budget=self.budget,
-                warp_filter=self.key,
-                record_stores=True,
-            )
-            if not run.completed:  # as the lone run: never
-                return classify_outcome(golden, run)
-            stream = run.store_streams.get(self.key, ())
-            touched = {(buf, addr) for buf, addr, _, _ in (*self.stream, *stream)}
-            return _replayed_outcome(golden, self.key, stream, touched, self.writers)
-        runs.lone_thread += 1
-        touched = info.locations.union((buf, addr) for buf, addr, _, _ in faulted)
-        forked_at = cursor.icnt
-        mates_at = info.mates_at
-        # Records at different locations never meet, so only each
-        # location's own order matters.
-        stream = [record for loc in touched if loc in mates_at for record in mates_at[loc]]
-        stream += (record for record, icnt in info.stores if icnt <= forked_at)
-        stream += faulted
-        return _replayed_outcome(golden, self.key, stream, touched, self.writers)
+        triples = Counter((buf, addr, phase) for buf, addr, _, phase in own)
+        everyone = Counter((buf, addr, phase) for buf, addr, _, phase in self.stream)
+        mate_triples = {triple for triple, n in everyone.items() if n > triples[triple]}
+        collides = not mate_triples.isdisjoint(triples)
+        locations = {(buf, addr) for buf, addr, _, _ in own}
+        mates_at: dict[tuple[str, int], list[tuple]] = {}
+        for record in self.stream:
+            if (record[0], record[1], record[3]) not in triples:
+                mates_at.setdefault((record[0], record[1]), []).append(record)
+        for site, prefix, faulted in forks:
+            if collides or any((buf, addr, phase) in mate_triples for buf, addr, _, phase in faulted):
+                runs.full_warp += 1
+                run = execute(
+                    self.program,
+                    self.words,
+                    fault=site,
+                    budget=self.budget,
+                    warp_filter=self.key,
+                    record_stores=True,
+                )
+                if not run.completed:  # as the lone run: never
+                    yield site, classify_outcome(golden, run)
+                    continue
+                stream = run.store_streams.get(self.key, ())
+                touched = {(buf, addr) for buf, addr, _, _ in (*self.stream, *stream)}
+            else:
+                runs.lone_thread += 1
+                touched = locations.union((buf, addr) for buf, addr, _, _ in faulted)
+                # Records at different locations never meet, so only each
+                # location's own order matters.
+                stream = [record for loc in touched if loc in mates_at for record in mates_at[loc]]
+                stream += own[:prefix]
+                stream += faulted
+            yield site, _replayed_outcome(golden, self.key, stream, touched, self.writers)
 
 
 def _replayed_outcome(golden: ExecutionResult, key, stream, touched, writers) -> Outcome:

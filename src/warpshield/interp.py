@@ -129,6 +129,7 @@ class CostTable(_CostTable):
     """Cycles charged per issued warp-instruction, plus replica bookkeeping costs."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace validates too
 
     def __new__(cls, op_cycles: dict[str, int] | None = None, compare_per_store: int = 1, vote_per_store: int = 2):
         if op_cycles is None:
@@ -267,19 +268,17 @@ class _State:
     by thread id, for the running CTA's threads only (its one thread's in a
     :class:`ThreadRun`), iCnts keyed by thread id, recorded register
     writes, output buffers, store streams and store counts keyed by warp,
-    for a run of one thread the thread's iCnt after each store (``marks``,
-    else None), and whether the fault has been applied."""
+    and whether the fault has been applied."""
 
-    __slots__ = ("icnt", "regs", "writes", "outputs", "streams", "stores", "marks", "fault_applied")
+    __slots__ = ("icnt", "regs", "writes", "outputs", "streams", "stores", "fault_applied")
 
-    def __init__(self, icnt, regs, writes, outputs, streams, stores, marks=None):
+    def __init__(self, icnt, regs, writes, outputs, streams, stores):
         self.icnt = icnt
         self.regs = regs
         self.writes = writes
         self.outputs = outputs
         self.streams = streams
         self.stores = stores
-        self.marks = marks
         self.fault_applied = False
 
 
@@ -783,7 +782,7 @@ def _issuer(
     run_end = runs.end
     fused = runs.fused
     load_bufs = [in_bufs[name] for name in runs.buffers]
-    icnt, regs, writes, marks = state.icnt, state.regs, state.writes, state.marks
+    icnt, regs, writes = state.icnt, state.regs, state.writes
     out_bufs, streams, per_warp_stores = state.outputs, state.streams, state.stores
     if fault is not None:
         f_thread, f_dyn, f_mask = fault.thread_id, fault.dyn_instr, 1 << fault.bit
@@ -848,8 +847,6 @@ def _issuer(
                 buf[addr] = v
                 if stream is not None:
                     stream.append((ins.buffer, addr, v, phase))
-                if marks is not None:
-                    marks.append(icnt[t])
         else:  # bra, bar, exit
             for li in lanes:
                 icnt[members[li]] += 1
@@ -964,11 +961,11 @@ class ThreadRun:
     :meth:`next_issue` names its coming issue, :meth:`advance` makes it,
     :meth:`fork` copies the run at that boundary (armed with a fault, or
     with its bit already flipped), and :meth:`finish` runs a run to its end
-    in the program's lone form.  Every run records its stores and its iCnt
-    after each; a copy's records start at the fork.  The thread lives in a
-    one-member warp context, so every issue goes through the same
-    :func:`_issuer` as :func:`execute`, and with one lane the issue count
-    always equals the thread's iCnt.  Output buffers are not kept, so a
+    in the program's lone form.  Every run records its stores; a copy's
+    stream starts at the fork.  The thread lives in a one-member warp
+    context, so every issue goes through the same :func:`_issuer` as
+    :func:`execute`, and with one lane the issue count always equals the
+    thread's iCnt.  Output buffers are not kept, so a
     run allocates O(1) memory whatever the kernel's thread count.
 
     A thread runs alone as it runs in its warp: it reads only input
@@ -1013,7 +1010,6 @@ class ThreadRun:
             outputs=outputs,
             streams={ctx.key: []},
             stores={},
-            marks=[],
         )
         self._armed = fault is not None
         self._issue = _issuer(
@@ -1038,11 +1034,6 @@ class ThreadRun:
         """The run's stores, from launch or, in a copy, from the fork, as
         ``execute`` records them."""
         return self._state.streams[self.warp.key]
-
-    @property
-    def store_icnts(self) -> list[int]:
-        """The thread's iCnt after each store of :attr:`stream`."""
-        return self._state.marks
 
     def next_issue(self) -> tuple[int, int] | None:
         """``(pc, end)`` of the coming issue: it runs instructions ``pc`` to

@@ -51,6 +51,11 @@ CTAID_REGISTER = 63
 WORD_MASK = 0xFFFFFFFF
 # Per-thread dynamic-instruction budget; a thread that passes it has hung.
 DEFAULT_BUDGET = 1_000_000
+# The largest launch and buffer a kernel may declare: runs allocate per
+# thread and per word, so a bigger kernel file is refused, not run out of
+# memory.  The largest fixture has 9,120 threads and 9,120-word buffers.
+MAX_THREADS = 1 << 20
+MAX_BUFFER_WORDS = 1 << 22
 
 WRITING_OPS = frozenset({"iadd", "isub", "imul", "fadd", "fmul", "mov", "movi", "ld", "setp"})
 NON_WRITING_OPS = frozenset({"st", "bra", "bar", "exit"})
@@ -138,13 +143,11 @@ class _KernelProgram(NamedTuple):
 
 
 class KernelProgram(_KernelProgram):
-    """A kernel and its launch geometry, validated when it is made.
-
-    Make a changed copy with the constructor, as
-    :func:`~warpshield.remap.apply_plan` does: ``_replace`` builds the
-    tuple without the check."""
+    """A kernel and its launch geometry, validated when it is made, also
+    by ``_make`` and ``_replace``."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace validates too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -194,6 +197,8 @@ def warps_for(
 def _validate_program(p: KernelProgram) -> None:
     if p.num_ctas < 1 or p.cta_size < 1:
         raise ValidationError(f"kernel {p.name!r}: launch geometry must be positive")
+    if p.num_ctas * p.cta_size > MAX_THREADS:
+        raise ValidationError(f"kernel {p.name!r}: launch of more than {MAX_THREADS} threads")
     if not p.instructions:
         raise ValidationError(f"kernel {p.name!r}: instruction list is empty")
 
@@ -205,6 +210,8 @@ def _validate_program(p: KernelProgram) -> None:
     for name, size in p.input_buffers + p.output_buffers:
         if size < 1:
             raise ValidationError(f"kernel {p.name!r}: buffer {name!r} has non-positive size")
+        if size > MAX_BUFFER_WORDS:
+            raise ValidationError(f"kernel {p.name!r}: buffer {name!r} has more than {MAX_BUFFER_WORDS} words")
 
     n = len(p.instructions)
     for i, ins in enumerate(p.instructions):

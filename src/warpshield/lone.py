@@ -23,7 +23,7 @@ def finish_alone(run: "ThreadRun") -> None:
     wp, state, issue, runs = run.warp, run._state, run._issue, run._runs
     frags = wp.frags
     (t,) = wp.members
-    regs, icnt, marks = state.regs[t], state.icnt, state.marks
+    regs, icnt = state.regs[t], state.icnt
     stream = state.streams[wp.key]
     lone, stored = runs.lone_run()
     bufs = [run._inputs[name] for name in runs.buffers]
@@ -33,7 +33,7 @@ def finish_alone(run: "ThreadRun") -> None:
             issue(wp)  # the fault is due, by the hooked block or a single step
             continue
         n = icnt[t]
-        pc, icnt[t], wp.phase = lone(regs, n, wp.phase, frags[0][0], run._budget, stream, marks, bufs, outs)
+        pc, icnt[t], wp.phase = lone(regs, n, wp.phase, frags[0][0], run._budget, stream, bufs, outs)
         wp.issued += icnt[t] - n
         if pc < 0:  # exited
             frags.clear()
@@ -43,7 +43,7 @@ def finish_alone(run: "ThreadRun") -> None:
 
 
 def compile_lone(instructions: tuple[Instruction, ...], end: list[int], buffers: tuple[str, ...]):
-    """One function ``f(r, n, phase, pc, budget, stream, marks, bufs, outs)``
+    """One function ``f(r, n, phase, pc, budget, stream, bufs, outs)``
     that runs a thread alone from ``pc`` over the whole program, with
     registers ``r``, iCnt ``n`` and barrier phase ``phase``, and returns
     ``(pc, n, phase)``: pc -1 once the thread exits, else the pc where it
@@ -54,9 +54,9 @@ def compile_lone(instructions: tuple[Instruction, ...], end: list[int], buffers:
     :class:`~warpshield.interp._Runs`).  A block runs as in
     :func:`~warpshield.interp._compile_run`, for one lane, from the same
     :func:`~warpshield.interp._block_source`; ``st`` appends
-    ``(buffer, index, value, phase)`` to ``stream`` and the iCnt after it
-    to ``marks``; ``bar`` adds 1 to the phase, as a release does when
-    every live thread is this one; ``exit`` returns.
+    ``(buffer, index, value, phase)`` to ``stream``; ``bar`` adds 1 to the
+    phase, as a release does when every live thread is this one; ``exit``
+    returns.
     The thread hands back, having changed nothing of what it was about to
     issue, when a block would take its iCnt past ``budget``, when a
     ``st``, ``bar`` or ``bra`` would issue with iCnt at least ``budget``,
@@ -104,7 +104,6 @@ def compile_lone(instructions: tuple[Instruction, ...], end: list[int], buffers:
                 f"if n >= budget or {_OUT_OF_BOUNDS.format(a=f'x{ins.addr_reg}', size=f'z{k}')}: break",
                 "n += 1",
                 f"stream.append((u{k}, x{ins.addr_reg}, x{ins.srcs[0]}, phase))",
-                "marks.append(n)",
                 f"pc = {pc + 1}",
                 "continue",
             ]
@@ -129,7 +128,7 @@ def compile_lone(instructions: tuple[Instruction, ...], end: list[int], buffers:
 
     # Every pc that starts a block or lies in none: no block runs across it.
     keys = [pc for pc in range(len(instructions)) if pc == 0 or end[pc - 1] <= pc]
-    lines = ["def f(r, n, phase, pc, budget, stream, marks, bufs, outs):"]
+    lines = ["def f(r, n, phase, pc, budget, stream, bufs, outs):"]
     lines += (f"    b{k} = bufs[{k}]; s{k} = len(b{k})" for k in range(len(buffers)))
     lines += (f"    u{k}, z{k} = outs[{k}]" for k in range(len(stored)))
     lines += (f"    x{reg} = r[{reg}]" for reg in used)

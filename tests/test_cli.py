@@ -154,6 +154,8 @@ _MALFORMED_KERNELS = {
     "undecodable": b"\xff\xfe.kernel add_one\n",
     "unknown-opcode": ADD_ONE_SOURCE.replace("iadd r2, r1, r0", "frob r2, r1, r0").encode(),
     "zero-ctas": ADD_ONE_SOURCE.replace(".ctas 2", ".ctas 0").encode(),
+    "too-many-threads": ADD_ONE_SOURCE.replace(".ctas 2", ".ctas 1000000").encode(),
+    "huge-buffer": ADD_ONE_SOURCE.replace(".in in 64", ".in in 4000000000").encode(),
 }
 
 

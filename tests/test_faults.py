@@ -619,6 +619,24 @@ def test_fork_mask_and_collision_decisions_are_pinned(phase_probe):
     assert campaign.runs == RunCounts(without_run=0, lone_thread=8168, full_warp=280, crashed=1683, hung=0)
 
 
+def test_one_fault_free_run_per_injected_thread(monkeypatch):
+    """Each injected thread runs fault-free once: the cursor its sites fork
+    from runs on to the end for its golden stores.  Forks are copies made
+    without the constructor, so only fault-free runs are counted."""
+    made = []
+    real = faults.ThreadRun
+
+    def counted(program, words, thread, key, budget):
+        made.append(thread)
+        return real(program, words, thread, key, budget)
+
+    monkeypatch.setattr(faults, "ThreadRun", counted)
+    program, inputs = _loop_barrier_seed_0()
+    profile = profile_kernel(program, inputs, "pruned", 0.05, seed=0)
+    assert profile.runs.lone_thread == 682
+    assert len(made) == len(set(made)) == 8
+
+
 # Bit 20 of a trip count (thread 5's first loop, thread 200's second) asks
 # for about a million iterations: the lone thread runs to the budget.
 @pytest.mark.parametrize("site", [FaultSite(5, 1, 20), FaultSite(200, 2, 20)], ids=str)

@@ -268,7 +268,6 @@ def _lone_fork_ends(program, inputs, rng) -> set[str]:
                     alone, (stepped, last, error) = forks[0].finish(), finish_issue_by_issue(forks[1])
                     assert alone.termination == stepped.termination, (t, how)
                     assert alone.stream == stepped.stream
-                    assert alone.store_icnts == stepped.store_icnts
                     assert alone.warp.phase == stepped.warp.phase
                     assert alone.warp.issued == stepped.warp.issued == stepped.icnt
                     assert alone.icnt == stepped.icnt

@@ -194,6 +194,27 @@ def test_duplicate_buffer_name_rejected():
 
 
 @pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (".ctas 2\n.ctasize 32", ".ctas 1000000\n.ctasize 1024", "more than 1048576 threads"),
+        (".in in 64", ".in in 4000000000", "more than 4194304 words"),
+        (".out out 64", f".out out {(1 << 22) + 1}", "more than 4194304 words"),
+    ],
+    ids=["threads", "input-words", "output-words"],
+)
+def test_launch_and_buffer_sizes_are_bounded(old, new, message):
+    """Runs allocate per thread and per buffer word, so a kernel declaring
+    more than the bounds is refused when it is parsed, not run out of
+    memory; the bounds themselves parse."""
+    with pytest.raises(ParseError, match=message):
+        parse_kernel(ADD_ONE_SOURCE.replace(old, new))
+    at_bounds = ADD_ONE_SOURCE.replace(".ctas 2", f".ctas {(1 << 20) // 32}").replace(
+        ".in in 64", f".in in {1 << 22}"
+    )
+    assert parse_kernel(at_bounds).total_threads == 1 << 20
+
+
+@pytest.mark.parametrize(
     "ins, message",
     [
         (Instruction("movi", dest=0, imm=None), "not a 32-bit word"),

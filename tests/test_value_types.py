@@ -67,6 +67,32 @@ def test_fault_site_validation_messages(args, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FaultSite(0, 1, 0)._replace(bit=99),
+        lambda: add_one_kernel(1, 32)._replace(layout=((5,),)),
+        lambda: Outcome._make(("bogus", None)),
+        lambda: CostTable()._replace(vote_per_store=-1),
+    ],
+    ids=["fault-site", "kernel-program", "outcome", "cost-table"],
+)
+def test_make_and_replace_validate(make):
+    """``_replace`` builds through ``_make``, and both check what the
+    constructor checks."""
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_a_valid_replace_keeps_the_subclass():
+    site = FaultSite(0, 1, 0)._replace(bit=7)
+    assert type(site) is FaultSite and site == FaultSite(0, 1, 7)
+    program = add_one_kernel(1, 32)._replace(name="renamed")
+    assert type(program) is KernelProgram and program.name == "renamed"
+    assert type(Outcome._make(("sdc", None))) is Outcome
+    assert type(CostTable()._replace(vote_per_store=3)) is CostTable
+
+
 def test_outcome_repr_and_validation():
     assert repr(Outcome("masked", "not-executed")) == "Outcome(kind='masked', detail='not-executed')"
     assert Outcome("sdc") == Outcome("sdc", None)
