@@ -194,12 +194,21 @@ def default_budget(golden: ExecutionResult) -> int:
 def golden_run(
     program: KernelProgram, inputs: dict[str, list[int]], budget: int = DEFAULT_BUDGET
 ) -> ExecutionResult:
-    """Fault-free reference run with the write trace and store streams recorded.
+    """Fault-free reference run with the store streams and every thread's
+    write trace recorded: what :func:`run_campaign` scores against and
+    :class:`FaultSpace` enumerates.
 
     Raises :class:`CampaignRefused` if the kernel itself crashes or hangs,
     since outcomes are only defined against a clean golden output.
+    :func:`~warpshield.profiling.profile_kernel` records no write trace
+    here; it takes each injected thread's from a run of its warp alone.
     """
-    golden = execute(program, inputs, budget=budget, record_writes=True, record_stores=True)
+    return _golden(program, inputs, budget, record_writes=True)
+
+
+def _golden(program: KernelProgram, inputs, budget: int, *, record_writes: bool) -> ExecutionResult:
+    """:func:`golden_run`, with the kernel-wide write trace recorded or not."""
+    golden = execute(program, inputs, budget=budget, record_writes=record_writes, record_stores=True)
     if not golden.completed:
         raise CampaignRefused(
             f"golden run of {program.name!r} terminated {golden.termination}: {golden.error}"
@@ -239,6 +248,11 @@ class FaultSpace(Sequence):
     a large space builds only the sites it draws.  A sample drawn from it
     equals one drawn from the list, because :meth:`random.Random.sample`
     picks indices from the length alone.
+
+    ``golden`` is any fault-free run whose write trace holds ``threads``:
+    :func:`golden_run`'s, which records every thread's, or a run of one
+    warp alone, ``execute(..., warp_filter=key, record_writes=True)``,
+    which records its members' and equals the full run's for them.
     """
 
     def __init__(self, golden: ExecutionResult, threads):
@@ -336,8 +350,9 @@ def run_campaign(
     each outcome depends on its site alone, so the result does not depend
     on the order of ``sites``.  A list that repeats a site is refused.
     """
+    words = word_inputs(program, inputs)  # ``inputs`` itself when masked already
     if golden is None:
-        golden = golden_run(program, inputs)
+        golden = golden_run(program, words)
     if golden.store_streams is None:
         raise ValidationError("golden result lacks the store streams")
     if budget is None:
@@ -349,7 +364,6 @@ def run_campaign(
     per_site: dict[FaultSite, Outcome] = dict.fromkeys(sites)  # filled in below, in site order
     if len(per_site) != len(sites):
         raise ValidationError("site list repeats a site")
-    words = word_inputs(program, inputs)
     writers = _location_writers(program, golden.store_streams)
     warp_of = _warps_of(program, {s.thread_id for s in sites if s.thread_id < program.total_threads})
     by_warp: dict[tuple[int, int], list[FaultSite]] = {}

@@ -59,10 +59,11 @@ armed with a fault, or gets a bit flipped in a register directly, and
 runs to its end.  Fault injection walks one fault-free run per injected
 thread to the forks of that thread's sites.  A whole warp runs on its own
 only as ``execute(..., warp_filter=key)``, from launch: protection's
-faulted replica, and a fault site whose store shares a location and a
-phase with a warp-mate's.  ``execute`` and every ``ThreadRun`` issue
-through one ``issue`` closure built by ``_issuer``; a ``ThreadRun`` is a
-warp of one member and keeps no output buffers, so it costs O(1) memory.
+faulted replica, a fault site whose store shares a location and a phase
+with a warp-mate's, and a profile's record of an injected warp's writes.
+``execute`` and every ``ThreadRun`` issue through one ``issue`` closure
+built by ``_issuer``; a ``ThreadRun`` is a warp of one member and keeps no
+output buffers, so it costs O(1) memory.
 
 Lone form: a ``ThreadRun`` finishes in the program's ``lone`` form, one
 generated function (:mod:`warpshield.lone`) that keeps the thread's
@@ -625,7 +626,11 @@ class WordInputs(dict):
 
 
 def word_inputs(program: KernelProgram, inputs: dict[str, list[int]]) -> WordInputs:
+    """``inputs`` checked against ``program`` and masked, or ``inputs``
+    itself, checked, when it is a :class:`WordInputs` already."""
     validate_inputs(program, inputs)
+    if isinstance(inputs, WordInputs):
+        return inputs
     return WordInputs(
         {name: [v & WORD_MASK for v in inputs[name]] for name, _ in program.input_buffers}
     )
@@ -653,47 +658,55 @@ def execute(
     :func:`replay_stores` can put isolated streams back in full-run order.
     Protection replicas run warps this way, and so does fault injection,
     from launch for a site whose store meets a warp-mate's; every other
-    site resumes its thread alone in a :class:`ThreadRun`.
+    site resumes its thread alone in a :class:`ThreadRun`.  A profile
+    records each injected warp's write trace in such a run.
 
     Each issue runs a whole basic block over the warp's active lanes (see
     the module docstring).  It steps one instruction at a time instead when
     a lane would load out of bounds in the block, so the crash lands where
     single steps put it, and when the budget may run out inside the block.
     ``register_writes`` holds, per thread, the dynamic numbers of its
-    register-writing instructions, never those of a ``bra``.
+    register-writing instructions, never those of a ``bra``; a thread not
+    launched holds ``()``.
 
     CTAs run one after another and never share registers, so each CTA's
     warps and register files are made when it starts and dropped when the
     next one does: a run holds one CTA's registers, whatever the kernel's
-    size.
+    size.  Write lists are made for the launched threads alone, so a
+    warp-filtered run makes one warp's.
     """
     if budget < 1:
         raise ValidationError("instruction budget must be positive")
-    if isinstance(inputs, WordInputs):
-        validate_inputs(program, inputs)
-        in_bufs = inputs
-    else:
-        in_bufs = word_inputs(program, inputs)
+    in_bufs = word_inputs(program, inputs)
     costs = (cost_table or DEFAULT_COST_TABLE).op_cycles
     runs = _runs_of(program.instructions)
 
     total = program.total_threads
-    state = _State(
-        icnt=[0] * total,
-        regs={},
-        writes=[[] for _ in range(total)] if record_writes else None,
-        outputs={name: [0] * size for name, size in program.output_buffers},
-        streams={} if record_stores else None,
-        stores={},
-    )
-    regs = state.regs
-
     launched = range(program.num_ctas)
+    members = range(total)  # the launched threads
     if warp_filter is not None:
         cta, wid = warp_filter
         if not (0 <= cta < program.num_ctas and 0 <= wid * WARP_SIZE < program.cta_size):
             raise ValidationError(f"warp filter {warp_filter} matches no warp")
         launched = [cta]
+        members = program.launch_order(cta)[wid * WARP_SIZE : (wid + 1) * WARP_SIZE]
+    writes = None
+    if record_writes:
+        # Made before the run and frozen after it, each in one pass: made
+        # or frozen CTA by CTA, among the run's own allocations, the lists
+        # cost the garbage collector a tenth of a fault-free run.
+        writes = [()] * total
+        for t in members:
+            writes[t] = []
+    state = _State(
+        icnt=[0] * total,
+        regs={},
+        writes=writes,
+        outputs={name: [0] * size for name, size in program.output_buffers},
+        streams={} if record_stores else None,
+        stores={},
+    )
+    regs = state.regs
     prefix = runs.prefix(costs)
     f_thread = fault.thread_id if fault is not None else -1
     per_warp_cycles: dict[tuple[int, int], int] = {}
@@ -722,9 +735,10 @@ def execute(
         termination = abort.kind
         error = abort.message
 
-    streams, writes = state.streams, state.writes
-    for t, w in enumerate(writes or ()):  # each list freed as its tuple is made
-        writes[t] = tuple(w)
+    streams = state.streams
+    if writes is not None:
+        for t in members:  # each list freed as its tuple is made
+            writes[t] = tuple(writes[t])
     return ExecutionResult(
         outputs=state.outputs,
         per_thread_icnt=state.icnt,

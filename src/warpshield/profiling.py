@@ -287,12 +287,22 @@ def profile_kernel(
     classifies the sites of all its injected threads, sharing the warp's
     fault-free pass.  The profile's ``runs`` adds up how the campaigns
     decided their sites.
+
+    The kernel's fault-free run records outputs, iCnts, cycles and store
+    streams, not the write trace that sites are drawn from: each warp that
+    holds injected threads records its members' trace in a run of its own,
+    ``execute(..., warp_filter=key, record_writes=True)``, which writes the
+    same registers as the full run.  So no run holds the kernel's trace,
+    and these runs are not campaign runs: ``runs`` does not count them.
+    The inputs are masked once, for every run.
     """
     if mode not in ("pruned", "exhaustive"):
         raise ValidationError(f"unknown profiling mode {mode!r}")
-    from .faults import FaultSpace, RunCounts, default_budget, golden_run, run_campaign, sample_sites
+    from .faults import FaultSpace, RunCounts, _golden, default_budget, run_campaign, sample_sites
+    from .interp import execute, word_inputs
 
-    golden = golden_run(program, inputs, budget)
+    words = word_inputs(program, inputs)
+    golden = _golden(program, words, budget, record_writes=False)
     groups = group_by_icnt(golden)
     run_budget = default_budget(golden)
 
@@ -314,12 +324,13 @@ def profile_kernel(
         injected = [t for t in w.members if t in salts]
         if not injected:
             continue
+        trace = execute(program, words, budget=budget, warp_filter=(w.cta_id, w.warp_id), record_writes=True)
         sites = [
             site
             for t in injected
-            for site in sample_sites(FaultSpace(golden, [t]), sample_fraction, seed=hash_seed(seed, salts[t]))
+            for site in sample_sites(FaultSpace(trace, [t]), sample_fraction, seed=hash_seed(seed, salts[t]))
         ]
-        campaign = run_campaign(program, inputs, sites, budget=run_budget, golden=golden)
+        campaign = run_campaign(program, words, sites, budget=run_budget, golden=golden)
         counts.update((t, campaign.counts(t)) for t in injected)
         runs += campaign.runs
 

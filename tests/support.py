@@ -14,6 +14,7 @@ from warpshield.faults import (
     CampaignResult,
     FaultSpace,
     Outcome,
+    RunCounts,
     classify_outcome,
     default_budget,
     golden_run,
@@ -413,19 +414,24 @@ def finish_issue_by_issue(run):
 
 
 def profile_per_campaign(program, inputs, mode, sample_fraction, seed, campaign):
-    """``profile_kernel`` as it was before one campaign served each warp:
-    one ``campaign`` call per iCnt group (pruned) or per thread
-    (exhaustive)."""
+    """``profile_kernel`` as it was before one campaign served each warp
+    and before each warp recorded its own write trace: sites are drawn
+    from ``golden_run``'s trace of the whole kernel, and there is one
+    ``campaign`` call per iCnt group (pruned) or per thread (exhaustive).
+    Its ``runs`` adds up the campaigns' ``runs``."""
     golden = golden_run(program, inputs)
     groups = group_by_icnt(golden)
     budget = default_budget(golden)
     rows = {}
+    runs = RunCounts()
     for gid, members in groups.items():
         injected = members[:1] if mode == "pruned" else members
         for t in injected:
             salt = gid if mode == "pruned" else t
             sites = sample_sites(FaultSpace(golden, [t]), sample_fraction, seed=hash_seed(seed, salt))
-            counts = campaign(program, inputs, sites, budget=budget, golden=golden).counts(t)
+            result = campaign(program, inputs, sites, budget=budget, golden=golden)
+            runs += result.runs
+            counts = result.counts(t)
             total = sum(counts)
             if total:
                 fractions = tuple(Fraction(c, total) for c in counts)
@@ -440,10 +446,10 @@ def profile_per_campaign(program, inputs, mode, sample_fraction, seed, campaign)
                     *fractions,
                     MEASURED if m == t else EXTRAPOLATED,
                 )
-    return profile_of_rows(program.name, (rows[t] for t in range(program.total_threads)))
+    return profile_of_rows(program.name, (rows[t] for t in range(program.total_threads)), runs)
 
 
-def profile_of_rows(kernel, rows):
+def profile_of_rows(kernel, rows, runs=None):
     """The ``KernelProfile`` whose ``threads`` are ``rows``: ``ThreadProfile``
     rows in thread-id order, laying CTAs out in equal contiguous blocks."""
     rows = tuple(rows)
@@ -460,6 +466,7 @@ def profile_of_rows(kernel, rows):
         tuple(t.provenance for t in rows),
         outcome_of,
         outcomes,
+        runs=runs,
     )
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from warpshield import faults
+from warpshield import faults, interp
 from warpshield.errors import CampaignRefused, ValidationError
 from warpshield.faults import (
     FaultSite,
@@ -32,6 +32,7 @@ from support import (
     finish_issue_by_issue,
     from_launch_campaign,
     named_fixture,
+    profile_per_campaign,
     run_protected_every_replica,
     single_step_execute,
     two_group_kernel,
@@ -635,6 +636,68 @@ def test_one_fault_free_run_per_injected_thread(monkeypatch):
     profile = profile_kernel(program, inputs, "pruned", 0.05, seed=0)
     assert profile.runs.lone_thread == 682
     assert len(made) == len(set(made)) == 8
+
+
+@pytest.mark.parametrize(
+    "kernel, mode, fraction",
+    [
+        ("phase_probe", "pruned", 1.0),
+        ("phase_probe", "pruned", 0.3),
+        ("phase_probe", "exhaustive", 1.0),
+        ("phase_probe", "exhaustive", 0.3),
+        ("loop_barrier", "pruned", 1.0),
+        ("loop_barrier", "pruned", 0.05),
+        ("loop_barrier", "exhaustive", 0.02),
+    ],
+)
+def test_sites_from_each_warps_own_trace_equal_sites_from_the_golden_trace(kernel, mode, fraction):
+    """profile_kernel draws each injected thread's sites from a run of its
+    warp alone; the rows, the digest and the run counts equal those of the
+    reference, which draws them from ``golden_run``'s trace of the whole
+    kernel.  (An unsampled exhaustive profile of the loop/barrier kernel
+    takes half a minute; the phase probe and the generated kernels cover
+    that mode.)"""
+    program, inputs = _phase_probe() if kernel == "phase_probe" else _loop_barrier_seed_0()
+    reference = profile_per_campaign(program, inputs, mode, fraction, 3, run_campaign)
+    profile = profile_kernel(program, inputs, mode, fraction, seed=3)
+    assert profile == reference
+    assert profile_digest(profile) == profile_digest(reference)
+    assert profile.runs == reference.runs
+
+
+@pytest.mark.parametrize("kernel", ["phase_probe", "jmeint_k1"])
+def test_profile_records_write_traces_only_in_runs_of_one_warp(monkeypatch, kernel):
+    """No run of a profile records the whole kernel's write trace: each
+    ``execute`` call that records writes is filtered to one warp, once per
+    warp with injected threads, and no such run counts in ``runs``: the
+    campaigns' warp runs, each with its fault, are ``runs.full_warp``."""
+    if kernel == "phase_probe":
+        (program, inputs), mode, fraction = _phase_probe(), "exhaustive", 1.0
+    else:
+        fixture = generate_fixture(kernel)
+        program, inputs, mode, fraction = fixture.program, fixture.inputs, "pruned", 0.005
+    calls = []
+    real = interp.execute
+
+    def spied(*args, **kwargs):
+        calls.append((kwargs.get("warp_filter"), kwargs.get("record_writes", False), kwargs.get("fault")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(interp, "execute", spied)
+    monkeypatch.setattr(faults, "execute", spied)
+    profile = profile_kernel(program, inputs, mode, fraction, seed=0)
+    assert (None, True, None) not in calls
+    traced = [key for key, writes, _ in calls if writes]
+    injected = {t for t, p in enumerate(profile.provenance) if p == "measured"}
+    hosts = [(w.cta_id, w.warp_id) for w in program.warps() if injected & set(w.members)]
+    assert traced == hosts
+    warp_runs = [fault for key, writes, fault in calls if key is not None and not writes]
+    assert len(warp_runs) == profile.runs.full_warp
+    assert None not in warp_runs
+    if kernel == "phase_probe":
+        assert profile.runs.full_warp == 280 and len(hosts) == 4
+    else:
+        assert profile.runs.full_warp == 0 and hosts == [(0, 0)]
 
 
 # Bit 20 of a trip count (thread 5's first loop, thread 200's second) asks

@@ -6,7 +6,8 @@ An unprotected replay of isolated warps and warp-local fault injection must
 agree with full re-execution of the whole kernel, protected runs must equal
 a run of every replica, execute must equal the single-step reference
 interpreter, a thread's run finished by the lone form must equal one finished
-issue by issue, and for kernels whose threads store only to
+issue by issue, a profile must equal one whose sites come from the whole
+kernel's write trace, and for kernels whose threads store only to
 ``out[tid]`` so must a run under any per-CTA layout.
 """
 
@@ -19,12 +20,14 @@ from warpshield import interp
 from warpshield.faults import FaultSite, classify_outcome, default_budget, golden_run, run_campaign
 from warpshield.interp import ThreadRun, execute, word_inputs
 from warpshield.ir import WRITING_OPS, parse_kernel
+from warpshield.profiling import profile_digest, profile_kernel
 from warpshield.protect import CORRECT, DETECT, ProtectionPlan, run_protected
 from warpshield.remap import RemapPlan, apply_plan
 
 from support import (
     finish_issue_by_issue,
     from_launch_campaign,
+    profile_per_campaign,
     run_protected_every_replica,
     single_step_execute,
 )
@@ -222,6 +225,25 @@ def test_fused_runs_equal_single_step(kernel, seed):
             record_stores=rng.random() < 0.5,
         )
         assert execute(program, inputs, **kwargs) == single_step_execute(program, inputs, **kwargs), kwargs
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    kernel=kernels(tid_only=False),
+    how=st.sampled_from([("pruned", 1.0), ("pruned", 0.1), ("exhaustive", 0.02)]),
+    seed=st.integers(0, 2**16),
+)
+def test_profile_from_warp_traces_equals_profile_from_the_golden_trace(kernel, how, seed):
+    """profile_kernel, which takes each injected thread's sites from a run
+    of its warp alone, gives the rows, digest and run counts of the
+    reference that takes them from golden_run's trace of the whole kernel."""
+    program, inputs = kernel
+    mode, fraction = how
+    reference = profile_per_campaign(program, inputs, mode, fraction, seed, run_campaign)
+    profile = profile_kernel(program, inputs, mode, fraction, seed=seed)
+    assert profile == reference
+    assert profile_digest(profile) == profile_digest(reference)
+    assert profile.runs == reference.runs
 
 
 # Registers whose flips move loop trips and addresses: hangs and crashes.

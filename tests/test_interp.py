@@ -544,3 +544,31 @@ def test_execute_holds_one_ctas_registers_at_a_time():
     """CTAs run one after another, so sixteen of them need no more working
     memory than one: registers and warps are made per CTA."""
     assert _working_set_of_execute(16) <= 1.5 * _working_set_of_execute(1)
+
+
+def test_a_warp_filtered_run_makes_write_lists_for_its_warp_alone():
+    """Recording the writes of one warp of a 16,384-thread kernel costs one
+    pointer per thread, as ``per_thread_icnt`` does, and a list per launched
+    thread; not a list per thread of the kernel."""
+    program = add_one_kernel(64, 256)
+    words = word_inputs(program, add_one_inputs(program))
+    key = (3, 2)
+    members = program.warps()[3 * 8 + 2].members
+
+    def peak_of(record_writes: bool):
+        execute(program, words, warp_filter=key)  # compiles the program's blocks
+        tracemalloc.start()
+        try:
+            result = execute(program, words, warp_filter=key, record_writes=record_writes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, result
+
+    bare, _ = peak_of(False)
+    recorded, result = peak_of(True)
+    writes = result.register_writes
+    assert len(writes) == program.total_threads
+    assert all(writes[t] for t in members)
+    assert not any(w for t, w in enumerate(writes) if t not in members)
+    assert recorded - bare < 2 * 8 * program.total_threads  # an empty list alone takes 56 bytes

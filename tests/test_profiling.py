@@ -416,6 +416,28 @@ def test_one_campaign_per_warp_equals_a_campaign_per_group_or_thread(monkeypatch
     assert runs.without_run + runs.lone_thread + runs.full_warp == sum(map(len, calls))
 
 
+class _CountedWords(list):
+    """An input buffer that counts the passes over its words."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("mode", ["pruned", "exhaustive"])
+def test_a_profile_masks_its_inputs_once(mode):
+    """One masked copy of the inputs serves the fault-free run, every
+    warp's write-trace run and every campaign."""
+    program, inputs = chase_kernel()
+    counted = {name: _CountedWords(words) for name, words in inputs.items()}
+    profile = profile_kernel(program, counted, mode, 0.05, seed=0)
+    assert profile == profile_kernel(program, inputs, mode, 0.05, seed=0)
+    assert len(program.warps()) > 1
+    assert [words.passes for words in counted.values()] == [1] * len(inputs)
+
+
 # profile_digest of each suite fixture's declared profile at seed 0: the bytes
 # of profile.csv, pinned so that a change to the profile's data format shows.
 DECLARED_DIGESTS = {
