@@ -322,6 +322,12 @@ def cmd_report(args) -> int:
     from .costs import REFERENCE_FIGURES, account
     from .profiling import load_profile, to_fraction
 
+    if args.mode == "none":  # nothing is regrouped, so no overhead can apply
+        if args.remap_overhead is not None:
+            raise _ConfigError("--remap-overhead cannot be combined with --mode none")
+        del args.remap_overhead
+    elif args.remap_overhead is None:
+        args.remap_overhead = "0"
     program, inputs = _load_program(args)
     out = _out_dir(args)
     profile = load_profile(out / "profile.csv")
@@ -554,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="aggregate artifacts and cost the protection")
     common(p, kernel_source=True, budget=True, cost_table=True)
     p.add_argument("--mode", choices=["detect", "correct", "none"], default="detect")
-    p.add_argument("--remap-overhead", dest="remap_overhead", default="0")
+    p.add_argument("--remap-overhead", dest="remap_overhead", help="detect and correct modes only; default 0")
 
     p = sub.add_parser("sweep", help="reliable-warp percentages across thresholds")
     common(p)

@@ -37,19 +37,26 @@ builds the taken mask in the same lane loop.  The taken and fall-through
 fragments are pushed as a single-stepped ``bra`` pushes them.
 
 Each run is compiled once per program into a Python function built from the
-validated integer operands and one table of opcode expressions.  Before it
-changes anything, it checks every active lane's load addresses against the
-buffer sizes, the faulted lane's included.  If one is out of bounds, the
-issue single-steps the run instruction-major instead, and so reaches the
-crash with the same iCnts, register writes and outputs as single steps
-would.  An issue falls back to a single step when the warp's issue count
-plus the run length would pass the budget (a lane's iCnt never exceeds its
-warp's issue count).  When the faulted thread is active and its faulted
-dynamic instruction lies inside the run, the issue runs the run's hooked
-form, compiled once per run on first use, which flips the faulted lane's
-bit where that instruction writes it: no ld address is written inside a
-run, so the flip moves no load of the run.  A single step evaluates each
-instruction from the same table, so opcode semantics are written once.
+validated integer operands and one table of opcode expressions.  Its body
+computes only the run's end state: each written register's value after the
+run's last instruction.  A write that a later write of the run overwrites
+before anything reads it is dropped, and k consecutive ``iadd rd, rd, rs``
+(or ``isub``) with rs ≠ rd are folded into one ``rd ± k * rs`` mod 2^32;
+both are exact, since no dropped value is ever read and rs does not change
+between the folded adds.  Before it changes anything, it checks every active
+lane's load addresses against the buffer sizes, those of dropped loads and
+of the faulted lane included.  If one is out of bounds, the issue
+single-steps the run instruction-major instead, and so reaches the crash
+with the same iCnts, register writes and outputs as single steps would.  An
+issue falls back to a single step when the warp's issue count plus the run
+length would pass the budget (a lane's iCnt never exceeds its warp's issue
+count).  When the faulted thread is active and its faulted dynamic
+instruction lies inside the run, the issue runs the run's hooked form,
+compiled once per run on first use, which keeps every instruction and flips
+the faulted lane's bit where that instruction writes it: no ld address is
+written inside a run, so the flip moves no load of the run.  A single step
+evaluates each instruction from the same table, so opcode semantics are
+written once.
 
 Snapshot and resume: :class:`ThreadRun` runs one thread as its warp runs
 it, but holds it between issues.  It names the coming issue (pc, block
@@ -355,36 +362,65 @@ def _block_source(
     """The block ``instructions[start:end]`` for one lane whose registers
     are locals ``x<reg>``: ``(lines, loads, reads, written)``.
 
-    ``lines`` set ``x<dest> = <value>`` for each instruction but the
-    closing ``bra``; ``hooked``, each is followed by the fault hook's flip
-    of its register when ``hook`` is its pc.  ``loads`` are the distinct
-    ``(address register, buffer index)`` of its loads, the input buffer
-    ``buffers[k]`` being ``b<k>``; ``reads`` are the registers it reads
-    before writing them, the closing ``bra``'s predicate included, and
-    ``written`` those it writes; each in order of first use.  Only
-    validated integers (register numbers, ``movi`` immediates, buffer
-    indices) and the fixed strings above enter the source.
+    ``lines`` set ``x<dest> = <value>``.  Hooked, there is one per
+    instruction but the closing ``bra``, each followed by the fault hook's
+    flip of its register when ``hook`` is its pc.  Unhooked, they compute
+    each written register's value at the end of the block, and nothing
+    else: a write that a later write of the block overwrites before
+    anything reads it is dropped, since no value it made is ever seen, and
+    k consecutive ``iadd`` (``isub``) ``rd, rd, rs`` with rs ≠ rd become
+    one ``x<rd> = (x<rd> ± k * x<rs>) & 0xFFFFFFFF``, since nothing between
+    them writes rs and sums of words are exact mod 2^32.
+
+    ``loads`` are the distinct ``(address register, buffer index)`` of
+    all its loads, dropped ones included, so that a caller's entry check
+    still crashes wherever single steps would; the input buffer
+    ``buffers[k]`` is ``b<k>``.  ``reads`` are the registers the lines
+    read before writing them, the closing ``bra``'s predicate included,
+    and ``written`` those they write, which are all the block writes; each
+    in order of first use in the lines.
+    Only validated integers (register numbers, ``movi`` immediates, fold
+    counts, buffer indices) and the fixed strings above enter the source.
     """
-    lines, loads, reads, written = [], [], [], []
+    block = instructions[start:end]
+    loads = list(dict.fromkeys((i.addr_reg, buffers.index(i.buffer)) for i in block if i.opcode == "ld"))
+    lines, reads, written = [], [], []
 
     def read(reg):
         if reg not in written and reg not in reads:
             reads.append(reg)
         return f"x{reg}"
 
-    for pc in range(start, end):
+    kept = []  # backwards: [pc, k] per line, k the equal adds folded into it
+    overwritten = set()  # registers a kept write sets before anything reads them
+    for pc in range(end - 1, start - 1, -1):
+        ins = instructions[pc]
+        if hooked:
+            kept.append([pc, 1])
+        elif ins.dest in overwritten:
+            continue  # dropped: no value it makes is read
+        elif kept and instructions[kept[-1][0]] == ins and ins.opcode in ("iadd", "isub") and (
+            ins.srcs[0] == ins.dest != ins.srcs[1]
+        ):
+            kept[-1] = [pc, kept[-1][1] + 1]
+        else:
+            kept.append([pc, 1])
+            overwritten.add(ins.dest)  # None for the closing bra
+            overwritten.difference_update(ins.srcs)
+            overwritten.discard(ins.addr_reg)
+    for pc, k in reversed(kept):
         ins = instructions[pc]
         if ins.opcode == "bra":  # only ever the last instruction
             if ins.srcs:
                 read(ins.srcs[0])
             continue
         if ins.opcode == "ld":
-            load = (ins.addr_reg, buffers.index(ins.buffer))
-            if load not in loads:
-                loads.append(load)
-            value = _VALUE["ld"].format(buf=f"b{load[1]}", a=read(ins.addr_reg))
+            buf = f"b{buffers.index(ins.buffer)}"
+            value = _VALUE["ld"].format(buf=buf, a=read(ins.addr_reg))
         else:
             a, b = (*(read(reg) for reg in ins.srcs), None, None)[:2]
+            if k > 1:
+                b = f"{k} * {b}"
             value = _VALUE[ins.opcode].format(a=a, b=b, imm=ins.imm, cmp=_SETP_CMP.get(ins.cond))
         lines.append(f"x{ins.dest} = {value}")
         if hooked:
@@ -410,9 +446,13 @@ def _compile_run(
     counts it, and returns the lanes that take the closing conditional
     ``bra`` (0 when there is none).  No ld address is written inside the
     block before its ld, so every address is a register value at block
-    entry and the check can come first.  Hooked, it inverts ``mask`` in
-    the value instruction ``at`` writes on lane ``lane``, where the
-    instruction writes it.  The lane's body is :func:`_block_source`'s.
+    entry and the check can come first; it covers the loads the body
+    drops as well.  Hooked, it inverts ``mask`` in the value instruction
+    ``at`` writes on lane ``lane``, where the instruction writes it.  The
+    lane's body is :func:`_block_source`'s: unhooked, it computes each
+    written register's value at the end of the block, with overwritten
+    writes dropped and repeated adds folded; hooked, every instruction.
+    iCnts, write records and cycles count every instruction either way.
     """
     body, loads, reads, written = _block_source(instructions, start, end, buffers, hooked)
     closing = instructions[end - 1]
@@ -481,7 +521,13 @@ class _Runs:
     instruction, closed by the ``bra`` that follows it, if one does.  It is
     cut before an ``ld`` whose address register an earlier instruction of
     the run writes.  ``st`` never joins a run: lane-major order would
-    reorder a warp's store stream if a run held two.
+    reorder a warp's store stream if a run held two.  Nothing inside a run
+    sees a register between its instructions, so ``fused`` and ``lone``
+    compute each written register's value at the run's end: they drop a
+    write that a later one overwrites before any read, and fold k equal
+    ``iadd`` (``isub``) ``rd, rd, rs`` into ``rd ± k * rs`` mod 2^32 (see
+    :func:`_block_source`).  A fault inside a run is the one case that
+    needs each instruction's value, and ``hooked`` keeps them all.
 
     A fused issue always starts at the first instruction of a run: a single
     step inside a run happens only when the run would pass the budget, and

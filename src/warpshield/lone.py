@@ -53,7 +53,11 @@ def compile_lone(instructions: tuple[Instruction, ...], end: list[int], buffers:
     instruction in no block (``end`` as in
     :class:`~warpshield.interp._Runs`).  A block runs as in
     :func:`~warpshield.interp._compile_run`, for one lane, from the same
-    :func:`~warpshield.interp._block_source`; ``st`` appends
+    :func:`~warpshield.interp._block_source`, which computes each written
+    register's value at the block's end, dropping writes that are
+    overwritten before anything reads them and folding repeated adds,
+    while iCnt still counts every instruction and the bounds check every
+    load, dropped ones included; ``st`` appends
     ``(buffer, index, value, phase)`` to ``stream``; ``bar`` adds 1 to the
     phase, as a release does when every live thread is this one; ``exit``
     returns.

@@ -333,6 +333,22 @@ def test_remap_overhead_of_minus_one_or_below_exits_2(tmp_path, overhead, capsys
     assert not (tmp_path / "report.json").exists()
 
 
+def test_remap_overhead_with_mode_none_exits_2(tmp_path, capsys):
+    """``--mode none`` costs the original layout alone, so a
+    ``--remap-overhead`` could not take effect: the run is refused before
+    anything is read.  Without it, the report records no overhead; the
+    detect and correct modes record the default, 0."""
+    argv = ["report", "--mode", "none", "--fixture", "pathfinder_k1"]
+    assert main([*argv, "--remap-overhead", "7", "--out", str(tmp_path / "out")]) == 2
+    assert "--remap-overhead cannot be combined with --mode none" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    out = _pathfinder_artifacts(tmp_path)
+    assert main([*argv, *out]) == 0
+    assert "remap_overhead" not in json.loads((tmp_path / "report.json").read_text())["config"]
+    assert main(["report", "--mode", "correct", "--fixture", "pathfinder_k1", *out]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["config"]["remap_overhead"] == "0"
+
+
 def test_suite_refuses_a_remap_overhead_of_minus_two(tmp_path, capsys):
     assert main(["suite", "--remap-overhead", "-2", "--out", str(tmp_path)]) == 2
     assert "remap overhead" in capsys.readouterr().err

@@ -128,3 +128,36 @@ def test_reference_figures_are_reported_not_asserted():
     assert REFERENCE_FIGURES["mean_savings_detect_pct"] == 20.61
     assert REFERENCE_FIGURES["mean_savings_correct_pct"] == 27.15
     assert REFERENCE_FIGURES["mean_remap_overhead_pct"] == 1.63
+
+
+# account on each remappable fixture (seed 0, declared profile, τ = 5%):
+# cycles_base, cycles_remapped, partial detect and correct, full RMT and TMR.
+# A change to the fixtures or to the cost model that moves these re-pins
+# them on purpose.
+SUITE_CYCLES = {
+    "jmeint_k1": (49511, 32983, 55211, 77439, 103022, 156533),
+    "laplacian_k1": (31560, 31112, 48049, 64986, 68240, 104920),
+    "meanfilter_k1": (82810, 73851, 141613, 209375, 174740, 266670),
+    "conv2d_k1": (40036, 35134, 73824, 112514, 84168, 128300),
+    "gaussian_k2": (24325, 19430, 21670, 23910, 54410, 84495),
+    "hotspot_k1": (13034, 10304, 19849, 29394, 27604, 42174),
+    "pathfinder_k1": (11550, 9832, 19838, 29844, 24636, 37722),
+}
+
+
+def test_suite_cycles_are_pinned():
+    seen = {}
+    for fixture in remappable_suite(seed=0):
+        flags = list(fixture.flags)
+        assert fixture.profile.tau == Fraction(1, 20)
+        plan = build_plan(flags, fixture.program.geometry, tau=Fraction(1, 20))
+        report = account(fixture.program, fixture.inputs, flags, plan=plan)
+        seen[fixture.name] = (
+            report.cycles_base,
+            report.cycles_remapped,
+            report.cycles_partial_detect,
+            report.cycles_partial_correct,
+            report.cycles_full_rmt,
+            report.cycles_full_tmr,
+        )
+    assert seen == SUITE_CYCLES

@@ -1,7 +1,9 @@
 """Property tests over generated structured kernels.
 
-Each kernel mixes if/else, bounded loops, ``bar``, early ``exit`` and
-stores to computed in-bounds addresses, over 1-2 CTAs of up to 3 warps.
+Each kernel mixes if/else, bounded loops, ``bar``, early ``exit``, stores
+to computed in-bounds addresses, chains of up to 80 repeated adds or
+subtracts of full-width words and writes that later writes overwrite, over
+1-2 CTAs of up to 3 warps.
 An unprotected replay of isolated warps and warp-local fault injection must
 agree with full re-execution of the whole kernel, protected runs must equal
 a run of every replica, execute must equal the single-step reference
@@ -72,7 +74,7 @@ def kernels(draw, tid_only):
             statement(depth, loops)
 
     def statement(depth, loops):
-        kinds = ["arith", "movi", "load", "store", "store", "store", "bar", "bar"]
+        kinds = ["arith", "movi", "load", "accumulate", "overwrite", "store", "store", "store", "bar", "bar"]
         if depth < 2:
             kinds += ["if", "loop"]
         if depth > 0:
@@ -86,6 +88,18 @@ def kernels(draw, tid_only):
         elif kind == "load":
             address()
             lines.append(f"    ld {reg()}, data[r{ADDR}]")
+        elif kind == "accumulate":  # folded into one line: DATA words wrap
+            op = draw(st.sampled_from(("iadd", "isub")))
+            rd, rs = draw(st.lists(st.sampled_from(DATA), min_size=2, max_size=2, unique=True))
+            lines.extend([f"    {op} r{rd}, r{rd}, r{rs}"] * draw(st.integers(2, 80)))
+        elif kind == "overwrite":  # every write but the last is dropped
+            address()
+            dest = reg()
+            for _ in range(draw(st.integers(2, 6))):
+                if draw(st.booleans()):
+                    lines.append(f"    movi {dest}, {draw(st.integers(-8, 8))}")
+                else:
+                    lines.append(f"    ld {dest}, data[r{ADDR}]")
         elif kind == "store":
             if tid_only:
                 lines.append(f"    st out[tid], {reg(OPERANDS)}")

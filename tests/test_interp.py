@@ -6,7 +6,15 @@ import pytest
 from warpshield.errors import ValidationError
 from warpshield.faults import FaultSite, default_budget
 from warpshield.fixtures import FixtureSpec, build_fixture, generate_fixture
-from warpshield.interp import CostTable, ThreadRun, _runs_of, execute, seeded_inputs, word_inputs
+from warpshield.interp import (
+    CostTable,
+    ThreadRun,
+    _block_source,
+    _runs_of,
+    execute,
+    seeded_inputs,
+    word_inputs,
+)
 from warpshield.ir import KernelProgram, parse_kernel
 
 from support import (
@@ -15,6 +23,7 @@ from support import (
     add_one_inputs,
     add_one_kernel,
     address_probe_kernel,
+    finish_issue_by_issue,
     named_fixture,
     single_step_execute,
 )
@@ -505,6 +514,123 @@ def test_faulted_long_block_runs_in_its_hooked_form(dyn):
         result = _same_recorded(program, inputs, fault=FaultSite(1, dyn, bit), warp_filter=(0, 0))
         assert result.fault_applied
     assert start in runs.hooked
+
+
+def _chain(op: str):
+    """72 ``op r5, r5, r4`` after loading r4 from x and r5 from z: one
+    block of 74 instructions."""
+    src = ".kernel chain\n.ctas 1\n.ctasize 40\n.in x 40\n.in z 40\n.out y 40\n"
+    src += "    ld r4, x[tid]\n    ld r5, z[tid]\n" + f"    {op} r5, r5, r4\n" * 72
+    return parse_kernel(src + "    st y[tid], r5\n    exit\n")
+
+
+def _alone(program, inputs, thread):
+    """``thread`` finished in the lone form, asserted equal to one finished
+    issue by issue; returns the lone run and the issue-by-issue error."""
+    words = word_inputs(program, inputs)
+    key = (0, thread // 32)
+    alone = ThreadRun(program, words, thread, key, 1000).finish()
+    stepped, _, error = finish_issue_by_issue(ThreadRun(program, words, thread, key, 1000))
+    assert alone.termination == stepped.termination
+    assert alone.icnt == stepped.icnt
+    assert alone.stream == stepped.stream
+    assert alone._state.regs == stepped._state.regs
+    return alone, error
+
+
+@pytest.mark.parametrize("op, sign", [("iadd", 1), ("isub", -1)])
+def test_a_chain_of_adds_folds_into_one_line_and_wraps(op, sign):
+    """72 adds of 0xFFFFFFFF, and 72 subtracts that go below 0, equal
+    single steps: the folded line ``x5 ± 72 * x4`` is exact mod 2^32."""
+    program = _chain(op)
+    x = [0xFFFFFFFF] * 40 if op == "iadd" else [t % 3 + 1 for t in range(40)]
+    inputs = {"x": x, "z": list(range(40))}
+    runs = _runs_of(program.instructions)
+    assert runs.end[0] == 74
+    lines = _block_source(program.instructions, 0, 74, runs.buffers)[0]
+    fold = "+" if op == "iadd" else "-"
+    assert lines == ["x4 = b0[x62]", "x5 = b1[x62]", f"x5 = (x5 {fold} 72 * x4) & 0xFFFFFFFF"]
+    golden = _same_recorded(program, inputs)
+    expected = [(t + sign * 72 * w) % 2**32 for t, w in enumerate(x)]
+    assert golden.outputs["y"] == expected
+    assert all(v > 2**31 for v in expected)  # every lane wrapped below 0
+    for t in (0, 17, 39):
+        alone, _ = _alone(program, inputs, t)
+        assert alone.stream == [("y", t, expected[t], 0)]
+        assert alone.icnt == golden.per_thread_icnt[t] == 76
+
+
+# pcs 2-6 are one block; its ld at pc 4 is dead (pc 5 overwrites r4), and
+# its address x[tid] is out of bounds for lane 17 alone.
+DEAD_LOAD_SRC = """.kernel dead_load
+.ctas 1
+.ctasize 40
+.in x 40
+.in data 40
+.out y 40
+    ld r1, x[tid]
+    st y[tid], r1
+    movi r2, 5
+    iadd r6, r2, r1
+    ld r4, data[r1]
+    ld r4, data[tid]
+    iadd r5, r4, r6
+    st y[tid], r5
+    exit
+"""
+
+
+def test_a_dead_out_of_bounds_load_crashes_as_single_steps_do():
+    """The body drops the dead ld but the entry check keeps it, so fused
+    and lone runs crash where single steps do: lanes before 17 have run
+    pcs 2-4, lane 17 crashes at pc 4, later lanes have run pcs 0-1."""
+    program = parse_kernel(DEAD_LOAD_SRC)
+    runs = _runs_of(program.instructions)
+    assert runs.end[2] == 7
+    lines, loads, _, _ = _block_source(program.instructions, 2, 7, runs.buffers)
+    assert lines == ["x2 = 5", "x6 = (x2 + x1) & 0xFFFFFFFF", "x4 = b1[x62]", "x5 = (x4 + x6) & 0xFFFFFFFF"]
+    assert loads == [(1, 1), (62, 1)]
+    inputs = {"x": list(range(40)), "data": [3 * t for t in range(40)]}
+    assert _same_recorded(program, inputs).completed
+    inputs["x"][17] = 1000
+    for fault in (None, FaultSite(17, 4, 3)):  # the iadd before the dead ld
+        result = _same_recorded(program, inputs, fault=fault)
+        assert result.termination == "crashed"
+        assert result.error == "thread 17 loaded out of bounds: data[1000] (size 40)"
+        assert result.per_thread_icnt[:19] == [5] * 18 + [4]
+    alone, error = _alone(program, inputs, 17)
+    assert alone.termination == "crashed" and alone.icnt == 5
+    assert error == result.error
+    assert alone._state.regs[17][6] == 1005  # pc 3's write, before the crash
+    assert _alone(program, inputs, 16)[0].stream == [("y", 16, 16, 0), ("y", 16, 48 + 21, 0)]
+
+
+def test_unhooked_blocks_compute_only_the_end_state():
+    """meanfilter_k1's class-1 body (reliable: 57 dead ``movi r4, 7``, then
+    7 ``ld r4``) emits one line per register it leaves changed; its
+    class-2 body (unreliable) emits one per register plus the two writes
+    of r5 that its 62 folded ``iadd r5, r5, r4`` read.  Hooked, each
+    emits every instruction with its hook."""
+    program = generate_fixture("meanfilter_k1").program
+    runs = _runs_of(program.instructions)
+    # Class bodies are the blocks longer than the 5-instruction dispatch head.
+    bodies = [(start, runs.end[start]) for start in sorted(runs.fused) if runs.end[start] - start > 5]
+    (start, end), (start2, end2) = bodies[1:3]
+    assert (start, start2) == (73, 144)
+    lines, _, _, written = _block_source(program.instructions, start, end, runs.buffers)
+    assert lines == ["x4 = b1[x62]", "x9 = 0", "x5 = (x1 * x9) & 0xFFFFFFFF", "x6 = (x5 + x62) & 0xFFFFFFFF"]
+    assert written == [4, 9, 5, 6]
+    assert _block_source(program.instructions, start2, end2, runs.buffers)[0] == [
+        "x4 = 7",
+        "x5 = (x1 * x4) & 0xFFFFFFFF",
+        "x5 = (x5 + x62) & 0xFFFFFFFF",
+        "x5 = (x5 + 62 * x4) & 0xFFFFFFFF",
+        "x7 = b1[x62]",
+    ]
+    for a, b in ((start, end), (start2, end2)):
+        hooked = _block_source(program.instructions, a, b, runs.buffers, hooked=True)[0]
+        assert len(hooked) == 2 * (b - a)
+        assert hooked[-1] == f"if hook == {b - 1}: x{program.instructions[b - 1].dest} ^= mask"
 
 
 @pytest.mark.parametrize(
