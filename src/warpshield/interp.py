@@ -391,20 +391,20 @@ def _block_source(
             reads.append(reg)
         return f"x{reg}"
 
-    kept = []  # backwards: [pc, k] per line, k the equal adds folded into it
+    kept = []  # backwards: (pc, k) per line, k the equal adds folded into it
     overwritten = set()  # registers a kept write sets before anything reads them
     for pc in range(end - 1, start - 1, -1):
         ins = instructions[pc]
         if hooked:
-            kept.append([pc, 1])
+            kept.append((pc, 1))
         elif ins.dest in overwritten:
             continue  # dropped: no value it makes is read
         elif kept and instructions[kept[-1][0]] == ins and ins.opcode in ("iadd", "isub") and (
             ins.srcs[0] == ins.dest != ins.srcs[1]
         ):
-            kept[-1] = [pc, kept[-1][1] + 1]
+            kept[-1] = (pc, kept[-1][1] + 1)
         else:
-            kept.append([pc, 1])
+            kept.append((pc, 1))
             overwritten.add(ins.dest)  # None for the closing bra
             overwritten.difference_update(ins.srcs)
             overwritten.discard(ins.addr_reg)
