@@ -628,15 +628,23 @@ def _runs_of(instructions: tuple[Instruction, ...]) -> _Runs:
     return runs
 
 
+def _byte_lanes(first: int) -> tuple[tuple[int, ...], ...]:
+    """``table[b]``: the lanes ``first + i`` for the bits ``i`` that the byte ``b`` sets."""
+    table = [()]
+    for lane in range(first, first + 8):
+        table += [lanes + (lane,) for lanes in table]
+    return tuple(table)
+
+
+_BYTE_LANES = tuple(_byte_lanes(first) for first in range(0, WARP_SIZE, 8))
+
+
 @lru_cache(maxsize=1024)
 def _lanes(mask: int) -> tuple[int, ...]:
-    # Lane masks repeat across issues and across runs, so each is decoded once.
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    # Lane masks repeat across issues and across runs, so each is cached;
+    # the fixtures' masks outnumber the cache, so a miss decodes by bytes.
+    b0, b1, b2, b3 = _BYTE_LANES
+    return b0[mask & 255] + b1[mask >> 8 & 255] + b2[mask >> 16 & 255] + b3[mask >> 24]
 
 
 def seeded_inputs(program: KernelProgram, seed: int = 0) -> dict[str, list[int]]:

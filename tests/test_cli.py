@@ -456,9 +456,9 @@ NOT_LOADED = {
 
 # Stdlib modules no command may import: ``dataclasses`` and the ``inspect``
 # it pulls in cost a start-up more than the package's own value types do.
-NEVER_LOADED = {"dataclasses", "inspect"}
-# Commands that hash nothing, and so must not initialise OpenSSL.
-NOT_HASHING = {"classify", "emit", "sweep", "fixtures"}
+# ``hashlib`` and its ``_hashlib`` map OpenSSL's libcrypto: profile digests
+# and site seeds use the interpreter's built-in SHA-256.
+NEVER_LOADED = {"dataclasses", "inspect", "hashlib", "_hashlib"}
 
 
 def _run_importtime(cwd, *args):
@@ -510,7 +510,6 @@ def test_every_command_runs_in_a_fresh_interpreter_and_loads_only_what_it_uses(t
         assert code == 0, (argv, errors)
         assert not modules & NOT_LOADED.get(argv[0], set()), (argv[0], sorted(modules))
         assert not others & NEVER_LOADED, (argv[0], sorted(others))
-        assert argv[0] not in NOT_HASHING or "hashlib" not in others, (argv[0], sorted(others))
         if argv[0] == "emit":
             shutil.copy(out / "pathfinder_k1_profile.csv", out / "profile.csv")
     assert (out / "report.json").exists() and (tmp_path / "profiled" / "profile.csv").exists()

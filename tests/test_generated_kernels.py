@@ -3,7 +3,8 @@
 Each kernel mixes if/else, bounded loops, ``bar``, early ``exit``, stores
 to computed in-bounds addresses, chains of up to 80 repeated adds or
 subtracts of full-width words and writes that later writes overwrite, over
-1-2 CTAs of up to 3 warps.
+1-2 CTAs of up to 3 warps; some kernels load near or past the end of a
+buffer where a later write overwrites the value.
 An unprotected replay of isolated warps and warp-local fault injection must
 agree with full re-execution of the whole kernel, protected runs must equal
 a run of every replica, execute must equal the single-step reference
@@ -37,6 +38,7 @@ from support import (
 DATA = (1, 2, 3, 4, 5, 6)  # registers arithmetic may write
 SMALL = 10  # holds small[tid], in [0, 4): loop trips and address offsets
 ADDR = 20  # holds a store or load address
+FAR = 21  # holds a load address that may lie past the end of data
 BOUND, PRED, ONE = 58, 59, 50  # branch bound, branch predicate, constant 1
 OPERANDS = (*DATA, SMALL, 62)  # 62 is tid
 ARITH = ("iadd", "isub", "imul", "fadd", "fmul")
@@ -45,10 +47,12 @@ SITES_PER_KERNEL = 12
 
 
 @st.composite
-def kernels(draw, tid_only):
+def kernels(draw, tid_only, far=False):
     """``(program, inputs)`` for a random structured kernel whose stores go
     to ``out[tid]`` (``tid_only``) or to computed addresses that threads of
-    different warps share."""
+    different warps share.  With ``far``, some overwritten loads read near
+    or past the end of ``data``, so a fault-free run may crash at a load
+    whose value no instruction reads."""
     num_ctas = draw(st.integers(1, 2))
     cta_size = draw(st.sampled_from([20, 33, 50, 64, 77, 96]))  # partial warps too
     threads = num_ctas * cta_size
@@ -93,13 +97,25 @@ def kernels(draw, tid_only):
             rd, rs = draw(st.lists(st.sampled_from(DATA), min_size=2, max_size=2, unique=True))
             lines.extend([f"    {op} r{rd}, r{rd}, r{rs}"] * draw(st.integers(2, 80)))
         elif kind == "overwrite":  # every write but the last is dropped
-            address()
+            at = ADDR
+            if far and draw(st.booleans()):  # a dead first ld of idx[tid] + 1..8
+                at = FAR
+                lines.append(f"    ld r{FAR}, idx[tid]")
+                lines.append(f"    movi r{BOUND}, {draw(st.integers(1, 8))}")
+                lines.append(f"    iadd r{FAR}, r{FAR}, r{BOUND}")
+            else:
+                address()
             dest = reg()
-            for _ in range(draw(st.integers(2, 6))):
-                if draw(st.booleans()):
+            writes = draw(st.integers(2, 6))
+            for i in range(writes):
+                if at == FAR and i in (0, writes - 1):
+                    movi = i > 0
+                else:
+                    movi = draw(st.booleans())
+                if movi:
                     lines.append(f"    movi {dest}, {draw(st.integers(-8, 8))}")
                 else:
-                    lines.append(f"    ld {dest}, data[r{ADDR}]")
+                    lines.append(f"    ld {dest}, data[r{at}]")
         elif kind == "store":
             if tid_only:
                 lines.append(f"    st out[tid], {reg(OPERANDS)}")
@@ -219,26 +235,36 @@ def test_fault_free_replicas_sharing_a_run_equal_every_replica(kernel, seed):
             ), (mode, fault)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(kernel=kernels(tid_only=False), seed=st.integers(0, 2**16))
-def test_fused_runs_equal_single_step(kernel, seed):
+def test_fused_runs_equal_single_step():
     """execute equals the single-step reference on every field: fault-free,
-    at sampled sites, under warp filters, and under budgets that run out."""
-    program, inputs = kernel
-    golden = golden_run(program, inputs)
-    assert golden == single_step_execute(program, inputs, record_writes=True, record_stores=True)
-    rng = random.Random(seed)
-    warps = [(w.cta_id, w.warp_id) for w in program.warps()]
-    budgets = [default_budget(golden), *rng.sample(range(1, golden.max_icnt() + 2), 2)]
-    for fault in [None, *_sample_sites(golden, seed)]:
-        kwargs = dict(
-            fault=fault,
-            budget=rng.choice(budgets),
-            warp_filter=rng.choice([None, *warps]),
-            record_writes=rng.random() < 0.5,
-            record_stores=rng.random() < 0.5,
-        )
-        assert execute(program, inputs, **kwargs) == single_step_execute(program, inputs, **kwargs), kwargs
+    at sampled sites, under warp filters, and under budgets that run out.
+    Some fault-free runs crash loading out of bounds, dead loads that
+    blocks drop from their bodies included."""
+    crashes = []
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(kernel=kernels(tid_only=False, far=True), seed=st.integers(0, 2**16))
+    def check(kernel, seed):
+        program, inputs = kernel
+        golden = execute(program, inputs, record_writes=True, record_stores=True)
+        assert golden == single_step_execute(program, inputs, record_writes=True, record_stores=True)
+        if golden.termination == "crashed":
+            crashes.append(golden.error)
+        rng = random.Random(seed)
+        warps = [(w.cta_id, w.warp_id) for w in program.warps()]
+        budgets = [default_budget(golden), *rng.sample(range(1, golden.max_icnt() + 2), 2)]
+        for fault in [None, *_sample_sites(golden, seed)]:
+            kwargs = dict(
+                fault=fault,
+                budget=rng.choice(budgets),
+                warp_filter=rng.choice([None, *warps]),
+                record_writes=rng.random() < 0.5,
+                record_stores=rng.random() < 0.5,
+            )
+            assert execute(program, inputs, **kwargs) == single_step_execute(program, inputs, **kwargs), kwargs
+
+    check()
+    assert any("loaded out of bounds: data[" in error for error in crashes), crashes
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -10,6 +10,7 @@ from warpshield.interp import (
     CostTable,
     ThreadRun,
     _block_source,
+    _lanes,
     _runs_of,
     execute,
     seeded_inputs,
@@ -698,3 +699,12 @@ def test_a_warp_filtered_run_makes_write_lists_for_its_warp_alone():
     assert all(writes[t] for t in members)
     assert not any(w for t, w in enumerate(writes) if t not in members)
     assert recorded - bare < 2 * 8 * program.total_threads  # an empty list alone takes 56 bytes
+
+
+def test_a_lane_mask_decodes_to_its_set_lanes_in_order():
+    """``_lanes`` decodes a mask of up to 32 lanes from its four bytes."""
+    rng = random.Random(5)
+    masks = [0, 1, 1 << 31, 2**32 - 1, 0x80808080, *(1 << k for k in range(32))]
+    masks += [rng.getrandbits(32) for _ in range(2000)]
+    for mask in masks:
+        assert _lanes.__wrapped__(mask) == tuple(k for k in range(32) if mask >> k & 1), hex(mask)

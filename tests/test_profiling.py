@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from warpshield.profiling import (
     PROFILE_HEADER,
     ThreadProfile,
     group_by_icnt,
+    hash_seed,
     load_profile,
     parse_fraction,
     profile_digest,
@@ -29,6 +31,7 @@ from warpshield.profiling import (
 from warpshield.remap import build_plan
 
 import warpshield.faults
+import warpshield.profiling
 from support import (
     FIXTURE_NAMES,
     add_one_inputs,
@@ -465,6 +468,35 @@ def test_declared_profile_digests_are_pinned():
     assert [spec.name for spec in suite_specs()] == list(DECLARED_DIGESTS)
     for name, digest in DECLARED_DIGESTS.items():
         assert profile_digest(generate_fixture(name, seed=0).profile) == digest, name
+
+
+def test_a_build_without_a_built_in_sha256_hashes_with_hashlib_to_the_same_values(monkeypatch):
+    """Digests and site seeds are SHA-256 whichever constructor computes
+    them: the built-in module, or hashlib's when the build has neither
+    ``_sha2`` nor ``_sha256``."""
+    profile = named_fixture("pathfinder_k1").profile
+    text = profile_to_csv_text(profile)
+    seeds = [(0, 0), (7, 123), (2**40, "salt")]
+
+    def expected():
+        yield hashlib.sha256(text.encode()).hexdigest()
+        for seed, salt in seeds:
+            yield int.from_bytes(hashlib.sha256(f"{seed}:{salt}".encode()).digest()[:8], "big")
+
+    def computed():
+        yield profile_digest(profile)
+        for seed, salt in seeds:
+            yield hash_seed(seed, salt)
+
+    assert list(computed()) == list(expected())
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+    warpshield.profiling._sha256.cache_clear()
+    try:
+        assert warpshield.profiling._sha256() is hashlib.sha256
+        assert list(computed()) == list(expected())
+    finally:
+        warpshield.profiling._sha256.cache_clear()
 
 
 _DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 20, 40, 1000)
