@@ -261,21 +261,16 @@ def cmd_classify(args) -> int:
 def cmd_remap(args) -> int:
     from .classify import classify_threads, format_pct, scatter_rows, stats_to_json, write_scatter_csv
     from .profiling import load_profile, profile_digest
-    from .remap import build_plan, remapped_stats, save_plan
+    from .remap import regroup, save_plan
 
     out = _out_dir(args)
     profile = load_profile(out / "profile.csv")
     tau = _tau(args)
     flags = classify_threads(profile, tau)
-    plan = build_plan(
-        flags,
-        profile.geometry,
-        tau=tau,
-        kernel=profile.kernel,
-        profile_sha256=profile_digest(profile),
+    _, plan, stats = regroup(
+        flags, profile.geometry, tau=tau, kernel=profile.kernel, profile_sha256=profile_digest(profile)
     )
     save_plan(plan, out / "plan.json")
-    stats = remapped_stats(plan, flags)
     payload = stats_to_json(stats, profile.kernel)
     payload["config"] = _config_dict(args, "remap")
     _write_json(out / "stats_remapped.json", payload)
@@ -317,6 +312,18 @@ def cmd_protect(args) -> int:
     return 0
 
 
+def _bars_row(kernel: str, before, after, cost: dict) -> dict:
+    """A kernel's row of bars.csv and suite_bars.csv, from its reliable-warp
+    shares and its ``CostReport.to_json()``."""
+    return {
+        "kernel": kernel,
+        "pct_reliable_warps_before": before,
+        "pct_reliable_warps_after": after,
+        "savings_detect_pct": cost["savings_detect_pct"],
+        "savings_correct_pct": cost["savings_correct_pct"],
+    }
+
+
 def cmd_report(args) -> int:
     from .classify import classify_threads
     from .costs import REFERENCE_FIGURES, account
@@ -331,82 +338,51 @@ def cmd_report(args) -> int:
     program, inputs = _load_program(args)
     out = _out_dir(args)
     profile = load_profile(out / "profile.csv")
-    stats_before = _read_stats(out / "stats.json", "classify output")
+    if profile.kernel != program.name:
+        raise ValidationError(f"profile.csv was built for kernel {profile.kernel!r}, not {program.name!r}")
     report = {
         "config": _config_dict(args, "report"),
         "kernel": profile.kernel,
         "reference_figures": REFERENCE_FIGURES,
-        "before": stats_before,
+        "before": _read_stats(out / "stats.json", "classify output"),
     }
-    if args.mode != "none":
-        plan = _load_plan_for(out, profile)
+    plan = None if args.mode == "none" else _load_plan_for(out, profile)
+    if plan is not None:
         report["after"] = _read_stats(out / "stats_remapped.json", "remap output")
-        flags = classify_threads(profile, plan.tau)
-        cost = account(
-            program,
-            inputs,
-            flags,
-            plan=plan,
-            cost_table=_cost_table(args),
-            remap_overhead=to_fraction(args.remap_overhead),
-            budget=args.budget,
-        )
-        report["cost"] = cost.to_json()
-        bars = [
-            {
-                "kernel": profile.kernel,
-                "pct_reliable_warps_before": stats_before["pct_reliable_warps"],
-                "pct_reliable_warps_after": report["after"]["pct_reliable_warps"],
-                "savings_detect_pct": report["cost"]["savings_detect_pct"],
-                "savings_correct_pct": report["cost"]["savings_correct_pct"],
-            }
-        ]
-        _write_bars(out / "bars.csv", bars)
+    cost = account(
+        program,
+        inputs,
+        classify_threads(profile, None if plan is None else plan.tau),
+        plan=plan,
+        cost_table=_cost_table(args),
+        remap_overhead=to_fraction(getattr(args, "remap_overhead", 0)),
+        budget=args.budget,
+    ).to_json()
+    if plan is None:  # the original layout alone
+        report["cost"] = {key: cost[key] for key in ("kernel", "cycles_base", "cycles_remapped")}
     else:
-        flags = classify_threads(profile)
-        cost = account(
-            program,
-            inputs,
-            flags,
-            cost_table=_cost_table(args),
-            budget=args.budget,
-        )
-        report["cost"] = {
-            "kernel": cost.kernel,
-            "cycles_base": cost.cycles_base,
-            "cycles_remapped": float(cost.cycles_remapped),
-        }
+        report["cost"] = cost
+        before, after = (report[key]["pct_reliable_warps"] for key in ("before", "after"))
+        _write_bars(out / "bars.csv", [_bars_row(profile.kernel, before, after, cost)])
     _write_json(out / "report.json", report)
     print(f"report for {profile.kernel} -> {out / 'report.json'}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    from .classify import classify_threads, classify_warps, kernel_stats
-    from .ir import warps_for
+    from .classify import classify_threads
     from .profiling import load_profile, to_fraction
-    from .remap import build_plan, remapped_stats
+    from .remap import regroup
 
     out = _out_dir(args)
     profile = load_profile(out / "profile.csv")
     taus = [to_fraction(t.strip()) for t in args.taus.split(",") if t.strip()]
     if not taus:
         raise _ConfigError("--taus produced an empty threshold list")
-    geometry = profile.geometry
-    warps = warps_for(*geometry)
     rows = []
     for tau in sorted(taus):
-        flags = classify_threads(profile, tau)
-        before = kernel_stats(classify_warps(flags, warps), flags, tau)
-        plan = build_plan(flags, geometry, tau=tau, kernel=profile.kernel)
-        after = remapped_stats(plan, flags)
-        rows.append(
-            (
-                float(tau),
-                float(before.pct_reliable_warps * 100),
-                float(after.pct_reliable_warps * 100),
-            )
-        )
+        before, _, after = regroup(classify_threads(profile, tau), profile.geometry, tau=tau, kernel=profile.kernel)
+        rows.append((float(tau), float(before.pct_reliable_warps * 100), float(after.pct_reliable_warps * 100)))
     _write_csv(out / "sweep.csv", ["tau", "pct_reliable_warps_before", "pct_reliable_warps_after"], rows)
     print(f"sweep over {len(rows)} thresholds -> {out / 'sweep.csv'}")
     return 0
@@ -417,38 +393,21 @@ def cmd_suite(args) -> int:
     from fractions import Fraction
 
     from . import fixtures as fx
-    from .classify import classify_warps, format_pct, kernel_stats
+    from .classify import format_pct
     from .costs import REFERENCE_FIGURES, account
     from .profiling import to_fraction
-    from .remap import build_plan, remapped_stats
+    from .remap import regroup
 
     out = _out_dir(args)
     table = _cost_table(args)
+    overhead = to_fraction(args.remap_overhead)
     rows = []
     for fixture in fx.remappable_suite(seed=args.seed):
         flags = list(fixture.flags)
-        profile = fixture.profile
-        warps = fixture.program.warps()
-        before = kernel_stats(classify_warps(flags, warps), flags, profile.tau)
-        plan = build_plan(flags, fixture.program.geometry, tau=profile.tau, kernel=fixture.name)
-        after = remapped_stats(plan, flags)
-        cost = account(
-            fixture.program,
-            fixture.inputs,
-            flags,
-            plan=plan,
-            cost_table=table,
-            remap_overhead=to_fraction(args.remap_overhead),
-        )
-        rows.append(
-            {
-                "kernel": fixture.name,
-                "pct_reliable_warps_before": format_pct(before.pct_reliable_warps),
-                "pct_reliable_warps_after": format_pct(after.pct_reliable_warps),
-                "savings_detect_pct": float(cost.savings_detect * 100),
-                "savings_correct_pct": float(cost.savings_correct * 100),
-            }
-        )
+        before, plan, after = regroup(flags, fixture.program.geometry, tau=fixture.profile.tau, kernel=fixture.name)
+        cost = account(fixture.program, fixture.inputs, flags, plan=plan, cost_table=table, remap_overhead=overhead)
+        before_pct, after_pct = (format_pct(stats.pct_reliable_warps) for stats in (before, after))
+        rows.append(_bars_row(fixture.name, before_pct, after_pct, cost.to_json()))
     mean_before = sum(Fraction(r["pct_reliable_warps_before"]) for r in rows) / len(rows)
     mean_after = sum(Fraction(r["pct_reliable_warps_after"]) for r in rows) / len(rows)
     payload = {

@@ -1,15 +1,24 @@
 """Cycle accounting for partial protection versus full duplication/triplication.
 
-The model reuses the interpreter's own per-warp cycle and store counts, so its
-totals agree exactly with brute-force replicated execution.  Full-redundancy
-baselines duplicate or triplicate every warp of the unmapped layout; partial
-protection replicates only the warps that still contain unreliable threads
-after regrouping.
+Every figure is a sum over one per-warp ledger, ``{(cta, warp): (cycles,
+stores)}``, read from the interpreter's own counts in a fault-free run of
+each layout: the original one and, with a plan, the regrouped one.  A regime
+gives each warp a replication factor and costs Σ factor × cycles plus the
+compare (detect) or vote (correct) cost of each store of every warp whose
+factor is above 1, so its total agrees exactly with brute-force replicated
+execution.  Full RMT and TMR are factor 2 or 3 on every warp of the original
+layout; partial detect and correct are factor 2 or 3 on the regrouped warps
+that still hold an unreliable thread, and 1 elsewhere.
 
-Cache and scheduling effects of a changed thread order are out of model; the
-``remap_overhead`` knob applies a user-chosen multiplier to the regrouped
-execution instead (the measurement study this tool is compared against reports
-a 1.63% mean, with several negative cases).
+Regrouping alone changes the cycles: a mixed warp issues every class path its
+threads take and a pure warp only one, so the modelled ``remap_overhead_pct``
+is negative on all seven remappable fixtures (-1.4% to -33.4%).  A kernel
+whose classes share one path would not show this, but equal-iCnt threads with
+different resilience are where iCnt pruning stops being exact (Nie et al.,
+MICRO 2018).  Cache and scheduling effects of a changed thread order are out
+of model; the ``remap_overhead`` knob multiplies the regrouped layout's cycles
+instead (the measurement study this tool is compared against reports a 1.63%
+mean, with several negative cases).
 """
 
 from __future__ import annotations
@@ -67,6 +76,22 @@ class CostReport(NamedTuple):
         }
 
 
+def _ledger(program: KernelProgram, inputs, table: CostTable, budget: int, what: str) -> dict:
+    """``{(cta, warp): (cycles, stores)}`` of one fault-free run."""
+    run = execute(program, inputs, budget=budget, cost_table=table)
+    if not run.completed:
+        raise ValidationError(f"{what} run terminated {run.termination}: {run.error}")
+    return {key: (cycles, run.per_warp_stores.get(key, 0)) for key, cycles in run.per_warp_cycles.items()}
+
+
+def _total(ledger: dict, factor, per_store, inflate=1):
+    """Σ factor × cycles × inflate, plus ``per_store`` for each store of a
+    warp whose factor is above 1; ``factor`` maps a warp key to its factor."""
+    cycles = sum(factor(key) * c for key, (c, _) in ledger.items())
+    stores = sum(s for key, (_, s) in ledger.items() if factor(key) > 1)
+    return cycles * inflate + per_store * stores
+
+
 def account(
     program: KernelProgram,
     inputs: dict[str, list[int]],
@@ -77,7 +102,8 @@ def account(
     remap_overhead=0,
     budget: int = DEFAULT_BUDGET,
 ) -> CostReport:
-    """Cycle totals for every protection regime, from two instrumented runs.
+    """Cycle totals for every protection regime, from the ledgers of one or
+    two fault-free runs.
 
     ``program`` must carry its original layout; the plan, when given, supplies
     the regrouped one.  The overhead knob inflates regrouped execution (and the
@@ -89,52 +115,30 @@ def account(
     if overhead <= -1:
         raise ValidationError(f"remap overhead {float(overhead)} must exceed -1")
     table = cost_table or DEFAULT_COST_TABLE
+    base = _ledger(program, inputs, table, budget, "baseline")
+    regrouped_program = program if plan is None else apply_plan(program, plan)
+    regrouped = base if plan is None else _ledger(regrouped_program, inputs, table, budget, "remapped")
+    warps = classify_warps(flags, regrouped_program.warps())
+    protected = {(c.cta_id, c.warp_id) for c in warps if c.kind != RELIABLE}
 
-    base = execute(program, inputs, budget=budget, cost_table=table)
-    if not base.completed:
-        raise ValidationError(f"baseline run terminated {base.termination}: {base.error}")
-    cycles_base = base.cycles
-    total_stores = sum(base.per_warp_stores.values())
+    def on_regrouped(factor, per_store):  # factor on the protected warps, 1 elsewhere
+        return _total(regrouped, lambda key: factor if key in protected else 1, per_store, 1 + overhead)
 
-    if plan is not None:
-        remapped_program = apply_plan(program, plan)
-        remapped = execute(remapped_program, inputs, budget=budget, cost_table=table)
-        if not remapped.completed:
-            raise ValidationError(f"remapped run terminated {remapped.termination}")
-    else:
-        remapped_program = program
-        remapped = base
-
-    warps = remapped_program.warps()
-    classifications = classify_warps(flags, warps)
-    protected = {
-        (c.cta_id, c.warp_id) for c in classifications if c.kind != RELIABLE
-    }
-
-    work = remapped.per_warp_cycles
-    stores = remapped.per_warp_stores
-    inflate = 1 + overhead
-
-    protected_work = sum(work.get(k, 0) for k in protected)
-    all_work = sum(work.values())
-    protected_stores = sum(stores.get(k, 0) for k in protected)
-
-    partial_detect = (all_work + protected_work) * inflate + table.compare_per_store * protected_stores
-    partial_correct = (all_work + 2 * protected_work) * inflate + table.vote_per_store * protected_stores
-    full_rmt = 2 * cycles_base + table.compare_per_store * total_stores
-    full_tmr = 3 * cycles_base + table.vote_per_store * total_stores
-
+    cycles_base, cycles_remapped = _total(base, lambda _: 1, 0), on_regrouped(1, 0)
+    full_rmt = _total(base, lambda _: 2, table.compare_per_store)
+    full_tmr = _total(base, lambda _: 3, table.vote_per_store)
+    detect, correct = on_regrouped(2, table.compare_per_store), on_regrouped(3, table.vote_per_store)
     report = CostReport(
         kernel=program.name,
         cycles_base=cycles_base,
-        cycles_remapped=remapped.cycles * inflate,
-        cycles_partial_detect=Fraction(partial_detect),
-        cycles_partial_correct=Fraction(partial_correct),
+        cycles_remapped=cycles_remapped,
+        cycles_partial_detect=detect,
+        cycles_partial_correct=correct,
         cycles_full_rmt=full_rmt,
         cycles_full_tmr=full_tmr,
-        savings_detect=Fraction(full_rmt - partial_detect, full_rmt),
-        savings_correct=Fraction(full_tmr - partial_correct, full_tmr),
-        remap_overhead=Fraction(remapped.cycles * inflate - cycles_base, cycles_base),
+        savings_detect=Fraction(full_rmt - detect, full_rmt),
+        savings_correct=Fraction(full_tmr - correct, full_tmr),
+        remap_overhead=Fraction(cycles_remapped - cycles_base, cycles_base),
         protected_warps=len(protected),
         total_warps=len(warps),
     )

@@ -13,7 +13,9 @@ class per thread to ``build_fixture``, on the same dispatch kernel.
 
 Kernel construction mirrors the declared profiles: every thread loads a class
 id and dispatches to a per-class code path, so equal-class threads share a
-dynamic instruction count.  Reliable paths funnel their work through a
+dynamic instruction count and no iCnt group mixes classes; equal-iCnt
+threads with different resilience are where iCnt pruning stops being exact
+(Nie et al., MICRO 2018).  Reliable paths funnel their work through a
 multiply-by-zero sink and store a value that every reliable path agrees on,
 which keeps nearly all of their fault sites masked; unreliable paths keep a
 live dataflow chain into the output.  Path costs are balanced across classes

@@ -109,6 +109,14 @@ def remapped_stats(plan: RemapPlan, flags: list[bool]) -> KernelReliabilityStats
     return kernel_stats(classify_warps(flags, plan.warps()), flags, plan.tau)
 
 
+def regroup(flags: list[bool], geometry: tuple[int, int], *, tau, kernel=None, profile_sha256=None):
+    """Stats of the original layout, the :func:`build_plan` plan, and stats
+    of the regrouped layout."""
+    plan = build_plan(flags, geometry, tau=tau, kernel=kernel, profile_sha256=profile_sha256)
+    before = kernel_stats(classify_warps(flags, warps_for(*geometry)), flags, plan.tau)
+    return before, plan, remapped_stats(plan, flags)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 

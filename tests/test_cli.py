@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -347,6 +348,74 @@ def test_remap_overhead_with_mode_none_exits_2(tmp_path, capsys):
     assert "remap_overhead" not in json.loads((tmp_path / "report.json").read_text())["config"]
     assert main(["report", "--mode", "correct", "--fixture", "pathfinder_k1", *out]) == 0
     assert json.loads((tmp_path / "report.json").read_text())["config"]["remap_overhead"] == "0"
+
+
+def _pathfinder_variant(tmp_path, edit):
+    """``--kernel`` and ``--inputs`` arguments for pathfinder_k1's source
+    with ``edit`` applied and its own inputs."""
+    emitted = tmp_path / "emitted"
+    assert main(["emit", "--fixture", "pathfinder_k1", "--out", str(emitted)]) == 0
+    kernel = tmp_path / "variant.wir"
+    kernel.write_text(edit((emitted / "pathfinder_k1.wir").read_text()))
+    return ["--kernel", str(kernel), "--inputs", str(emitted / "pathfinder_k1_inputs.json")]
+
+
+@pytest.mark.parametrize("mode", ["none", "correct"])
+def test_report_refuses_a_kernel_other_than_the_profiled_one(tmp_path, mode, capsys):
+    """The profile names the kernel it was measured on: a ``--kernel`` of
+    another name exits 2 in every mode, before anything is written."""
+    out = _pathfinder_artifacts(tmp_path)
+    kernel = _pathfinder_variant(tmp_path, lambda source: source.replace(".kernel pathfinder_k1", ".kernel other"))
+    assert main(["report", "--mode", mode, *kernel, *out]) == 2
+    assert "was built for kernel 'pathfinder_k1', not 'other'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "bars.csv").exists()
+
+
+def test_report_none_refuses_a_kernel_whose_geometry_is_not_the_profiled_one(tmp_path, capsys):
+    out = _pathfinder_artifacts(tmp_path)
+    kernel = _pathfinder_variant(tmp_path, lambda source: source.replace(".ctas 6\n", ".ctas 3\n"))
+    assert main(["report", "--mode", "none", *kernel, *out]) == 2
+    assert "warp layout covers 768 threads, flags cover 1536" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_pathfinder_artifacts_are_pinned(tmp_path):
+    """bars.csv, sweep.csv, suite_bars.csv and both kinds of report cost on
+    pathfinder_k1's declared profile, seed 0.  A change to the cost model,
+    the fixtures or the regrouping that moves them re-pins them on purpose."""
+    out = _pathfinder_artifacts(tmp_path)
+    costs = {}
+    for mode in ("none", "correct"):
+        assert main(["report", "--mode", mode, "--fixture", "pathfinder_k1", *out]) == 0
+        costs[mode] = json.loads((tmp_path / "report.json").read_text())["cost"]
+    assert costs == {
+        "none": {"kernel": "pathfinder_k1", "cycles_base": 11550, "cycles_remapped": 11550.0},
+        "correct": {
+            "kernel": "pathfinder_k1",
+            "cycles_base": 11550,
+            "cycles_remapped": 9832.0,
+            "cycles_partial_detect": 19838.0,
+            "cycles_partial_correct": 29844.0,
+            "cycles_full_rmt": 24636,
+            "cycles_full_tmr": 37722,
+            "savings_detect_pct": 19.475564214969964,
+            "savings_correct_pct": 20.88436456179418,
+            "remap_overhead_pct": -14.874458874458874,
+            "protected_warps": 42,
+            "total_warps": 48,
+        },
+    }
+    assert main(["sweep", "--taus", "0.04,0.05", *out]) == 0
+    assert main(["suite", "--out", str(tmp_path / "suite")]) == 0
+    assert {name: _sha256(tmp_path / name) for name in ("bars.csv", "sweep.csv", "suite/suite_bars.csv")} == {
+        "bars.csv": "16eb178429515baced3f825760a2b395a2cb184918bd93a6a9a75abd9d434e40",
+        "sweep.csv": "d3a23e7da64e9ef1d4e0d9d60bde7f463b2e763c1442d7dde8bb9fb282339375",
+        "suite/suite_bars.csv": "3b752fe26f07c7f7b527f684beb6cc28125f4a376e21230dc6b9e00aea4a2020",
+    }
 
 
 def test_suite_refuses_a_remap_overhead_of_minus_two(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from warpshield.classify import classify_warps
 from warpshield.costs import REFERENCE_FIGURES, account
@@ -8,9 +10,10 @@ from warpshield.errors import ValidationError
 from warpshield.fixtures import generate_fixture, remappable_suite
 from warpshield.interp import CostTable, _DEFAULT_OP_CYCLES, execute
 from warpshield.protect import CORRECT, DETECT, build_protection_plan, run_protected
-from warpshield.remap import apply_plan, build_plan
+from warpshield.remap import RemapPlan, apply_plan, build_plan
 
 from support import named_fixture
+from test_generated_kernels import kernels
 
 ZERO_BOOKKEEPING = CostTable(
     op_cycles=dict(_DEFAULT_OP_CYCLES), compare_per_store=0, vote_per_store=0
@@ -57,11 +60,7 @@ def test_savings_monotone_in_reliable_fraction():
     assert correct == sorted(correct)
 
 
-def test_account_matches_replicated_interpreter_cycles():
-    """The model and brute-force replicated execution must agree exactly."""
-    fixture = named_fixture("alternating")
-    program, inputs, flags = fixture.program, fixture.inputs, list(fixture.flags)
-    plan = build_plan(flags, program.geometry, tau=fixture.profile.tau)
+def _assert_account_matches_replicated_runs(program, inputs, flags, plan):
     report = account(program, inputs, flags, plan=plan)
     remapped = apply_plan(program, plan)
     classifications = classify_warps(flags, remapped.warps())
@@ -71,13 +70,37 @@ def test_account_matches_replicated_interpreter_cycles():
     ):
         protection = build_protection_plan(classifications, mode)
         measured = run_protected(remapped, inputs, protection)
-        assert measured.cycles == modeled
+        assert measured.cycles == modeled, mode
     # the full-redundancy baselines are replicated runs of the unmapped layout
     everything = classify_warps([False] * len(flags), program.warps())
     rmt = run_protected(program, inputs, build_protection_plan(everything, DETECT))
     tmr = run_protected(program, inputs, build_protection_plan(everything, CORRECT))
     assert rmt.cycles == report.cycles_full_rmt
     assert tmr.cycles == report.cycles_full_tmr
+
+
+def test_account_matches_replicated_interpreter_cycles():
+    """The model and brute-force replicated execution must agree exactly, on
+    the alternating fixture and on generated kernels with random flags, and
+    an identity plan models no remap overhead."""
+    fixture = named_fixture("alternating")
+    flags = list(fixture.flags)
+    plan = build_plan(flags, fixture.program.geometry, tau=fixture.profile.tau)
+    _assert_account_matches_replicated_runs(fixture.program, fixture.inputs, flags, plan)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(kernel=kernels(tid_only=True), seed=st.integers(0, 2**16))
+    def check(kernel, seed):
+        program, inputs = kernel
+        rng = random.Random(seed)
+        share = rng.random()
+        flags = [rng.random() < share for _ in range(program.total_threads)]
+        _assert_account_matches_replicated_runs(program, inputs, flags, build_plan(flags, program.geometry))
+        size = program.cta_size
+        identity = RemapPlan(tuple(tuple(range(c * size, (c + 1) * size)) for c in range(program.num_ctas)), 0)
+        assert account(program, inputs, flags, plan=identity).remap_overhead == 0
+
+    check()
 
 
 def test_full_redundancy_identities():

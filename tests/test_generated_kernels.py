@@ -219,11 +219,21 @@ def test_isolated_warps_replay_into_the_full_run(kernel, seed):
 def test_fault_free_replicas_sharing_a_run_equal_every_replica(kernel, seed):
     """run_protected, whose fault-free replicas share one run, equals a run
     of every replica field for field, under random plans of both modes,
-    fault-free and at each sampled site."""
+    fault-free and at each sampled site.  At a site in a triplicated warp
+    the outputs are the golden ones.  At a site in a duplicated warp a
+    detection is recorded exactly when that warp's isolated faulted run
+    stores otherwise than its isolated fault-free run, crashes or hangs.  At
+    a site in a duplicated or unreplicated warp the outputs are those of the
+    faulted full run when it completes."""
     program, inputs = kernel
     golden = golden_run(program, inputs)
     budget = default_budget(golden)
     rng = random.Random(seed)
+    warp_of = {t: (w.cta_id, w.warp_id) for w in program.warps() for t in w.members}
+
+    def alone(key, fault=None):
+        return execute(program, inputs, fault=fault, budget=budget, warp_filter=key, record_stores=True)
+
     for mode, factor in ((DETECT, 2), (CORRECT, 3)):
         plan = ProtectionPlan(
             mode, {(w.cta_id, w.warp_id): rng.choice((1, factor)) for w in program.warps()}
@@ -233,6 +243,20 @@ def test_fault_free_replicas_sharing_a_run_equal_every_replica(kernel, seed):
             assert result == run_protected_every_replica(
                 program, inputs, plan, fault=fault, budget=budget
             ), (mode, fault)
+            if fault is None:
+                continue
+            key = warp_of[fault.thread_id]
+            if plan.factors[key] == 3:
+                assert result.final_outputs == golden.outputs, fault
+                continue
+            if plan.factors[key] == 2:
+                faulted = alone(key, fault)
+                stream = faulted.store_streams.get(key, ())
+                differs = not faulted.completed or stream != alone(key).store_streams.get(key, ())
+                assert [(d.cta_id, d.warp_id) for d in result.detections] == [key] * differs, fault
+            full = execute(program, inputs, fault=fault, budget=budget)
+            if full.completed:
+                assert result.final_outputs == full.outputs, fault
 
 
 def test_fused_runs_equal_single_step():
