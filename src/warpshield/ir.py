@@ -29,11 +29,13 @@ Text format (one instruction per line, ``#`` comments, ``label:`` prefixes)::
         st out[tid], r2
         exit
 
-Operand forms: ``iadd/isub/imul/fadd/fmul rD, rA, rB`` - ``mov rD, rA`` -
-``movi rD, imm`` (integer or float literal; floats stored as IEEE-754 single
-bits) - ``ld rD, buf[rA]`` - ``st buf[rA], rS`` - ``setp.cc rD, rA, rB`` with
-``cc`` in eq/ne/lt/le/gt/ge (signed) - ``bra label`` - ``bra rP, label`` -
-``bar`` - ``exit``.  ``tid`` and ``ctaid`` are accepted as register aliases.
+The grammar is :data:`OPERAND_FORMS`, each opcode's operand kinds in source
+order; ``rP`` (a branch predicate) may be left out, and ``imm`` is an integer
+or float literal (floats stored as IEEE-754 single bits).  ``tid`` and
+``ctaid`` are register aliases.  Only ``setp`` takes a suffix, its condition
+``.cc`` in eq/ne/lt/le/gt/ge (signed).  ``.kernel``, ``.ctas`` and
+``.ctasize`` appear once, and every directive has exactly its operands.
+Register numbers and directive integers are ASCII digits.
 """
 
 from __future__ import annotations
@@ -57,20 +59,22 @@ DEFAULT_BUDGET = 1_000_000
 MAX_THREADS = 1 << 20
 MAX_BUFFER_WORDS = 1 << 22
 
-WRITING_OPS = frozenset({"iadd", "isub", "imul", "fadd", "fmul", "mov", "movi", "ld", "setp"})
-NON_WRITING_OPS = frozenset({"st", "bra", "bar", "exit"})
-OPCODES = WRITING_OPS | NON_WRITING_OPS
-SETP_CONDS = ("eq", "ne", "lt", "le", "gt", "ge")
-# Allowed numbers of source registers per opcode (``ld``/``st`` addresses apart).
-_SOURCE_COUNTS = {
-    **{op: (2,) for op in ("iadd", "isub", "imul", "fadd", "fmul", "setp")},
-    "mov": (1,),
-    "st": (1,),
-    "bra": (0, 1),
-    **{op: (0,) for op in ("movi", "ld", "bar", "exit")},
+# The operand grammar, which parsing, rendering and validation all read.
+OPERAND_FORMS = {
+    **{op: ("rD", "rA", "rB") for op in ("iadd", "isub", "imul", "fadd", "fmul", "setp")},
+    "mov": ("rD", "rA"),
+    "movi": ("rD", "imm"),
+    "ld": ("rD", "buf[rA]"),
+    "st": ("buf[rA]", "rS"),
+    "bra": ("rP", "label"),
+    "bar": (),
+    "exit": (),
 }
+WRITING_OPS = frozenset(op for op, form in OPERAND_FORMS.items() if form[:1] == ("rD",))
+SETP_CONDS = ("eq", "ne", "lt", "le", "gt", "ge")
+_SOURCE_KINDS = frozenset({"rA", "rB", "rS", "rP"})
 
-_REG_ALIASES = {"tid": TID_REGISTER, "ctaid": CTAID_REGISTER}
+_REGISTER_NAMES = {f"r{i}": i for i in range(REGISTER_COUNT)} | {"tid": TID_REGISTER, "ctaid": CTAID_REGISTER}
 _BUF_RE = re.compile(r"^(\w+)\[(\w+)\]$")
 
 
@@ -117,10 +121,6 @@ class Instruction:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    @property
-    def writes_register(self) -> bool:
-        return self.opcode in WRITING_OPS
 
 
 class Warp(NamedTuple):
@@ -216,38 +216,39 @@ def _validate_program(p: KernelProgram) -> None:
     n = len(p.instructions)
     for i, ins in enumerate(p.instructions):
         where = f"kernel {p.name!r}, instruction {i}"
-        if ins.opcode not in OPCODES:
+        form = OPERAND_FORMS.get(ins.opcode)
+        if form is None:
             raise ValidationError(f"{where}: unknown opcode {ins.opcode!r}")
-        if ins.writes_register:
+        if "rD" in form:
             if ins.dest is None:
                 raise ValidationError(f"{where}: {ins.opcode} requires a destination register")
             _check_dest(ins.dest, where)
         elif ins.dest is not None:
             raise ValidationError(f"{where}: {ins.opcode} does not write a destination register")
-        if not isinstance(ins.srcs, tuple) or len(ins.srcs) not in _SOURCE_COUNTS[ins.opcode]:
+        sources = len(_SOURCE_KINDS.intersection(form))
+        if not isinstance(ins.srcs, tuple) or not sources - ("rP" in form) <= len(ins.srcs) <= sources:
             raise ValidationError(f"{where}: {ins.opcode} has bad source operands {ins.srcs!r}")
         for s in ins.srcs:
             _check_src(s, where)
-        if ins.opcode in ("ld", "st"):
+        if "buf[rA]" in form:
             if ins.addr_reg is None:
                 raise ValidationError(f"{where}: {ins.opcode} requires an address register")
             _check_src(ins.addr_reg, where)
+            written = form[0] == "buf[rA]"  # as with registers, the first operand is the destination
+            if ins.buffer not in (out_names if written else in_names):
+                access = "writes undeclared output" if written else "reads undeclared input"
+                raise ValidationError(f"{where}: {ins.opcode} {access} buffer {ins.buffer!r}")
         elif ins.addr_reg is not None:
             raise ValidationError(f"{where}: {ins.opcode} takes no address register")
-        if ins.opcode == "movi":
+        if "imm" in form:
             if not _is_int(ins.imm) or not (0 <= ins.imm <= WORD_MASK):
-                raise ValidationError(f"{where}: movi immediate {ins.imm!r} is not a 32-bit word")
+                raise ValidationError(f"{where}: {ins.opcode} immediate {ins.imm!r} is not a 32-bit word")
         elif ins.imm is not None:
             raise ValidationError(f"{where}: {ins.opcode} takes no immediate")
-        if ins.opcode == "ld" and ins.buffer not in in_names:
-            raise ValidationError(f"{where}: ld reads undeclared input buffer {ins.buffer!r}")
-        if ins.opcode == "st" and ins.buffer not in out_names:
-            raise ValidationError(f"{where}: st writes undeclared output buffer {ins.buffer!r}")
         if ins.opcode == "setp" and ins.cond not in SETP_CONDS:
             raise ValidationError(f"{where}: bad setp condition {ins.cond!r}")
-        if ins.opcode == "bra":
-            if not _is_int(ins.target) or not (0 <= ins.target < n):
-                raise ValidationError(f"{where}: branch target out of range")
+        if "label" in form and (not _is_int(ins.target) or not (0 <= ins.target < n)):
+            raise ValidationError(f"{where}: branch target out of range")
 
     last = p.instructions[-1]
     if not (last.opcode == "exit" or (last.opcode == "bra" and not last.srcs)):
@@ -319,22 +320,30 @@ def validate_layout(
 
 
 def _parse_reg(tok: str, lineno: int, *, dest: bool = False) -> int:
-    tok = tok.strip()
-    if tok in _REG_ALIASES:
-        reg = _REG_ALIASES[tok]
-    elif tok.startswith("r") and tok[1:].isdigit():
+    reg = _REGISTER_NAMES.get(tok)
+    if reg is None:
+        if not (tok.startswith("r") and _is_digits(tok[1:])):
+            raise ParseError(f"expected register, got {tok!r}", lineno)
         reg = int(tok[1:])
-    else:
-        raise ParseError(f"expected register, got {tok!r}", lineno)
-    if reg >= REGISTER_COUNT:
-        raise ParseError(f"register r{reg} out of range (file size {REGISTER_COUNT})", lineno)
+        if reg >= REGISTER_COUNT:
+            raise ParseError(f"register r{reg} out of range (file size {REGISTER_COUNT})", lineno)
     if dest and reg in (TID_REGISTER, CTAID_REGISTER):
         raise ParseError(f"register r{reg} is read-only", lineno)
     return reg
 
 
+def _is_digits(tok: str) -> bool:
+    """``str.isdigit`` alone also takes other scripts' digits and superscripts."""
+    return tok.isascii() and tok.isdigit()
+
+
+def _parse_count(tok: str) -> int:
+    if not _is_digits(tok):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def _parse_imm(tok: str, lineno: int) -> int:
-    tok = tok.strip()
     try:
         return int(tok, 0) & WORD_MASK
     except ValueError:
@@ -346,7 +355,7 @@ def _parse_imm(tok: str, lineno: int) -> int:
 
 
 def _parse_buf(tok: str, lineno: int) -> tuple[str, int]:
-    m = _BUF_RE.match(tok.strip())
+    m = _BUF_RE.match(tok)
     if not m:
         raise ParseError(f"expected buffer operand name[reg], got {tok!r}", lineno)
     return m.group(1), _parse_reg(m.group(2), lineno)
@@ -354,9 +363,7 @@ def _parse_buf(tok: str, lineno: int) -> tuple[str, int]:
 
 def parse_kernel(text: str) -> KernelProgram:
     """Parse IR source text into a validated :class:`KernelProgram`."""
-    name = None
-    num_ctas = None
-    cta_size = None
+    header: dict[str, str | int] = {}  # .kernel, .ctas and .ctasize
     in_bufs: list[tuple[str, int]] = []
     out_bufs: list[tuple[str, int]] = []
     raw: list[tuple[int, str, list[str]]] = []  # (lineno, opcode-token, operand tokens)
@@ -369,21 +376,19 @@ def parse_kernel(text: str) -> KernelProgram:
         if line.startswith("."):
             if raw:
                 raise ParseError("directives must precede instructions", lineno)
-            parts = line.split()
+            directive, *args = line.split()
             try:
-                if parts[0] == ".kernel":
-                    (name,) = parts[1:]
-                elif parts[0] == ".ctas":
-                    num_ctas = int(parts[1])
-                elif parts[0] == ".ctasize":
-                    cta_size = int(parts[1])
-                elif parts[0] == ".in":
-                    in_bufs.append((parts[1], int(parts[2])))
-                elif parts[0] == ".out":
-                    out_bufs.append((parts[1], int(parts[2])))
+                if directive in (".in", ".out"):
+                    buf, size = args
+                    (in_bufs if directive == ".in" else out_bufs).append((buf, _parse_count(size)))
+                elif directive in header:
+                    raise ParseError(f"duplicate {directive} directive", lineno)
+                elif directive in (".kernel", ".ctas", ".ctasize"):
+                    (value,) = args
+                    header[directive] = value if directive == ".kernel" else _parse_count(value)
                 else:
-                    raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-            except (ValueError, IndexError):
+                    raise ParseError(f"unknown directive {directive!r}", lineno)
+            except ValueError:
                 raise ParseError(f"malformed directive {line!r}", lineno) from None
             continue
         while line and ":" in line.split()[0]:
@@ -401,117 +406,54 @@ def parse_kernel(text: str) -> KernelProgram:
         toks = [t.strip() for t in operands.split(",")] if operands.strip() else []
         raw.append((lineno, op.strip(), toks))
 
-    if name is None:
+    if ".kernel" not in header:
         raise ParseError("missing .kernel directive")
-    if num_ctas is None or cta_size is None:
+    if ".ctas" not in header or ".ctasize" not in header:
         raise ParseError("missing .ctas or .ctasize directive")
     if not raw:
         raise ParseError("kernel has no instructions")
 
     instructions: list[Instruction] = []
-    pending: list[tuple[int, int, str]] = []  # (instr index, lineno, label) to resolve
-    for idx, (lineno, op, toks) in enumerate(raw):
-        base = op.split(".", 1)[0]
-        if base not in OPCODES:
+    for lineno, op, toks in raw:
+        base, suffix, cond = op.partition(".")
+        form = OPERAND_FORMS.get(base)
+        if form is None or (suffix and base != "setp"):
             raise ParseError(f"unknown opcode {op!r}", lineno)
-        ins: Instruction
-        if base in ("iadd", "isub", "imul", "fadd", "fmul"):
-            if op != base or len(toks) != 3:
-                raise ParseError(f"{base} expects 'rD, rA, rB'", lineno)
-            ins = Instruction(
-                base,
-                dest=_parse_reg(toks[0], lineno, dest=True),
-                srcs=(_parse_reg(toks[1], lineno), _parse_reg(toks[2], lineno)),
-                line=lineno,
-            )
-        elif base == "mov":
-            if len(toks) != 2:
-                raise ParseError("mov expects 'rD, rA'", lineno)
-            ins = Instruction(
-                "mov",
-                dest=_parse_reg(toks[0], lineno, dest=True),
-                srcs=(_parse_reg(toks[1], lineno),),
-                line=lineno,
-            )
-        elif base == "movi":
-            if len(toks) != 2:
-                raise ParseError("movi expects 'rD, imm'", lineno)
-            ins = Instruction(
-                "movi",
-                dest=_parse_reg(toks[0], lineno, dest=True),
-                imm=_parse_imm(toks[1], lineno),
-                line=lineno,
-            )
-        elif base == "ld":
-            if len(toks) != 2:
-                raise ParseError("ld expects 'rD, buf[rA]'", lineno)
-            buf, addr = _parse_buf(toks[1], lineno)
-            ins = Instruction(
-                "ld",
-                dest=_parse_reg(toks[0], lineno, dest=True),
-                buffer=buf,
-                addr_reg=addr,
-                line=lineno,
-            )
-        elif base == "st":
-            if len(toks) != 2:
-                raise ParseError("st expects 'buf[rA], rS'", lineno)
-            buf, addr = _parse_buf(toks[0], lineno)
-            ins = Instruction(
-                "st",
-                srcs=(_parse_reg(toks[1], lineno),),
-                buffer=buf,
-                addr_reg=addr,
-                line=lineno,
-            )
-        elif base == "setp":
-            cond = op.partition(".")[2]
-            if cond not in SETP_CONDS:
-                raise ParseError(f"setp condition must be one of {'/'.join(SETP_CONDS)}", lineno)
-            if len(toks) != 3:
-                raise ParseError("setp.cc expects 'rD, rA, rB'", lineno)
-            ins = Instruction(
-                "setp",
-                dest=_parse_reg(toks[0], lineno, dest=True),
-                srcs=(_parse_reg(toks[1], lineno), _parse_reg(toks[2], lineno)),
-                cond=cond,
-                line=lineno,
-            )
-        elif base == "bra":
-            if len(toks) == 1:
-                srcs: tuple[int, ...] = ()
-                label = toks[0]
-            elif len(toks) == 2:
-                srcs = (_parse_reg(toks[0], lineno),)
-                label = toks[1]
+        if base == "setp" and cond not in SETP_CONDS:
+            raise ParseError(f"setp condition must be one of {'/'.join(SETP_CONDS)}", lineno)
+        if len(toks) == len(form) - 1 and form[0] == "rP":
+            form = form[1:]  # an unconditional branch
+        if len(toks) != len(form):
+            shapes = (form[1:], form) if form[:1] == ("rP",) else (form,)
+            usage = " or ".join(f"'{', '.join(shape)}'" for shape in shapes)
+            raise ParseError(f"{op} expects {usage}" if form else f"{op} takes no operands", lineno)
+        dest = imm = buffer = addr_reg = target = label = None
+        srcs = []
+        for kind, tok in zip(form, toks):
+            if kind == "rD":
+                dest = _parse_reg(tok, lineno, dest=True)
+            elif kind == "imm":
+                imm = _parse_imm(tok, lineno)
+            elif kind == "buf[rA]":
+                buffer, addr_reg = _parse_buf(tok, lineno)
+            elif kind == "label":
+                label, target = tok, labels.get(tok)
+                if target is None:
+                    raise ParseError(f"undefined label {label!r}", lineno)
+                if target >= len(raw):
+                    raise ParseError(f"label {label!r} points past the last instruction", lineno)
             else:
-                raise ParseError("bra expects 'label' or 'rP, label'", lineno)
-            pending.append((idx, lineno, label))
-            ins = Instruction("bra", srcs=srcs, target=0, target_label=label, line=lineno)
-        elif base == "bar":
-            if toks:
-                raise ParseError("bar takes no operands", lineno)
-            ins = Instruction("bar", line=lineno)
-        else:  # exit
-            if toks:
-                raise ParseError("exit takes no operands", lineno)
-            ins = Instruction("exit", line=lineno)
-        instructions.append(ins)
-
-    for idx, lineno, label in pending:
-        if label not in labels:
-            raise ParseError(f"undefined label {label!r}", lineno)
-        if labels[label] >= len(instructions):
-            raise ParseError(f"label {label!r} points past the last instruction", lineno)
-        ins = instructions[idx]
-        instructions[idx] = Instruction("bra", srcs=ins.srcs, target=labels[label], target_label=label, line=ins.line)
+                srcs.append(_parse_reg(tok, lineno))
+        instructions.append(
+            Instruction(base, dest, tuple(srcs), imm, buffer, addr_reg, cond or None, target, label, lineno)
+        )
 
     try:
         return KernelProgram(
-            name=name,
+            name=header[".kernel"],
             instructions=tuple(instructions),
-            num_ctas=num_ctas,
-            cta_size=cta_size,
+            num_ctas=header[".ctas"],
+            cta_size=header[".ctasize"],
             input_buffers=tuple(in_bufs),
             output_buffers=tuple(out_bufs),
         )
@@ -521,30 +463,28 @@ def parse_kernel(text: str) -> KernelProgram:
 
 def program_to_source(program: KernelProgram) -> str:
     """Render a program back to parseable IR text (labels regenerated as L<idx>)."""
-    targets = sorted({ins.target for ins in program.instructions if ins.opcode == "bra"})
-    label_of = {t: f"L{t}" for t in targets}
+    label_of = {ins.target: f"L{ins.target}" for ins in program.instructions if "label" in OPERAND_FORMS[ins.opcode]}
     lines = [f".kernel {program.name}", f".ctas {program.num_ctas}", f".ctasize {program.cta_size}"]
     lines += [f".in {n} {s}" for n, s in program.input_buffers]
     lines += [f".out {n} {s}" for n, s in program.output_buffers]
     for i, ins in enumerate(program.instructions):
+        form = OPERAND_FORMS[ins.opcode]
+        if form[:1] == ("rP",) and not ins.srcs:
+            form = form[1:]  # an unconditional branch
+        srcs = iter(ins.srcs)
+        operands = []
+        for kind in form:
+            if kind == "rD":
+                operands.append(f"r{ins.dest}")
+            elif kind == "imm":
+                operands.append(str(ins.imm))
+            elif kind == "buf[rA]":
+                operands.append(f"{ins.buffer}[r{ins.addr_reg}]")
+            elif kind == "label":
+                operands.append(label_of[ins.target])
+            else:
+                operands.append(f"r{next(srcs)}")
+        op = f"setp.{ins.cond}" if ins.opcode == "setp" else ins.opcode
         prefix = f"{label_of[i]}: " if i in label_of else "    "
-        op = ins.opcode
-        if op in ("iadd", "isub", "imul", "fadd", "fmul"):
-            body = f"{op} r{ins.dest}, r{ins.srcs[0]}, r{ins.srcs[1]}"
-        elif op == "mov":
-            body = f"mov r{ins.dest}, r{ins.srcs[0]}"
-        elif op == "movi":
-            body = f"movi r{ins.dest}, {ins.imm}"
-        elif op == "ld":
-            body = f"ld r{ins.dest}, {ins.buffer}[r{ins.addr_reg}]"
-        elif op == "st":
-            body = f"st {ins.buffer}[r{ins.addr_reg}], r{ins.srcs[0]}"
-        elif op == "setp":
-            body = f"setp.{ins.cond} r{ins.dest}, r{ins.srcs[0]}, r{ins.srcs[1]}"
-        elif op == "bra":
-            tgt = label_of[ins.target]
-            body = f"bra r{ins.srcs[0]}, {tgt}" if ins.srcs else f"bra {tgt}"
-        else:
-            body = op
-        lines.append(prefix + body)
+        lines.append(f"{prefix}{op} {', '.join(operands)}" if operands else prefix + op)
     return "\n".join(lines) + "\n"

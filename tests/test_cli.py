@@ -157,6 +157,9 @@ _MALFORMED_KERNELS = {
     "zero-ctas": ADD_ONE_SOURCE.replace(".ctas 2", ".ctas 0").encode(),
     "too-many-threads": ADD_ONE_SOURCE.replace(".ctas 2", ".ctas 1000000").encode(),
     "huge-buffer": ADD_ONE_SOURCE.replace(".in in 64", ".in in 4000000000").encode(),
+    "opcode-suffix": ADD_ONE_SOURCE.replace("movi r0, 1", "mov.x r0, r1").encode(),
+    "second-ctas": ADD_ONE_SOURCE.replace(".ctasize 32", ".ctasize 32\n.ctas 4").encode(),
+    "superscript-register": ADD_ONE_SOURCE.replace("iadd r2, r1, r0", "iadd r2, r1, r\u00b2").encode(),
 }
 
 

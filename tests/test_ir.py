@@ -1,6 +1,11 @@
+import hashlib
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
 
 from warpshield.errors import ParseError, ValidationError
+from warpshield.fixtures import fixture_names, generate_fixture
 from warpshield.ir import (
     Instruction,
     KernelProgram,
@@ -10,6 +15,9 @@ from warpshield.ir import (
 )
 
 from support import ADD_ONE_SOURCE, add_one_kernel
+from test_generated_kernels import kernels
+
+LOOP_BARRIER = Path(__file__).resolve().parents[1] / "perfbench" / "loop_barrier.wir"
 
 
 def test_minimal_kernel_parses_to_three_instructions():
@@ -245,3 +253,77 @@ def test_operands_must_be_integers_of_the_right_shape(ins, message):
             cta_size=1,
             input_buffers=(("in", 1),),
         )
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("movi r0, 1", "mov.x r0, r1", "line 6: unknown opcode 'mov.x'"),
+        ("ld r1, in[tid]", "ld.foo r1, in[tid]", "line 7: unknown opcode 'ld.foo'"),
+        ("movi r0, 1", "movi.q r0, 5", "line 6: unknown opcode 'movi.q'"),
+        ("    exit", "    exit.now", "line 10: unknown opcode 'exit.now'"),
+        ("iadd r2, r1, r0", "iadd.x r2, r1, r0", "line 8: unknown opcode 'iadd.x'"),
+        (".ctas 2", ".ctas 1 7", "line 2: malformed directive '.ctas 1 7'"),
+        (".in in 64", ".in in 32 junk", "line 4: malformed directive '.in in 32 junk'"),
+        (".ctasize 32", ".ctasize 32\n.kernel again", "line 4: duplicate .kernel directive"),
+        (".ctasize 32", ".ctas 1\n.ctasize 32", "line 3: duplicate .ctas directive"),
+        (".ctasize 32", ".ctasize 32\n.ctasize 32", "line 4: duplicate .ctasize directive"),
+        ("ld r1, in[tid]", "ld r\u0661, in[tid]", "line 7: expected register"),
+        ("ld r1, in[tid]", "ld r1, in[r\u0661]", "line 7: expected register"),
+        ("iadd r2, r1, r0", "iadd r2, r1, r\u00b2", "line 8: expected register"),
+        (".ctas 2", ".ctas \u0662", "line 2: malformed directive"),
+        (".in in 64", ".in in \u0666\u0664", "line 4: malformed directive"),
+        (".ctas 2", ".ctas +2", "line 2: malformed directive"),
+    ],
+    ids=[
+        "mov-suffix",
+        "ld-suffix",
+        "movi-suffix",
+        "exit-suffix",
+        "iadd-suffix",
+        "ctas-extra-token",
+        "in-extra-token",
+        "second-kernel",
+        "second-ctas",
+        "second-ctasize",
+        "arabic-indic-register",
+        "arabic-indic-address",
+        "superscript-register",
+        "arabic-indic-ctas",
+        "arabic-indic-buffer-size",
+        "signed-ctas",
+    ],
+)
+def test_refused_source(old, new, message):
+    """Only setp takes a suffix, each directive has exactly its operands and
+    appears once, and numbers are ASCII digits; each refusal names its line."""
+    src = ADD_ONE_SOURCE.replace(old, new, 1)
+    assert src != ADD_ONE_SOURCE
+    with pytest.raises(ParseError, match=message):
+        parse_kernel(src)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kernel=kernels(tid_only=False))
+def test_generated_kernels_survive_a_render_and_parse(kernel):
+    program, _ = kernel
+    text = program_to_source(program)
+    assert parse_kernel(text) == program
+    assert program_to_source(parse_kernel(text)) == text
+
+
+def test_rendered_fixture_sources_are_pinned():
+    """The renderer is byte-identical to its form before the operand grammar
+    became one table: the concatenated fixture sources and the rendered
+    loop/barrier kernel keep their digests, and each parses back."""
+    programs = [generate_fixture(name).program for name in fixture_names()]
+    loop_barrier = parse_kernel(LOOP_BARRIER.read_text())
+    texts = [program_to_source(p) for p in programs]
+    assert all(parse_kernel(t) == p for t, p in zip(texts, programs))
+    assert parse_kernel(program_to_source(loop_barrier)) == loop_barrier
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "4a47b42d287ef6a7c5db58839fe8dd96ba77be229536eb6fbac0887c5758c3bd"
+    )
+    assert hashlib.sha256(program_to_source(loop_barrier).encode()).hexdigest() == (
+        "5c2257839e066313fe3054745d5ca65ffdf78d24a69f1784a6c259db60e128c9"
+    )
