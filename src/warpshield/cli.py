@@ -329,6 +329,9 @@ def cmd_report(args) -> int:
     from .costs import REFERENCE_FIGURES, account
     from .profiling import load_profile, to_fraction
 
+    # The cost covers detection and correction both, so detect and correct
+    # write the same cost and bars.csv and differ only in config.mode; none
+    # costs the original layout alone.
     if args.mode == "none":  # nothing is regrouped, so no overhead can apply
         if args.remap_overhead is not None:
             raise _ConfigError("--remap-overhead cannot be combined with --mode none")
@@ -518,7 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate artifacts and cost the protection")
     common(p, kernel_source=True, budget=True, cost_table=True)
-    p.add_argument("--mode", choices=["detect", "correct", "none"], default="detect")
+    p.add_argument(
+        "--mode",
+        choices=["detect", "correct", "none"],
+        default="detect",
+        help="detect and correct both cost detection and correction, so they write the same cost and "
+        "bars.csv; none costs the original layout alone",
+    )
     p.add_argument("--remap-overhead", dest="remap_overhead", help="detect and correct modes only; default 0")
 
     p = sub.add_parser("sweep", help="reliable-warp percentages across thresholds")

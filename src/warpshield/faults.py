@@ -155,32 +155,11 @@ class RunCounts:
         }
 
 
-class CampaignResult:
-    __slots__ = ("per_site", "per_thread_counts", "seed", "runs")
-
-    def __init__(
-        self,
-        per_site: dict[FaultSite, Outcome],
-        per_thread_counts: dict[int, tuple[int, int, int]],  # tid -> (masked, sdc, other)
-        seed: int | None = None,
-        runs: RunCounts | None = None,
-    ):
-        self.per_site = per_site
-        self.per_thread_counts = per_thread_counts
-        self.seed = seed
-        self.runs = RunCounts() if runs is None else runs
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"CampaignResult({fields})"
+class CampaignResult(NamedTuple):
+    per_site: dict[FaultSite, Outcome]
+    per_thread_counts: dict[int, tuple[int, int, int]]  # tid -> (masked, sdc, other)
+    seed: int | None
+    runs: RunCounts
 
     def counts(self, thread_id: int) -> tuple[int, int, int]:
         return self.per_thread_counts.get(thread_id, (0, 0, 0))
@@ -192,22 +171,17 @@ def default_budget(golden: ExecutionResult) -> int:
 
 
 def golden_run(
-    program: KernelProgram, inputs: dict[str, list[int]], budget: int = DEFAULT_BUDGET
+    program: KernelProgram, inputs: dict[str, list[int]], budget: int = DEFAULT_BUDGET, *, record_writes: bool = True
 ) -> ExecutionResult:
-    """Fault-free reference run with the store streams and every thread's
-    write trace recorded: what :func:`run_campaign` scores against and
-    :class:`FaultSpace` enumerates.
+    """Fault-free reference run with the store streams and, unless
+    ``record_writes`` is false, every thread's write trace recorded: what
+    :func:`run_campaign` scores against and :class:`FaultSpace` enumerates.
 
     Raises :class:`CampaignRefused` if the kernel itself crashes or hangs,
     since outcomes are only defined against a clean golden output.
     :func:`~warpshield.profiling.profile_kernel` records no write trace
     here; it takes each injected thread's from a run of its warp alone.
     """
-    return _golden(program, inputs, budget, record_writes=True)
-
-
-def _golden(program: KernelProgram, inputs, budget: int, *, record_writes: bool) -> ExecutionResult:
-    """:func:`golden_run`, with the kernel-wide write trace recorded or not."""
     golden = execute(program, inputs, budget=budget, record_writes=record_writes, record_stores=True)
     if not golden.completed:
         raise CampaignRefused(

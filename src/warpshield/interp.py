@@ -184,7 +184,7 @@ class CostTable(_CostTable):
 DEFAULT_COST_TABLE = CostTable()
 
 
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     """Snapshot of one kernel execution.
 
     ``per_thread_icnt`` is indexed by global thread id; threads that were not
@@ -195,54 +195,16 @@ class ExecutionResult:
     the barrier releases of the warp's CTA before the store.
     """
 
-    __slots__ = (
-        "outputs",
-        "per_thread_icnt",
-        "cycles",
-        "termination",
-        "fault_applied",
-        "per_warp_cycles",
-        "per_warp_stores",
-        "register_writes",
-        "store_streams",
-        "error",
-    )
-
-    def __init__(
-        self,
-        outputs: dict[str, list[int]],
-        per_thread_icnt: list[int],
-        cycles: int,
-        termination: str,
-        fault_applied: bool = False,
-        per_warp_cycles: dict[tuple[int, int], int] | None = None,
-        per_warp_stores: dict[tuple[int, int], int] | None = None,
-        register_writes: list[tuple[int, ...]] | None = None,
-        store_streams: dict[tuple[int, int], tuple[tuple[str, int, int, int], ...]] | None = None,
-        error: str | None = None,
-    ):
-        self.outputs = outputs
-        self.per_thread_icnt = per_thread_icnt
-        self.cycles = cycles
-        self.termination = termination
-        self.fault_applied = fault_applied
-        self.per_warp_cycles = {} if per_warp_cycles is None else per_warp_cycles
-        self.per_warp_stores = {} if per_warp_stores is None else per_warp_stores
-        self.register_writes = register_writes
-        self.store_streams = store_streams
-        self.error = error
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"ExecutionResult({fields})"
+    outputs: dict[str, list[int]]
+    per_thread_icnt: list[int]
+    cycles: int
+    termination: str
+    fault_applied: bool
+    per_warp_cycles: dict[tuple[int, int], int]
+    per_warp_stores: dict[tuple[int, int], int]
+    register_writes: list[tuple[int, ...]] | None = None
+    store_streams: dict[tuple[int, int], tuple[tuple[str, int, int, int], ...]] | None = None
+    error: str | None = None
 
     @property
     def completed(self) -> bool:

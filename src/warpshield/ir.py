@@ -35,7 +35,8 @@ or float literal (floats stored as IEEE-754 single bits).  ``tid`` and
 ``ctaid`` are register aliases.  Only ``setp`` takes a suffix, its condition
 ``.cc`` in eq/ne/lt/le/gt/ge (signed).  ``.kernel``, ``.ctas`` and
 ``.ctasize`` appear once, and every directive has exactly its operands.
-Register numbers and directive integers are ASCII digits.
+Register numbers and directive integers are ASCII digits, and an
+immediate is ASCII with no ``_``.
 """
 
 from __future__ import annotations
@@ -78,49 +79,18 @@ _REGISTER_NAMES = {f"r{i}": i for i in range(REGISTER_COUNT)} | {"tid": TID_REGI
 _BUF_RE = re.compile(r"^(\w+)\[(\w+)\]$")
 
 
-class Instruction:
-    """One instruction.  ``target_label`` and ``line`` record where it came
-    from in the source; they take no part in equality or hashing."""
+class Instruction(NamedTuple):
+    """One instruction; the operands its opcode's form leaves out are None,
+    or an empty ``srcs``."""
 
-    __slots__ = ("opcode", "dest", "srcs", "imm", "buffer", "addr_reg", "cond", "target", "target_label", "line")
-
-    def __init__(
-        self,
-        opcode: str,
-        dest: int | None = None,
-        srcs: tuple[int, ...] = (),
-        imm: int | None = None,
-        buffer: str | None = None,
-        addr_reg: int | None = None,
-        cond: str | None = None,
-        target: int | None = None,
-        target_label: str | None = None,
-        line: int | None = None,
-    ):
-        values = (opcode, dest, srcs, imm, buffer, addr_reg, cond, target, target_label, line)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return (self.opcode, self.dest, self.srcs, self.imm, self.buffer, self.addr_reg, self.cond, self.target)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"Instruction({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    opcode: str
+    dest: int | None = None
+    srcs: tuple[int, ...] = ()
+    imm: int | None = None
+    buffer: str | None = None
+    addr_reg: int | None = None
+    cond: str | None = None
+    target: int | None = None
 
 
 class Warp(NamedTuple):
@@ -344,14 +314,17 @@ def _parse_count(tok: str) -> int:
 
 
 def _parse_imm(tok: str, lineno: int) -> int:
-    try:
-        return int(tok, 0) & WORD_MASK
-    except ValueError:
-        pass
-    try:
-        return struct.unpack("<I", struct.pack("<f", float(tok)))[0]
-    except (ValueError, OverflowError):
-        raise ParseError(f"bad immediate {tok!r}", lineno) from None
+    """``int`` and ``float`` also take other scripts' digits and ``_``."""
+    if tok.isascii() and "_" not in tok:
+        try:
+            return int(tok, 0) & WORD_MASK
+        except ValueError:
+            pass
+        try:
+            return struct.unpack("<I", struct.pack("<f", float(tok)))[0]
+        except (ValueError, OverflowError):
+            pass
+    raise ParseError(f"bad immediate {tok!r}", lineno)
 
 
 def _parse_buf(tok: str, lineno: int) -> tuple[str, int]:
@@ -427,7 +400,7 @@ def parse_kernel(text: str) -> KernelProgram:
             shapes = (form[1:], form) if form[:1] == ("rP",) else (form,)
             usage = " or ".join(f"'{', '.join(shape)}'" for shape in shapes)
             raise ParseError(f"{op} expects {usage}" if form else f"{op} takes no operands", lineno)
-        dest = imm = buffer = addr_reg = target = label = None
+        dest = imm = buffer = addr_reg = target = None
         srcs = []
         for kind, tok in zip(form, toks):
             if kind == "rD":
@@ -437,16 +410,14 @@ def parse_kernel(text: str) -> KernelProgram:
             elif kind == "buf[rA]":
                 buffer, addr_reg = _parse_buf(tok, lineno)
             elif kind == "label":
-                label, target = tok, labels.get(tok)
+                target = labels.get(tok)
                 if target is None:
-                    raise ParseError(f"undefined label {label!r}", lineno)
+                    raise ParseError(f"undefined label {tok!r}", lineno)
                 if target >= len(raw):
-                    raise ParseError(f"label {label!r} points past the last instruction", lineno)
+                    raise ParseError(f"label {tok!r} points past the last instruction", lineno)
             else:
                 srcs.append(_parse_reg(tok, lineno))
-        instructions.append(
-            Instruction(base, dest, tuple(srcs), imm, buffer, addr_reg, cond or None, target, label, lineno)
-        )
+        instructions.append(Instruction(base, dest, tuple(srcs), imm, buffer, addr_reg, cond or None, target))
 
     try:
         return KernelProgram(

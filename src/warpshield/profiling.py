@@ -138,12 +138,11 @@ class KernelProfile:
         "provenance",  # measured | extrapolated
         "outcome_of",
         "outcomes",
-        # Downstream classification default; not persisted, excluded from equality.
-        "tau",
         # How profile_kernel's campaigns decided their sites; None when loaded.
         "runs",
         "_threads",  # the ``threads`` view, made on first use
     )
+    tau = TAU_DEFAULT  # the downstream classification default; not persisted
 
     def __init__(
         self,
@@ -154,10 +153,9 @@ class KernelProfile:
         provenance: tuple[str, ...],
         outcome_of: tuple[int, ...],
         outcomes: tuple[OutcomeRow, ...],
-        tau: Fraction = TAU_DEFAULT,
         runs: RunCounts | None = None,
     ):
-        values = (kernel, geometry, icnt, group_id, provenance, outcome_of, outcomes, tau, runs, None)
+        values = (kernel, geometry, icnt, group_id, provenance, outcome_of, outcomes, runs, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -299,11 +297,11 @@ def profile_kernel(
     """
     if mode not in ("pruned", "exhaustive"):
         raise ValidationError(f"unknown profiling mode {mode!r}")
-    from .faults import FaultSpace, RunCounts, _golden, default_budget, run_campaign, sample_sites
+    from .faults import FaultSpace, RunCounts, default_budget, golden_run, run_campaign, sample_sites
     from .interp import execute, word_inputs
 
     words = word_inputs(program, inputs)
-    golden = _golden(program, words, budget, record_writes=False)
+    golden = golden_run(program, words, budget, record_writes=False)
     groups = group_by_icnt(golden)
     run_budget = default_budget(golden)
 

@@ -61,36 +61,13 @@ class WarpIncident(NamedTuple):
     locations: tuple[tuple[str, int], ...]  # (buffer, index) pairs
 
 
-class ProtectedRunResult:
-    __slots__ = ("mode", "final_outputs", "detections", "corrections", "cycles", "warp_terminations")
-
-    def __init__(
-        self,
-        mode: str,
-        final_outputs: dict[str, list[int]],
-        detections: list[WarpIncident],
-        corrections: list[WarpIncident],
-        cycles: int,
-        warp_terminations: dict[tuple[int, int], tuple[str, ...]],  # per replica
-    ):
-        self.mode = mode
-        self.final_outputs = final_outputs
-        self.detections = detections
-        self.corrections = corrections
-        self.cycles = cycles
-        self.warp_terminations = warp_terminations
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"ProtectedRunResult({fields})"
+class ProtectedRunResult(NamedTuple):
+    mode: str
+    final_outputs: dict[str, list[int]]
+    detections: list[WarpIncident]
+    corrections: list[WarpIncident]
+    cycles: int
+    warp_terminations: dict[tuple[int, int], tuple[str, ...]]  # per replica
 
 
 def build_protection_plan(

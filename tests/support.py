@@ -361,6 +361,7 @@ def from_launch_campaign(program, inputs, sites, *, budget=None, golden=None, se
         per_site=per_site,
         per_thread_counts={t: tuple(v) for t, v in sorted(tallies.items())},
         seed=seed,
+        runs=RunCounts(),
     )
 
 

@@ -146,6 +146,15 @@ def test_float_immediate_stored_as_binary32_bits():
     assert program.instructions[0].imm == 0x40200000
 
 
+@pytest.mark.parametrize(
+    "tok, word",
+    [("0x1F", 31), ("0b101", 5), ("-1", 0xFFFFFFFF), ("1e2", 0x42C80000), ("-inf", 0xFF800000)],
+)
+def test_immediate_literal_forms(tok, word):
+    program = parse_kernel(ADD_ONE_SOURCE.replace("movi r0, 1", f"movi r0, {tok}", 1))
+    assert program.instructions[0].imm == word
+
+
 def test_source_round_trip_with_branches():
     src = """.kernel branchy
 .ctas 1
@@ -274,6 +283,9 @@ def test_operands_must_be_integers_of_the_right_shape(ins, message):
         (".ctas 2", ".ctas \u0662", "line 2: malformed directive"),
         (".in in 64", ".in in \u0666\u0664", "line 4: malformed directive"),
         (".ctas 2", ".ctas +2", "line 2: malformed directive"),
+        ("movi r0, 1", "movi r0, \u0661\u0662", "line 6: bad immediate '\u0661\u0662'"),
+        ("movi r0, 1", "movi r0, 1_000", "line 6: bad immediate '1_000'"),
+        ("movi r0, 1", "movi r0, \u0661.\u0665", "line 6: bad immediate"),
     ],
     ids=[
         "mov-suffix",
@@ -292,11 +304,15 @@ def test_operands_must_be_integers_of_the_right_shape(ins, message):
         "arabic-indic-ctas",
         "arabic-indic-buffer-size",
         "signed-ctas",
+        "arabic-indic-immediate",
+        "underscored-immediate",
+        "arabic-indic-float-immediate",
     ],
 )
 def test_refused_source(old, new, message):
     """Only setp takes a suffix, each directive has exactly its operands and
-    appears once, and numbers are ASCII digits; each refusal names its line."""
+    appears once, and numbers are ASCII with no ``_``; each refusal names
+    its line."""
     src = ADD_ONE_SOURCE.replace(old, new, 1)
     assert src != ADD_ONE_SOURCE
     with pytest.raises(ParseError, match=message):

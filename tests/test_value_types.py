@@ -8,25 +8,55 @@ import pytest
 from warpshield.classify import classify_threads, classify_warps, kernel_stats
 from warpshield.costs import account
 from warpshield.errors import ValidationError
-from warpshield.faults import FaultSite, Outcome, RunCounts
+from warpshield.faults import CampaignResult, FaultSite, Outcome, RunCounts, run_campaign
 from warpshield.fixtures import generate_fixture
-from warpshield.interp import CostTable
+from warpshield.interp import CostTable, ExecutionResult, execute
 from warpshield.ir import Instruction, KernelProgram
-from warpshield.profiling import KernelProfile, ThreadProfile
-from warpshield.protect import WarpIncident, build_protection_plan
+from warpshield.profiling import TAU_DEFAULT, KernelProfile, ThreadProfile
+from warpshield.protect import ProtectedRunResult, WarpIncident, build_protection_plan, run_protected
 from warpshield.remap import build_plan
 
 from support import add_one_inputs, add_one_kernel
 
 
-def test_instructions_differing_only_in_source_position_are_equal():
-    a = Instruction("bra", srcs=(3,), target=2, target_label="LOOP", line=7)
-    b = Instruction("bra", srcs=(3,), target=2, target_label="L2", line=40)
-    assert a == b and hash(a) == hash(b)
-    assert a != Instruction("bra", srcs=(3,), target=1, target_label="LOOP", line=7)
+def test_record_fields_in_order_and_repr():
+    expected = {
+        Instruction: ("opcode", "dest", "srcs", "imm", "buffer", "addr_reg", "cond", "target"),
+        ExecutionResult: (
+            "outputs",
+            "per_thread_icnt",
+            "cycles",
+            "termination",
+            "fault_applied",
+            "per_warp_cycles",
+            "per_warp_stores",
+            "register_writes",
+            "store_streams",
+            "error",
+        ),
+        CampaignResult: ("per_site", "per_thread_counts", "seed", "runs"),
+        ProtectedRunResult: ("mode", "final_outputs", "detections", "corrections", "cycles", "warp_terminations"),
+    }
+    for cls, fields in expected.items():
+        assert issubclass(cls, tuple) and cls._fields == fields, cls.__name__
+    a = Instruction("bra", srcs=(3,), target=2)
+    assert a == Instruction("bra", srcs=(3,), target=2) and hash(a) == hash(Instruction("bra", None, (3,), target=2))
+    assert a != Instruction("bra", srcs=(3,), target=1)
     assert repr(a) == (
-        "Instruction(opcode='bra', dest=None, srcs=(3,), imm=None, buffer=None, "
-        "addr_reg=None, cond=None, target=2, target_label='LOOP', line=7)"
+        "Instruction(opcode='bra', dest=None, srcs=(3,), imm=None, buffer=None, addr_reg=None, cond=None, target=2)"
+    )
+    assert repr(CampaignResult({}, {}, 7, RunCounts())) == (
+        "CampaignResult(per_site={}, per_thread_counts={}, seed=7, "
+        "runs=RunCounts(without_run=0, lone_thread=0, full_warp=0, crashed=0, hung=0))"
+    )
+    assert repr(ProtectedRunResult("detect", {"out": [1]}, [], [WarpIncident(0, 1, (("out", 0),))], 9, {})) == (
+        "ProtectedRunResult(mode='detect', final_outputs={'out': [1]}, detections=[], "
+        "corrections=[WarpIncident(cta_id=0, warp_id=1, locations=(('out', 0),))], cycles=9, warp_terminations={})"
+    )
+    assert repr(ExecutionResult({"out": [2]}, [3], 4, "completed", False, {(0, 0): 4}, {(0, 0): 1})) == (
+        "ExecutionResult(outputs={'out': [2]}, per_thread_icnt=[3], cycles=4, termination='completed', "
+        "fault_applied=False, per_warp_cycles={(0, 0): 4}, per_warp_stores={(0, 0): 1}, "
+        "register_writes=None, store_streams=None, error=None)"
     )
 
 
@@ -37,8 +67,9 @@ def _profile(outcome_of, **kwargs):
 
 def test_profile_equality_ignores_tau_and_runs_and_threads_shows_each_row():
     a = _profile((0, 1, 0, 1))
-    b = _profile((0, 1, 0, 1), tau=Fraction(1, 3), runs=RunCounts(1, 2))
+    b = _profile((0, 1, 0, 1), runs=RunCounts(1, 2))
     assert a == b and hash(a) == hash(b)
+    assert a.tau == KernelProfile.tau == TAU_DEFAULT == Fraction(1, 20)
     assert a != _profile((0, 1, 1, 0))
     assert a.threads is a.threads
     assert b.threads[3] == ThreadProfile(3, 1, 7, 1, Fraction(1, 2), Fraction(1, 2), Fraction(0), "measured")
@@ -136,6 +167,8 @@ def _frozen_values():
     flags = classify_threads(fixture.profile)
     warps = classify_warps(flags, fixture.program.warps())
     program = add_one_kernel(num_ctas=1, cta_size=32)
+    inputs = add_one_inputs(program)
+    add_one_warps = classify_warps([False] * 32, program.warps())
     return [
         (program.instructions[0], "opcode"),
         (program.warps()[0], "cta_id"),
@@ -149,15 +182,18 @@ def _frozen_values():
         (Outcome("sdc"), "kind"),
         (build_protection_plan(warps, "detect"), "mode"),
         (WarpIncident(0, 0, ()), "cta_id"),
-        (account(program, add_one_inputs(program), [True] * 32), "kernel"),
+        (account(program, inputs, [True] * 32), "kernel"),
         (fixture.spec, "name"),
         (fixture, "spec"),
+        (execute(program, inputs), "outputs"),
+        (run_campaign(program, inputs, [FaultSite(0, 1, 0)]), "per_site"),
+        (run_protected(program, inputs, build_protection_plan(add_one_warps, "detect")), "mode"),
     ]
 
 
 def test_every_frozen_value_type_refuses_assignment():
     values = _frozen_values()
-    assert len({type(value) for value, _ in values}) == 15
+    assert len({type(value) for value, _ in values}) == 18
     for value, field in values:
         with pytest.raises(AttributeError):
             setattr(value, field, None)
